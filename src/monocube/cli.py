@@ -6,7 +6,8 @@ so reruns with an equal configuration produce identical results whether
 they run sequentially or under --jobs; the only non-deterministic report
 field is the wall-clock entry in the meta block.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 some check failed, 2 usage error
+(including an input too large for an exact method).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .hard_instances import LowerBoundSpec, lower_bound_function
 from .isoperimetry import EdgeColoring, dist_to_const_fraction, \
     undirected_objective, violation_profile
 from .oracles import exact_distance
-from .poset import hypercube, read_domain
+from .poset import DomainSizeError, hypercube, read_domain
 from .seeds import derive_seed
 from .testers import DEFAULT_BUDGET_CONSTANT, measure_rejection, run_pair_tester
 
@@ -407,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DomainSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,13 @@ per-rate mu estimates.  Every estimator issues its full query pattern
 regardless of observed values, so runs with equal seeds and
 configurations query identical multisets on any two functions.
 
+One array evaluator, `_capture_hits`, decides the capture event for a
+block of vertices at once; `capture`, `mu_exact` and `mu_estimate` all
+go through it.  The estimators take each draw from a `random.Random`
+stream in sample order and then evaluate the block with one counted
+rank lookup, so the stream and the query log match a one-sample-at-a-time
+evaluation exactly.
+
 The log factor inside sqrt(d log d) is base 2 and clamped below at 1 so
 the d = 1 corner stays defined.
 """
@@ -25,10 +32,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, islice
 
-from .funcs import CountingOracle, ValuedFunction
+import numpy as np
+
+from .funcs import CountingOracle, ValuedFunction, index_dtype
 from .isoperimetry import BLUE, RED, EdgeColoring, violation_profile
 from .seeds import derive_seed
+from .testers import edge_draws
 
 
 @dataclass(frozen=True)
@@ -50,53 +61,73 @@ class CaptureConfig:
             raise ValueError("failure_budget must lie in (0, 1/3]")
 
 
-def _edge_between(values, x: int, y: int, x_bit_zero: bool) -> bool:
-    """Violation status of the edge between neighbours x and y where
-    x_bit_zero says the edge is oriented x -> y."""
-    if x_bit_zero:
-        return values[x] > values[y]
-    return values[y] > values[x]
+# Vertices evaluated per array step.  A step's temporaries have BLOCK rows,
+# each the query pattern (1 + |S| + |S|(|S|-1)/2 vertices) or the
+# |S|(|S|-1) edge tests around it.
+BLOCK = 2048
 
 
-def capture(f: ValuedFunction, x: int, S) -> bool:
-    """The capture event for vertex x and coordinate set S (1-based)."""
-    d = f.domain.d
+def _coordinates(f: ValuedFunction, S) -> list[int]:
+    """S as a sorted list of distinct hypercube coordinates, validated."""
     if f.domain.kind != "hypercube":
         raise ValueError("capture is defined on hypercube domains")
     S = sorted(set(S))
     for i in S:
-        if not 1 <= i <= d:
-            raise ValueError(f"coordinate {i} out of range 1..{d}")
-    values = f.values
-    for i in S:
-        bit = 1 << (i - 1)
-        y = x ^ bit
-        if not _edge_between(values, x, y, not x & bit):
-            continue
-        clean = True
-        for j in S:
-            if j == i:
-                continue
-            jbit = 1 << (j - 1)
-            z = y ^ jbit
-            if _edge_or_reverse_violated(values, y, z, jbit):
-                clean = False
-                break
-        if clean:
-            return True
-    return False
+        if not 1 <= i <= f.domain.d:
+            raise ValueError(f"coordinate {i} out of range 1..{f.domain.d}")
+    return S
 
 
-def _edge_or_reverse_violated(values, y: int, z: int, jbit: int) -> bool:
-    lo, hi = (y, z) if not y & jbit else (z, y)
-    return values[lo] > values[hi]
+def capture(f: ValuedFunction, x: int, S) -> bool:
+    """The capture event for vertex x and coordinate set S (1-based)."""
+    S = _coordinates(f, S)
+    xs = np.array([x], dtype=index_dtype(f.n))
+    return _capture_hits(xs, S, f.ranks.__getitem__) == 1
 
 
 def mu_exact(f: ValuedFunction, S) -> Fraction:
     """Exact capture probability over a uniform vertex (full sweep)."""
+    S = _coordinates(f, S)
     n = f.domain.n
-    hits = sum(capture(f, x, S) for x in range(n))
+    vertices = np.arange(n, dtype=index_dtype(n))
+    hits = sum(_capture_hits(vertices[lo:lo + BLOCK], S, f.ranks.__getitem__)
+               for lo in range(0, n, BLOCK))
     return Fraction(hits, n)
+
+
+def _capture_hits(xs: np.ndarray, S: list[int], lookup) -> int:
+    """How many vertices of ``xs`` have the capture event for the sorted
+    coordinate list S.
+
+    ``lookup`` maps a vertex array to ranks.  It is called once, on the
+    query pattern ``xs[:, None] ^ offsets``: row r is x = xs[r], its
+    S-neighbours, then the distinct two-flip points in pair order.
+    """
+    k = len(S)
+    bits = [1 << (i - 1) for i in S]
+    pairs = list(combinations(range(k), 2))
+    offsets = np.array([0, *bits, *(bits[a] | bits[b] for a, b in pairs)], dtype=xs.dtype)
+    column = {}  # (a, b) -> pattern column of x^(a)^(b)
+    for c, (a, b) in enumerate(pairs, start=k + 1):
+        column[a, b] = column[b, a] = c
+    # each (a, b) with b != a, grouped by a: the edge from y = x^(a) along S[b]
+    ordered = [(a, b) for a in range(k) for b in range(k) if b != a]
+    ranks = lookup(xs[:, None] ^ offsets)
+    up = (xs[:, None] & offsets[1:k + 1]) != 0  # x is the upper end of its edge along S[a]
+    flipped = _violated(ranks[:, :1], ranks[:, 1:k + 1], up)
+    # y = x^(a) has x's bits along the other coordinates, so its edges there
+    # have the same orientation as x's
+    spoiled = _violated(ranks[:, [1 + a for a, _ in ordered]],
+                        ranks[:, [column[pair] for pair in ordered]],
+                        up[:, [b for _, b in ordered]])
+    spoiled = spoiled.reshape(len(xs), k, max(k - 1, 0)).any(axis=2)
+    return int(np.count_nonzero((flipped & ~spoiled).any(axis=1)))
+
+
+def _violated(fu: np.ndarray, fv: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Whether the edge between u and its neighbour v is violated, from their
+    ranks and whether u is the edge's upper end."""
+    return np.where(up, fv > fu, fu > fv)
 
 
 def hoeffding_samples(additive_error: float, failure_prob: float) -> int:
@@ -114,40 +145,6 @@ class Estimate:
     failure_prob: float
 
 
-def _capture_pattern(x: int, S: list[int]) -> list[int]:
-    """The nonadaptive query pattern for one capture evaluation: x, its
-    S-neighbours, and the distinct two-flip points."""
-    points = [x]
-    bits = [1 << (i - 1) for i in S]
-    points.extend(x ^ b for b in bits)
-    for a in range(len(bits)):
-        for b in range(a + 1, len(bits)):
-            points.append(x ^ bits[a] ^ bits[b])
-    return points
-
-
-def _capture_from_table(values: dict[int, float], x: int, S: list[int]) -> bool:
-    for i in S:
-        bit = 1 << (i - 1)
-        y = x ^ bit
-        lo, hi = (x, y) if not x & bit else (y, x)
-        if not values[lo] > values[hi]:
-            continue
-        clean = True
-        for j in S:
-            if j == i:
-                continue
-            jbit = 1 << (j - 1)
-            z = y ^ jbit
-            zlo, zhi = (y, z) if not y & jbit else (z, y)
-            if values[zlo] > values[zhi]:
-                clean = False
-                break
-        if clean:
-            return True
-    return False
-
-
 def mu_estimate(oracle: CountingOracle, S, additive_error: float,
                 failure_prob: float, seed: int) -> Estimate:
     """Monte Carlo capture probability via oracle queries only."""
@@ -157,13 +154,12 @@ def mu_estimate(oracle: CountingOracle, S, additive_error: float,
     S = sorted(set(S))
     samples = hoeffding_samples(additive_error, failure_prob)
     rng = random.Random(seed)
+    dtype = index_dtype(oracle.domain.n)
     hits = 0
-    for _ in range(samples):
-        x = rng.getrandbits(d)
-        pattern = _capture_pattern(x, S)
-        looked = oracle.lookup_many(pattern)
-        table = dict(zip(pattern, looked))
-        hits += _capture_from_table(table, x, S)
+    for lo in range(0, samples, BLOCK):
+        m = min(BLOCK, samples - lo)
+        xs = np.fromiter((rng.getrandbits(d) for _ in range(m)), dtype=dtype, count=m)
+        hits += _capture_hits(xs, S, oracle.lookup_ranks)
     return Estimate(hits / samples, samples, additive_error, failure_prob)
 
 
@@ -175,12 +171,15 @@ def violated_fraction_estimate(oracle: CountingOracle, additive_error: float,
         raise ValueError("edge sampling runs on hypercube domains")
     samples = hoeffding_samples(additive_error, failure_prob)
     rng = random.Random(seed)
+    dtype = index_dtype(oracle.domain.n)
+    draws = edge_draws(rng, d, samples)
     hits = 0
-    for _ in range(samples):
-        i = rng.randrange(d)
-        x = rng.getrandbits(d) & ~(1 << i)
-        fx, fy = oracle.lookup_many((x, x | 1 << i))
-        hits += fx > fy
+    for lo in range(0, samples, BLOCK):
+        m = min(BLOCK, samples - lo)
+        edges = np.fromiter(chain.from_iterable(islice(draws, m)), dtype=dtype,
+                            count=2 * m).reshape(m, 2)
+        ranks = oracle.lookup_ranks(edges)
+        hits += int(np.count_nonzero(ranks[:, 0] > ranks[:, 1]))
     return Estimate(hits / samples, samples, additive_error, failure_prob)
 
 

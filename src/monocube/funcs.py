@@ -7,8 +7,20 @@ testers) never needs the raw values, only their order, so
 preserving every violated pair, the distance to monotonicity, and the
 image size.
 
+Query-driven code evaluates whole schedules at once, so every function
+also carries a cached **rank view**: ``ranks[x]`` is the index of
+``values[x]`` in ``sorted(set(values))``, stored as an ndarray in the
+narrowest unsigned dtype.  Ranks compare exactly as the values do, for
+any mix of ints and floats, so a strict comparison on ranks decides the
+same violations as one on values.
+
 `CountingOracle` wraps a function behind a query counter (optionally a
-query log) so testers can account for every lookup they make.
+query log) so testers can account for every lookup they make.  Its
+array lookup, `CountingOracle.lookup_ranks`, takes an integer ndarray of
+vertices of any shape, counts every element as one query, logs the
+vertices in row-major order and returns their ranks in the same shape.
+`CountingOracle.lookup_many` is the same lookup for a sequence of
+vertices, returning their values.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +65,21 @@ class ValuedFunction:
     def is_boolean(self) -> bool:
         return set(self.values) <= {0, 1}
 
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Each value's index among the sorted distinct values: the 0-based
+        ndarray form of `canonical_rank`, computed once per function."""
+        levels = image_values(self)
+        index = {v: i for i, v in enumerate(levels)}
+        return np.fromiter(map(index.__getitem__, self.values),
+                           dtype=index_dtype(len(levels)), count=self.n)
+
+
+def index_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned dtype holding 0..n-1: used for vertex ids
+    and for ranks."""
+    return np.min_scalar_type(max(n - 1, 0))
+
 
 class CountingOracle:
     """Oracle access to a function with exact query accounting.
@@ -80,6 +108,14 @@ class CountingOracle:
             self.log.extend(xs)
         values = self.fn.values
         return [values[x] for x in xs]
+
+    def lookup_ranks(self, xs: np.ndarray) -> np.ndarray:
+        """Ranks at the vertices of the integer array ``xs``, one query per
+        element, logged in row-major order."""
+        self.query_count += xs.size
+        if self.log is not None:
+            self.log.extend(xs.ravel().tolist())
+        return self.fn.ranks[xs]
 
     def reset(self) -> None:
         self.query_count = 0
@@ -197,12 +233,10 @@ def read_function(path: str) -> ValuedFunction:
         raise FunctionFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "values" not in doc:
         raise FunctionFormatError(f"{path}: missing 'values'")
-    raw = doc["values"]
-    values = []
-    for v in raw:
+    values = doc["values"]
+    for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise FunctionFormatError(f"{path}: non-numeric value {v!r}")
-        values.append(v)
     if "d" in doc:
         domain = build_domain({"d": doc["d"]})
     elif "domain" in doc:

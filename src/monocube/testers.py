@@ -12,18 +12,24 @@ is also provided directly.
 The full query schedule is generated from the seed and the configuration
 before any value is read, so the queried multiset never depends on the
 function: two runs with equal seeds on different functions touch
-identical points (the replay property).  The verdict and the reported
-witness are derived afterwards, taking the first violating pair in
-schedule order.  Draws with y = x cost one lookup; all others cost two.
+identical points (the replay property).  The schedule is kept as one
+integer array of (x, y) pairs and read with a single counted rank
+lookup; the verdict and the reported witness are derived afterwards,
+taking the first violating pair in schedule order.  Draws with y = x
+cost one lookup; all others cost two.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .funcs import CountingOracle, ValuedFunction
+import numpy as np
+
+from .funcs import CountingOracle, ValuedFunction, index_dtype
 from .seeds import derive_seed
 
 DEFAULT_BUDGET_CONSTANT = 4.0
@@ -82,12 +88,25 @@ def repetitions(config: TesterConfig) -> int:
     return max(1, math.ceil(config.budget_constant * base * (math.log2(d) + 1 if d > 1 else 1)))
 
 
+@functools.cache
+def _bit_positions(nbytes: int) -> tuple:
+    """For each byte k < nbytes and byte value v, the positions 8k + i of
+    v's set bits, in increasing order."""
+    return tuple(tuple(tuple(8 * k + i for i in range(8) if v >> i & 1)
+                       for v in range(256))
+                 for k in range(nbytes))
+
+
 def sample_pair(b: int, tau: int, d: int, rng: random.Random) -> tuple[int, int]:
     """One draw from the pair-test distribution D_pair(b, tau)."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
     x = rng.getrandbits(d)
-    S = [i for i in range(d) if (x >> i & 1) == b]
+    equal = x if b else ~x & ((1 << d) - 1)  # the coordinates where x has bit b
+    S = []
+    for table in _bit_positions((d + 7) // 8):
+        S += table[equal & 255]
+        equal >>= 8
     if tau > len(S):
         return x, x
     y = x
@@ -96,23 +115,39 @@ def sample_pair(b: int, tau: int, d: int, rng: random.Random) -> tuple[int, int]
     return x, y
 
 
-def _evaluate_schedule(oracle: CountingOracle, schedule, seed: int) -> TesterReport:
-    """Query every scheduled pair, then derive verdict and per-setting stats."""
+def edge_draws(rng: random.Random, d: int, count: int):
+    """``count`` uniformly random directed edges (x, x + e_i) of the
+    d-cube, each drawn as the coordinate i, then the point x."""
+    for _ in range(count):
+        i = rng.randrange(d)
+        x = rng.getrandbits(d) & ~(1 << i)
+        yield x, x | 1 << i
+
+
+def _evaluate_schedule(oracle: CountingOracle, settings: list, reps: int, draws,
+                       seed: int) -> TesterReport:
+    """Query every scheduled pair, then derive verdict and per-setting stats.
+
+    ``draws`` yields the (x, y) pairs: ``reps`` for each (b, tau) in
+    ``settings``, in that order.  All of them are drawn before the one
+    array lookup, which issues x, then y only when y != x, pair by pair.
+    """
+    pairs = np.fromiter(chain.from_iterable(draws), dtype=index_dtype(oracle.domain.n),
+                        count=2 * reps * len(settings)).reshape(len(settings), reps, 2)
     start = oracle.query_count
+    issued = np.ones(pairs.shape, dtype=bool)
+    issued[..., 1] = pairs[..., 0] != pairs[..., 1]
+    # a y = x draw reads the rank of its x twice: its one lookup is repeated
+    ranks = oracle.lookup_ranks(pairs[issued])[np.cumsum(issued) - 1].reshape(pairs.shape)
     witness = None
-    per_setting: dict = {}
-    for (b, tau, x, y) in schedule:
-        stats = per_setting.setdefault((b, tau), {"draws": 0, "violations": 0})
-        stats["draws"] += 1
-        fx = oracle(x)
-        if y == x:
-            continue
-        fy = oracle(y)
-        violating = fx > fy if b == 0 else fx < fy
-        if violating:
-            stats["violations"] += 1
-            if witness is None:
-                witness = (x, y, fx, fy)
+    per_setting = {}
+    for s, (b, tau) in enumerate(settings):
+        # b = 0: x is the lower end of the pair, b = 1: y is
+        violating = np.flatnonzero(ranks[s, :, b] > ranks[s, :, 1 - b])
+        per_setting[b, tau] = {"draws": reps, "violations": len(violating)}
+        if witness is None and len(violating):
+            x, y = pairs[s, violating[0]].tolist()
+            witness = (x, y, oracle.fn.values[x], oracle.fn.values[y])
     return TesterReport(
         verdict="reject" if witness is not None else "accept",
         queries=oracle.query_count - start,
@@ -128,13 +163,10 @@ def pair_tester(oracle: CountingOracle, config: TesterConfig) -> TesterReport:
                          f"{oracle.domain!r}")
     rng = random.Random(config.seed)
     reps = repetitions(config)
-    schedule = []
-    for b in (0, 1):
-        for tau in tau_schedule(config.d):
-            for _ in range(reps):
-                x, y = sample_pair(b, tau, config.d, rng)
-                schedule.append((b, tau, x, y))
-    return _evaluate_schedule(oracle, schedule, config.seed)
+    settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(config.d)]
+    draws = (sample_pair(b, tau, config.d, rng)
+             for (b, tau) in settings for _ in range(reps))
+    return _evaluate_schedule(oracle, settings, reps, draws, config.seed)
 
 
 def edge_tester(oracle: CountingOracle, epsilon: float, d: int,
@@ -148,12 +180,7 @@ def edge_tester(oracle: CountingOracle, epsilon: float, d: int,
         raise ValueError(f"d={d} but the oracle's domain is {oracle.domain!r}")
     rng = random.Random(seed)
     reps = max(1, math.ceil(budget_constant * d / epsilon))
-    schedule = []
-    for _ in range(reps):
-        i = rng.randrange(d)
-        x = rng.getrandbits(d) & ~(1 << i)
-        schedule.append((0, 1, x, x | 1 << i))
-    return _evaluate_schedule(oracle, schedule, seed)
+    return _evaluate_schedule(oracle, [(0, 1)], reps, edge_draws(rng, d, reps), seed)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,18 @@ def test_usage_errors(tmp_path):
     assert run(["exact-distance", "--fn", str(tmp_path / "missing.json")]) == 2
 
 
+def test_oversized_input_is_a_usage_error(tmp_path, capsys):
+    # non-Boolean d=7 has 128 vertices, over the exact-distance cap
+    fn = tmp_path / "f7.json"
+    assert run(["gen-function", "--d", "7", "--r", "3", "--seed", "0",
+                "--out", str(fn)]) == 0
+    capsys.readouterr()
+    assert run(["exact-distance", "--fn", str(fn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_report_meta_fields(tmp_path):
     fn = tmp_path / "f.json"
     out = tmp_path / "c.json"

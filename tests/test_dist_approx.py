@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monocube.dist_approx import (BLUE, RED, CaptureConfig, approx_distance,
                                   approx_mono, bucket_profile, capture,
@@ -41,6 +42,35 @@ def test_capture_condition_two_blocks():
     assert capture(f, 2, [1, 2])  # via i=2 down to vertex 0
 
 
+def brute_capture(values, x, S):
+    """The capture event read off its definition, one edge at a time."""
+    def violated(u, bit):  # the edge between u and u^bit, lower end first
+        lo, hi = (u, u ^ bit) if not u & bit else (u ^ bit, u)
+        return values[lo] > values[hi]
+
+    bits = [1 << (i - 1) for i in S]
+    return any(violated(x, b) and not any(violated(x ^ b, c) for c in bits if c != b)
+               for b in bits)
+
+
+@st.composite
+def function_and_set(draw):
+    d = draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(0, 4) | st.sampled_from([0.5, 2.5, -1.0]),
+                           min_size=1 << d, max_size=1 << d))
+    S = draw(st.sets(st.integers(1, d)))
+    return ValuedFunction(hypercube(d), tuple(values)), sorted(S)
+
+
+@given(function_and_set())
+@settings(max_examples=150, deadline=None)
+def test_capture_agrees_with_definition(case):
+    f, S = case
+    brute = [brute_capture(f.values, x, S) for x in range(f.n)]
+    assert [capture(f, x, S) for x in range(f.n)] == brute
+    assert mu_exact(f, S) == Fraction(sum(brute), f.n)
+
+
 def test_mu_exact_examples():
     mono = random_monotone(hypercube(4), 3, 0)
     for S in ([1], [2, 4], [1, 2, 3, 4]):
@@ -67,6 +97,34 @@ def test_mu_estimate_monotone_exact_zero():
     est = mu_estimate(oracle, [1, 3], 0.2, 0.1, seed=5)
     assert est.value == 0.0
     assert oracle.query_count == est.samples * (1 + 2 + 1)  # x, two flips, one pair
+
+
+def test_estimator_query_logs():
+    f = random_function(hypercube(5), 4, 3)
+    S = [1, 3, 4]
+    oracle = CountingOracle(f, record=True)
+    est = mu_estimate(oracle, S, 0.025, 0.1, seed=8)
+    assert est.samples > 2048  # spans more than one evaluation block
+    rng = random.Random(8)
+    bits = [1 << (i - 1) for i in S]
+    want = []
+    for _ in range(est.samples):
+        x = rng.getrandbits(5)
+        want += [x, *(x ^ b for b in bits),
+                 *(x ^ a ^ b for a, b in combinations(bits, 2))]
+    assert oracle.log == want
+    assert oracle.query_count == len(want)
+
+    oracle = CountingOracle(f, record=True)
+    est = violated_fraction_estimate(oracle, 0.025, 0.1, seed=9)
+    rng = random.Random(9)
+    want = []
+    for _ in range(est.samples):
+        i = rng.randrange(5)
+        x = rng.getrandbits(5) & ~(1 << i)
+        want += [x, x | 1 << i]
+    assert oracle.log == want
+    assert oracle.query_count == len(want)
 
 
 def test_mu_estimate_calibration_quick():

@@ -1,0 +1,68 @@
+"""Golden digests of fixed-seed CLI reports.
+
+Each digest is the SHA-256 of the report's canonical JSON (sorted keys,
+compact separators) with ``meta.elapsed_seconds`` removed and the input
+path in ``meta.config.fn`` reduced to its file name.  A digest changes
+only when a fixed-seed result changes, which is a reproducibility-contract
+change and has to be announced as one.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from monocube.cli import main
+from monocube.funcs import ValuedFunction, anti_dictator, random_monotone, \
+    write_function
+from monocube.hard_instances import LowerBoundSpec, lower_bound_function
+from monocube.poset import hypercube
+
+
+def _mixed_values(d):
+    """Ints and halves, so the rank view sees a mix of ints and floats."""
+    return tuple((x * 37 % 11) + (0.5 if x % 3 == 0 else 0) for x in range(1 << d))
+
+
+INPUTS = {
+    "hard-d9.json": lambda: lower_bound_function(LowerBoundSpec(9, 7, 2)),
+    "mixed-d6.json": lambda: ValuedFunction(hypercube(6), _mixed_values(6)),
+    "anti-d10.json": lambda: anti_dictator(10),
+    "mono-d6.json": lambda: random_monotone(hypercube(6), 5, 4),
+}
+
+GOLDEN = [
+    (["approx-distance", "--fn", "hard-d9.json", "--alpha", "0.2", "--seed", "5"],
+     "4182f12dbec3caef5b06190db5d1a20b4942fe751221ab8fc576160227983d2e"),
+    (["approx-distance", "--fn", "mixed-d6.json", "--alpha", "0.1", "--seed", "2"],
+     "eaa6e91867d45c771ea9b2962f10870a47c67be32b8c6b04d8ff83433e31a96c"),
+    (["approx-distance", "--fn", "mono-d6.json", "--alpha", "0.1", "--seed", "4"],
+     "9b3e37c11665c62c41e27aeb3f746ae972e4dd09b60c12782e4c4159d9d756a5"),
+    (["test-monotone", "--fn", "mixed-d6.json", "--eps", "0.5", "--trials", "8",
+      "--seed", "3"],
+     "8a5a46f5549f7b75596ea5f9c0e65f1e64c6b50441417fc19a8de7be63d4656d"),
+    (["test-monotone", "--fn", "anti-d10.json", "--eps", "0.5", "--trials", "5",
+      "--seed", "1"],
+     "094f7446f5b4a0ee1222d35ac3a39d668c762011907966d3ba80627f8fdbdb42"),
+]
+
+
+def report_digest(path):
+    with open(path) as fh:
+        report = json.load(fh)
+    report["meta"].pop("elapsed_seconds")
+    report["meta"]["config"]["fn"] = os.path.basename(report["meta"]["config"]["fn"])
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN,
+                         ids=[f"{argv[0]}-{argv[2].split('.')[0]}" for argv, _ in GOLDEN])
+def test_golden_report_digest(tmp_path, argv, digest):
+    fn = argv[argv.index("--fn") + 1]
+    write_function(INPUTS[fn](), str(tmp_path / fn))
+    argv = [str(tmp_path / a) if a in INPUTS else a for a in argv]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert report_digest(out) == digest

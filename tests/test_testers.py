@@ -123,6 +123,42 @@ def test_pair_tester_query_accounting():
     assert rep.queries == 2 * (total - degenerate) + degenerate
 
 
+def reference_report(f, schedule):
+    """Evaluate a (b, tau, x, y) schedule one pair at a time: the verdict,
+    the first violating pair in schedule order with its values, per-setting
+    counts, and the query log (x, then y only when y != x)."""
+    log, witness, per_setting = [], None, {}
+    for (b, tau, x, y) in schedule:
+        stats = per_setting.setdefault((b, tau), {"draws": 0, "violations": 0})
+        stats["draws"] += 1
+        log.append(x)
+        if y == x:
+            continue
+        log.append(y)
+        fx, fy = f.values[x], f.values[y]
+        if (fx > fy if b == 0 else fx < fy):
+            stats["violations"] += 1
+            witness = witness or (x, y, fx, fy)
+    return ("reject" if witness else "accept"), witness, per_setting, log
+
+
+@pytest.mark.parametrize("d,seed", [(1, 0), (3, 1), (6, 2), (9, 3)])
+def test_pair_tester_matches_pairwise_reference(d, seed):
+    values = [(x * 7 % 5) + (0.5 if x % 4 == 1 else 0) for x in range(1 << d)]
+    f = ValuedFunction(hypercube(d), tuple(values))
+    cfg = TesterConfig(epsilon=0.3, d=d, r=4, budget_constant=0.5, seed=seed)
+    rng = random.Random(seed)
+    schedule = [(b, tau, *sample_pair(b, tau, d, rng))
+                for b in (0, 1) for tau in tau_schedule(d)
+                for _ in range(repetitions(cfg))]
+    oracle = CountingOracle(f, record=True)
+    rep = pair_tester(oracle, cfg)
+    verdict, witness, per_setting, log = reference_report(f, schedule)
+    assert (rep.verdict, rep.witness, rep.per_setting) == (verdict, witness, per_setting)
+    assert oracle.log == log
+    assert rep.queries == oracle.query_count == len(log)
+
+
 def test_pair_tester_replay_identical_queries():
     cfg = dict(epsilon=0.4, d=7, r=3, seed=99)
     f = random_function(hypercube(7), 3, 0)
