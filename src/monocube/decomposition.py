@@ -26,7 +26,7 @@ from fractions import Fraction
 import networkx as nx
 
 from .funcs import ValuedFunction, canonical_rank
-from .isoperimetry import EdgeColoring, colored_counts, violation_profile
+from .isoperimetry import EdgeColoring, colored_objective, violation_profile
 from .oracles import exact_distance, is_monotone
 from .poset import DomainSizeError, PosetDomain, SweepingGraph
 
@@ -348,7 +348,6 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
     """
     if dec is None:
         dec = decompose(f)
-    n = f.domain.n
     profile = violation_profile(f)
     col.validate_for(profile)
 
@@ -356,8 +355,7 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
         zero = (0.0, 0.0, 0.0, 0.0)
         return ChainReport(zero, Fraction(0), Fraction(0), True, True, "monotone input")
 
-    red_all, blue_all = colored_counts(f, col)
-    v1 = _objective_from_counts(red_all, blue_all, n)
+    v1 = colored_objective(f, col)
 
     union_edges = set()
     per_part_edges = []
@@ -366,19 +364,10 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
                    if graph.vertex_mask >> e[0] & 1 and graph.vertex_mask >> e[1] & 1]
         per_part_edges.append(edges_i)
         union_edges.update(edges_i)
-    red_u, blue_u = colored_counts(f, col, union_edges)
-    v2 = _objective_from_counts(red_u, blue_u, n)
-
-    v3 = math.fsum(
-        _objective_from_counts(*colored_counts(f, col, edges_i), n)
-        for edges_i in per_part_edges)
-
-    v4_terms = []
-    for (fi, _graph) in dec.components:
-        edges_fi = violation_profile(fi).violated_edges
-        red_i, blue_i = colored_counts(f, col, edges_fi)
-        v4_terms.append(_objective_from_counts(red_i, blue_i, n))
-    v4 = math.fsum(v4_terms)
+    v2 = colored_objective(f, col, union_edges)
+    v3 = math.fsum(colored_objective(f, col, edges_i) for edges_i in per_part_edges)
+    v4 = math.fsum(colored_objective(f, col, violation_profile(fi).violated_edges)
+                   for (fi, _graph) in dec.components)
 
     eps_f = dec.certificate.epsilon_f if dec.certificate else exact_distance(f).epsilon
     eps_sum = (dec.certificate.epsilon_sum if dec.certificate
@@ -390,11 +379,6 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
         f"chain=({v1}, {v2}, {v3}, {v4}) eps_sum={eps_sum} eps_f={eps_f}"
     return ChainReport((v1, v2, v3, v4), eps_f, eps_sum, ordering_ok,
                        distance_ok, detail)
-
-
-def _objective_from_counts(red: list[int], blue: list[int], n: int) -> float:
-    return (math.fsum(math.sqrt(c) for c in red)
-            + math.fsum(math.sqrt(c) for c in blue)) / n
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .funcs import CountingOracle, ValuedFunction, index_dtype
-from .isoperimetry import BLUE, RED, EdgeColoring, violation_profile
+from .isoperimetry import BLUE, RED, EdgeColoring, colored_counts, \
+    violation_profile
 from .seeds import derive_seed
 from .testers import edge_draws
 
@@ -358,13 +359,7 @@ def bucket_profile(f: ValuedFunction) -> BucketProfile:
     col = u_degree_coloring(f)
     U = profile.total_degree
     n = f.domain.n
-    red = [0] * n
-    blue = [0] * n
-    for e in col.edges():
-        if col[e] == RED:
-            red[e[0]] += 1
-        else:
-            blue[e[1]] += 1
+    red, blue = colored_counts(f, col)
 
     def parity_ok(x: int, parity: str) -> bool:
         even = x.bit_count() % 2 == 0

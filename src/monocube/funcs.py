@@ -12,7 +12,8 @@ also carries a cached **rank view**: ``ranks[x]`` is the index of
 ``values[x]`` in ``sorted(set(values))``, stored as an ndarray in the
 narrowest unsigned dtype.  Ranks compare exactly as the values do, for
 any mix of ints and floats, so a strict comparison on ranks decides the
-same violations as one on values.
+same violations as one on values.  The violation profile (per-vertex
+violated-edge counts, see `isoperimetry`) is cached the same way.
 
 `CountingOracle` wraps a function behind a query counter (optionally a
 query log) so testers can account for every lookup they make.  Its
@@ -30,11 +31,14 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .poset import PosetDomain, build_domain, hypercube
+
+if TYPE_CHECKING:
+    from .isoperimetry import ViolationProfile
 
 
 class FunctionFormatError(ValueError):
@@ -73,6 +77,13 @@ class ValuedFunction:
         index = {v: i for i, v in enumerate(levels)}
         return np.fromiter(map(index.__getitem__, self.values),
                            dtype=index_dtype(len(levels)), count=self.n)
+
+    @cached_property
+    def violation_profile(self) -> ViolationProfile:
+        """This function's `isoperimetry.ViolationProfile`, computed once
+        per function like `ranks`."""
+        from .isoperimetry import ViolationProfile  # isoperimetry imports funcs
+        return ViolationProfile.of(self)
 
 
 def index_dtype(n: int) -> np.dtype:
@@ -169,24 +180,7 @@ def random_monotone(domain: PosetDomain, r: int, seed: int) -> ValuedFunction:
         raise ValueError("image bound r must be >= 1")
     rng = np.random.default_rng(seed)
     base = rng.integers(1, r + 1, size=domain.n)
-    if domain.kind == "hypercube":
-        idx = np.arange(domain.n)
-        for i in range(domain.d):
-            bit = 1 << i
-            has = (idx & bit) != 0
-            upper = idx[has]
-            base[upper] = np.maximum(base[upper], base[upper ^ bit])
-        values = base
-    else:
-        values = base.tolist()
-        preds: list[list[int]] = [[] for _ in range(domain.n)]
-        for (u, v) in domain.cover_edges():
-            preds[v].append(u)
-        for x in domain._topo:  # noqa: SLF001 - closure needs the topo order
-            for u in preds[x]:
-                if values[u] > values[x]:
-                    values[x] = values[u]
-    return ValuedFunction(domain, tuple(int(v) for v in values))
+    return ValuedFunction(domain, tuple(domain.down_max(base).tolist()))
 
 
 def anti_dictator(d: int) -> ValuedFunction:

@@ -15,8 +15,17 @@ Counting conventions:
 * The undirected count ``I_undirected(x)`` assigns each influential edge
   (endpoint values differ) to the endpoint with the larger value.
 
-Floating-point objectives use ``math.fsum`` (exactly rounded), so sums
-are independent of accumulation order and bit-reproducible.
+Floating-point objectives use ``math.fsum`` (exactly rounded) over
+correctly rounded square roots, so sums are independent of accumulation
+order and bit-reproducible.
+
+Each function's profile is one array computation: the function's ranks
+(`ValuedFunction.ranks`) are compared across the domain's cover-edge
+arrays (`PosetDomain.edge_arrays`) and the per-vertex counts come from
+``np.bincount``.  It runs once per function; `violation_profile` returns
+the copy cached on the function.  `ViolationProfile` stores arrays, and
+its tuple fields (``violated_edges``, ``out_counts``, ``total_degree``,
+``undirected_counts``) are read-only views built on first access.
 """
 
 from __future__ import annotations
@@ -24,8 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Literal, Mapping
+
+import numpy as np
 
 from .funcs import ValuedFunction, image_values, threshold
 from .poset import DomainSizeError
@@ -37,41 +49,58 @@ PERSISTENCE_THRESHOLD = Fraction(9, 10)
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViolationProfile:
-    violated_edges: tuple[tuple[int, int], ...]
-    out_counts: tuple[int, ...]        # I_minus per vertex
-    total_degree: tuple[int, ...]      # U_minus per vertex
-    undirected_counts: tuple[int, ...]  # I_undirected per vertex
+    """Violated edges and per-vertex counts of one function, as arrays."""
+
+    lower: np.ndarray        # lower endpoints of the violated edges, in cover-edge order
+    upper: np.ndarray        # their upper endpoints
+    out: np.ndarray          # I_minus per vertex
+    total: np.ndarray        # U_minus per vertex
+    undirected: np.ndarray   # I_undirected per vertex
     influential_edge_count: int
+
+    @classmethod
+    def of(cls, f: ValuedFunction) -> "ViolationProfile":
+        """Compute the profile; callers use `violation_profile`, which
+        caches it on f."""
+        lower, upper = f.domain.edge_arrays
+        n = f.domain.n
+        rank_lower = f.ranks[lower]
+        rank_upper = f.ranks[upper]
+        violated = rank_lower > rank_upper
+        rising = upper[rank_lower < rank_upper]
+        lower, upper = lower[violated], upper[violated]
+        out = np.bincount(lower, minlength=n)
+        return cls(lower, upper, out,
+                   total=out + np.bincount(upper, minlength=n),
+                   undirected=out + np.bincount(rising, minlength=n),
+                   influential_edge_count=len(lower) + len(rising))
+
+    @cached_property
+    def violated_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.lower.tolist(), self.upper.tolist()))
+
+    @cached_property
+    def out_counts(self) -> tuple[int, ...]:
+        return tuple(self.out.tolist())
+
+    @cached_property
+    def total_degree(self) -> tuple[int, ...]:
+        return tuple(self.total.tolist())
+
+    @cached_property
+    def undirected_counts(self) -> tuple[int, ...]:
+        return tuple(self.undirected.tolist())
 
     @property
     def num_violated(self) -> int:
-        return len(self.violated_edges)
+        return len(self.lower)
 
 
 def violation_profile(f: ValuedFunction) -> ViolationProfile:
-    n = f.domain.n
-    values = f.values
-    out = [0] * n
-    total = [0] * n
-    undirected = [0] * n
-    violated = []
-    influential = 0
-    for (x, y) in f.domain.cover_edges():
-        vx, vy = values[x], values[y]
-        if vx > vy:
-            violated.append((x, y))
-            out[x] += 1
-            total[x] += 1
-            total[y] += 1
-            undirected[x] += 1
-            influential += 1
-        elif vx < vy:
-            undirected[y] += 1
-            influential += 1
-    return ViolationProfile(tuple(violated), tuple(out), tuple(total),
-                            tuple(undirected), influential)
+    """The violation profile of f, computed on first use and cached on f."""
+    return f.violation_profile
 
 
 class EdgeColoring:
@@ -122,24 +151,29 @@ def colored_counts(f: ValuedFunction, col: EdgeColoring,
     """(red counts at lower endpoints, blue counts at upper endpoints),
     optionally restricted to a subset of the colored edges."""
     n = f.domain.n
-    red = [0] * n
-    blue = [0] * n
-    for e in (col.edges() if edges is None else edges):
-        if col[e] == RED:
-            red[e[0]] += 1
-        else:
-            blue[e[1]] += 1
-    return red, blue
+    colored = col.assignment.items() if edges is None else ((e, col[e]) for e in edges)
+    # one bincount: a red edge lands in slot x, a blue one in slot n + y
+    slots = [x if c == RED else n + y for (x, y), c in colored]
+    counts = np.bincount(np.array(slots, dtype=np.intp), minlength=2 * n).tolist()
+    return counts[:n], counts[n:]
 
 
-def _mean_sqrt(counts: Iterable[int], n: int) -> float:
-    return math.fsum(math.sqrt(c) for c in counts) / n
+def _mean_sqrt(counts, n: int) -> float:
+    return math.fsum(np.sqrt(counts).tolist()) / n
+
+
+def colored_objective(f: ValuedFunction, col: EdgeColoring,
+                      edges: Iterable[tuple[int, int]] | None = None) -> float:
+    """E_x[sqrt(red count at x)] + E_y[sqrt(blue count at y)], optionally
+    counting only a subset of the colored edges."""
+    red, blue = colored_counts(f, col, edges)
+    n = f.domain.n
+    return _mean_sqrt(red, n) + _mean_sqrt(blue, n)
 
 
 def directed_objective(f: ValuedFunction) -> float:
     """E_x[sqrt(I_minus(x))] over a uniform vertex."""
-    profile = violation_profile(f)
-    return _mean_sqrt(profile.out_counts, f.domain.n)
+    return _mean_sqrt(violation_profile(f).out, f.domain.n)
 
 
 def robust_objective(f: ValuedFunction, col: EdgeColoring,
@@ -149,23 +183,17 @@ def robust_objective(f: ValuedFunction, col: EdgeColoring,
     if profile is None:
         profile = violation_profile(f)
     col.validate_for(profile)
-    red, blue = colored_counts(f, col)
-    n = f.domain.n
-    return _mean_sqrt(red, n) + _mean_sqrt(blue, n)
+    return colored_objective(f, col)
 
 
 def undirected_objective(f: ValuedFunction) -> float:
     """E_x[sqrt(I_undirected(x))]; each influential edge is counted at
     exactly one endpoint."""
-    profile = violation_profile(f)
-    return _mean_sqrt(profile.undirected_counts, f.domain.n)
+    return _mean_sqrt(violation_profile(f).undirected, f.domain.n)
 
 
 def dist_to_const_fraction(f: ValuedFunction) -> Fraction:
-    counts: dict = {}
-    for v in f.values:
-        counts[v] = counts.get(v, 0) + 1
-    return 1 - Fraction(max(counts.values()), f.domain.n)
+    return 1 - Fraction(int(np.bincount(f.ranks).max()), f.domain.n)
 
 
 def dist_to_const(f: ValuedFunction) -> float:
@@ -382,14 +410,16 @@ def persistence_decomposition_check(f: ValuedFunction, tau: int,
 def profile_dump(f: ValuedFunction) -> dict:
     """JSON-ready per-vertex counts plus the scalar objectives."""
     profile = violation_profile(f)
-    colall = EdgeColoring.all_red(profile)
+    directed = directed_objective(f)
     return {
-        "I_minus": list(profile.out_counts),
-        "U_minus": list(profile.total_degree),
-        "I_undirected": list(profile.undirected_counts),
-        "violated_edges": [list(e) for e in profile.violated_edges],
-        "objective_directed": directed_objective(f),
-        "objective_robust": robust_objective(f, colall, profile),
+        "I_minus": profile.out.tolist(),
+        "U_minus": profile.total.tolist(),
+        "I_undirected": profile.undirected.tolist(),
+        "violated_edges": np.stack((profile.lower, profile.upper), axis=1).tolist(),
+        "objective_directed": directed,
+        # the all-red coloring counts each violated edge at its lower
+        # endpoint, exactly as I_minus does, and leaves every blue count 0
+        "objective_robust": directed,
         "objective_undirected": undirected_objective(f),
         "dist_const": dist_to_const(f),
     }

@@ -19,8 +19,11 @@ sweep over all vertex subsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .funcs import ValuedFunction, canonical_rank, image_size
 from .isoperimetry import EdgeColoring, RED, BLUE, robust_objective, violation_profile
@@ -34,8 +37,8 @@ COLORING_ENUM_CAP = 20
 
 def is_monotone(f: ValuedFunction) -> bool:
     """True iff no cover edge is violated (enough, by transitivity)."""
-    values = f.values
-    return all(values[x] <= values[y] for (x, y) in f.domain.cover_edges())
+    lower, upper = f.domain.edge_arrays
+    return bool(np.all(f.ranks[lower] <= f.ranks[upper]))
 
 
 def violated_pairs(f: ValuedFunction) -> list[tuple[int, int]]:
@@ -73,11 +76,6 @@ class DistanceCertificate:
 
 def _hopcroft_karp(adj: dict[int, list[int]], rights: set[int]) -> dict[int, int]:
     """Maximum bipartite matching; returns the right->left match map."""
-    import sys
-    needed = 4 * (len(adj) + len(rights)) + 100
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
-    INF = float("inf")
     match_l: dict[int, int | None] = {u: None for u in adj}
     match_r: dict[int, int | None] = {v: None for v in rights}
     while True:
@@ -99,21 +97,43 @@ def _hopcroft_karp(adj: dict[int, list[int]], rights: set[int]) -> dict[int, int
                     queue.append(w)
         if not found:
             break
-
-        def try_augment(u: int) -> bool:
-            for v in adj[u]:
-                w = match_r[v]
-                if w is None or (dist.get(w) == dist[u] + 1 and try_augment(w)):
-                    match_l[u] = v
-                    match_r[v] = u
-                    return True
-            dist[u] = INF
-            return False
-
         for u in adj:
             if match_l[u] is None:
-                try_augment(u)
+                _augment(u, adj, match_l, match_r, dist)
     return {v: u for v, u in match_r.items() if u is not None}
+
+
+def _augment(root: int, adj: dict[int, list[int]], match_l: dict, match_r: dict,
+             dist: dict) -> None:
+    """One depth-first search for an augmenting path from a free left
+    vertex along the BFS layers; flips the path if it finds one.
+
+    The explicit stack visits edges in exactly the order of the recursive
+    search, so the matching does not depend on the interpreter's
+    recursion limit.  ``path[k]`` is the right vertex through which
+    ``stack[k + 1]`` was entered.
+    """
+    stack = [(root, iter(adj[root]))]
+    path: list[int] = []
+    while stack:
+        u, edges = stack[-1]
+        for v in edges:
+            w = match_r[v]
+            if w is None:
+                path.append(v)
+                for (x, _), y in zip(stack, path):
+                    match_l[x] = y
+                    match_r[y] = x
+                return
+            if dist.get(w) == dist[u] + 1:
+                path.append(v)
+                stack.append((w, iter(adj[w])))
+                break
+        else:
+            dist[u] = math.inf
+            stack.pop()
+            if path:
+                path.pop()
 
 
 def _koenig_cover(adj: dict[int, list[int]], rights: set[int],
@@ -182,22 +202,24 @@ def exact_distance(f: ValuedFunction, cap: int | None = None) -> DistanceCertifi
 
 def _repair(f: ValuedFunction, cover: frozenset[int]) -> ValuedFunction:
     """Monotone extension keeping f on the complement of the cover:
-    g(z) = max f over kept x <= z, falling back to the minimum kept value."""
+    g(z) = f(x) for the smallest kept x <= z of largest value, falling back
+    to the first kept vertex of smallest value when no kept x is below z.
+
+    One downward-max closure sweep over the key rank*n + (n-1-x) of the
+    kept vertices picks that x for every z at once; g copies the value
+    object stored at x, so an int and an equal float are never swapped.
+    """
     domain = f.domain
-    kept = [x for x in range(domain.n) if x not in cover]
-    fallback = min(f.values[x] for x in kept)
-    down = domain._down_masks()  # noqa: SLF001
-    out = []
-    for z in range(domain.n):
-        dz = down[z]
-        best = None
-        for x in kept:
-            if dz >> x & 1:
-                v = f.values[x]
-                if best is None or v > best:
-                    best = v
-        out.append(fallback if best is None else best)
-    g = ValuedFunction(domain, tuple(out))
+    n = domain.n
+    kept = np.ones(n, dtype=bool)
+    kept[list(cover)] = False
+    ranks = f.ranks.astype(np.int64)
+    smaller_first = n - 1 - np.arange(n)
+    best = domain.down_max(np.where(kept, ranks * n + smaller_first, -1))
+    kept_x = np.flatnonzero(kept)
+    fallback = kept_x[np.argmin(ranks[kept_x])]
+    source = np.where(best < 0, fallback, n - 1 - best % n)
+    g = ValuedFunction(domain, tuple(map(f.values.__getitem__, source.tolist())))
     assert is_monotone(g), "repair produced a non-monotone function"
     return g
 

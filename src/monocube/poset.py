@@ -7,6 +7,13 @@ Reachability, the transitive closure, and sweeping graphs are all
 answered from per-vertex up-set / down-set bitmasks (Python ints), which
 are built lazily and cached on the domain.
 
+Whole-table scans read the cover edges as two cached integer arrays,
+`PosetDomain.edge_arrays` = ``(lower, upper)``, in exactly the order
+`cover_edges()` lists them: row-major over (vertex, coordinate) on the
+hypercube, the sorted edge list on a DAG.  `PosetDomain.down_max` is the
+one downward-max closure sweep (one pass per coordinate on the
+hypercube, one pass in topological order on a DAG).
+
 Domains are immutable after construction and safe to share across
 workers.
 """
@@ -15,8 +22,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class CycleError(ValueError):
@@ -79,18 +88,44 @@ class PosetDomain:
     def cover_edges(self) -> list[tuple[int, int]]:
         """All domain edges (x, y).  For hypercubes these are the single-bit
         upward flips, d * 2^(d-1) in total."""
-        if self.kind == "dag":
-            return list(self._edges)
         if self._edges is None:
-            d = self.d
-            edges = []
-            for x in range(self.n):
-                for i in range(d):
-                    bit = 1 << i
-                    if not x & bit:
-                        edges.append((x, x | bit))
-            self._edges = edges
+            lower, upper = self.edge_arrays
+            self._edges = list(zip(lower.tolist(), upper.tolist()))
         return list(self._edges)
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(lower, upper)`` endpoint arrays of the cover edges,
+        in `cover_edges()` order."""
+        if self.kind == "hypercube":
+            bits = 1 << np.arange(self.d)
+            lower, coord = np.nonzero((np.arange(self.n)[:, None] & bits) == 0)
+            upper = lower | bits[coord]
+        else:
+            ends = np.array(self._edges, dtype=np.intp).reshape(-1, 2)
+            lower, upper = ends[:, 0].copy(), ends[:, 1].copy()
+        lower.flags.writeable = False
+        upper.flags.writeable = False
+        return lower, upper
+
+    def down_max(self, a: np.ndarray) -> np.ndarray:
+        """The downward-max closure of a value array: ``out[x]`` is the
+        largest ``a[y]`` over all ``y <= x``."""
+        out = np.array(a)
+        if self.kind == "hypercube":
+            for i in range(self.d):
+                pairs = out.reshape(-1, 2, 1 << i)  # [:, 1] has bit i set
+                np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+            return out
+        values = out.tolist()
+        preds: list[list[int]] = [[] for _ in range(self.n)]
+        for (u, v) in self._edges:
+            preds[v].append(u)
+        for x in self._topo:
+            for u in preds[x]:
+                if values[u] > values[x]:
+                    values[x] = values[u]
+        return np.array(values, dtype=out.dtype)
 
     @property
     def num_edges(self) -> int:

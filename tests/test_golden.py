@@ -1,23 +1,26 @@
-"""Golden digests of fixed-seed CLI reports.
+"""Golden digests of fixed-seed CLI reports and of one profile dump.
 
-Each digest is the SHA-256 of the report's canonical JSON (sorted keys,
+Each report digest is the SHA-256 of the report's canonical JSON (sorted keys,
 compact separators) with ``meta.elapsed_seconds`` removed and the input
 path in ``meta.config.fn`` reduced to its file name.  A digest changes
 only when a fixed-seed result changes, which is a reproducibility-contract
-change and has to be announced as one.
+change and has to be announced as one.  The profile-dump digest is taken
+over the whole dump in the same canonical form.
 """
 
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
 from monocube.cli import main
-from monocube.funcs import ValuedFunction, anti_dictator, random_monotone, \
-    write_function
+from monocube.funcs import ValuedFunction, anti_dictator, random_function, \
+    random_monotone, threshold, write_function
 from monocube.hard_instances import LowerBoundSpec, lower_bound_function
-from monocube.poset import hypercube
+from monocube.isoperimetry import profile_dump
+from monocube.poset import PosetDomain, hypercube
 
 
 def _mixed_values(d):
@@ -25,11 +28,34 @@ def _mixed_values(d):
     return tuple((x * 37 % 11) + (0.5 if x % 3 == 0 else 0) for x in range(1 << d))
 
 
+def _tied_values(d, seed):
+    """Ranks 1..4 with every fourth vertex stored as a float, so equal
+    values appear both as ``1`` and as ``1.0``; the repaired values in an
+    exact-distance report keep whichever object the repair copies."""
+    values = random_function(hypercube(d), 4, seed).values
+    return tuple(float(v) if x % 4 == 1 else v for x, v in enumerate(values))
+
+
+def _random_dag(n, m, seed):
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = set()
+    while len(edges) < m:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((order[a], order[b]))
+    return PosetDomain("dag", n=n, edges=sorted(edges))
+
+
 INPUTS = {
     "hard-d9.json": lambda: lower_bound_function(LowerBoundSpec(9, 7, 2)),
     "mixed-d6.json": lambda: ValuedFunction(hypercube(6), _mixed_values(6)),
     "anti-d10.json": lambda: anti_dictator(10),
     "mono-d6.json": lambda: random_monotone(hypercube(6), 5, 4),
+    "bool-d8.json": lambda: threshold(random_function(hypercube(8), 2, 7), 1),
+    "tied-d5.json": lambda: ValuedFunction(hypercube(5), _tied_values(5, 3)),
+    "tied-d6.json": lambda: ValuedFunction(hypercube(6), _tied_values(6, 8)),
+    "dag-n40.json": lambda: random_function(_random_dag(40, 90, 6), 3, 6),
 }
 
 GOLDEN = [
@@ -45,7 +71,17 @@ GOLDEN = [
     (["test-monotone", "--fn", "anti-d10.json", "--eps", "0.5", "--trials", "5",
       "--seed", "1"],
      "094f7446f5b4a0ee1222d35ac3a39d668c762011907966d3ba80627f8fdbdb42"),
+    (["exact-distance", "--fn", "bool-d8.json"],
+     "a6c94a099b31dd327c0f28f05d0f603f1b63109eb495ab632c4bee94437b1b83"),
+    (["exact-distance", "--fn", "tied-d5.json"],
+     "b1ca16815dcf36618b102688b66ff24594a47dfbbd5cb9a3088368a5f30432fa"),
+    (["decompose", "--fn", "tied-d6.json"],
+     "08c8013e012dc320ee0dbebd0b55fcb4b9d41a947ceed657ed4ee2850dce714a"),
+    (["decompose", "--fn", "dag-n40.json"],
+     "f637074b9864cc29bfd80ca0e97c046bb34abaeac81000208bf03e0ffacde59f"),
 ]
+
+PROFILE_DUMP_D8 = "ff3959bad91fcfe3bcd33516972cf1723a49d846d399c611efc4c0bec13dacbf"
 
 
 def report_digest(path):
@@ -66,3 +102,9 @@ def test_golden_report_digest(tmp_path, argv, digest):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert report_digest(out) == digest
+
+
+def test_golden_profile_dump_digest():
+    f = ValuedFunction(hypercube(8), _mixed_values(8))
+    text = json.dumps(profile_dump(f), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PROFILE_DUMP_D8

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
                             random_monotone, threshold, weight_function)
@@ -15,7 +16,7 @@ from monocube.isoperimetry import (BLUE, RED, EdgeColoring,
                                    robust_objective, undirected_objective,
                                    violation_profile, weight_band)
 from monocube.oracles import boolean_variance
-from monocube.poset import DomainSizeError, hypercube
+from monocube.poset import DomainSizeError, PosetDomain, hypercube
 
 TWO_SQRT_TWO = 2 * math.sqrt(2)
 
@@ -253,3 +254,76 @@ def test_profile_dump_keys():
                 "objective_robust", "objective_undirected", "dist_const"):
         assert key in dump
     assert dump["objective_directed"] == pytest.approx(0.5)
+
+
+def test_profile_dump_robust_objective_is_all_red():
+    for seed in range(10):
+        f = random_function(hypercube(5), 6, seed)
+        all_red = EdgeColoring.all_red(violation_profile(f))
+        assert profile_dump(f)["objective_robust"] == robust_objective(f, all_red)
+
+
+def brute_profile(f, edges):
+    """The per-edge loop over an explicit edge list: violated edges, the
+    directed, total and undirected counts, and the influential-edge count."""
+    n = f.domain.n
+    out, total, undirected, violated = [0] * n, [0] * n, [0] * n, []
+    influential = 0
+    for (x, y) in edges:
+        vx, vy = f.values[x], f.values[y]
+        if vx > vy:
+            violated.append((x, y))
+            out[x] += 1
+            total[x] += 1
+            total[y] += 1
+            undirected[x] += 1
+            influential += 1
+        elif vx < vy:
+            undirected[y] += 1
+            influential += 1
+    return tuple(violated), tuple(out), tuple(total), tuple(undirected), influential
+
+
+MIXED_VALUES = st.integers(0, 4) | st.sampled_from([0.5, 1.0, 2.5, 3.0, -1.0])
+
+
+@st.composite
+def function_with_edges(draw):
+    """A function with int and float values on a hypercube (d = 1..6) or a
+    random DAG, and the domain's edge list written out independently."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 6))
+        domain = hypercube(d)
+        edges = [(x, x | 1 << i) for x in range(1 << d) for i in range(d)
+                 if not x >> i & 1]
+    else:
+        n = draw(st.integers(1, 12))
+        order = draw(st.permutations(range(n)))
+        picks = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+        edges = sorted({(order[min(a, b)], order[max(a, b)]) for a, b in picks if a != b})
+        domain = PosetDomain("dag", n=n, edges=edges)
+    values = draw(st.lists(MIXED_VALUES, min_size=domain.n, max_size=domain.n))
+    return ValuedFunction(domain, tuple(values)), edges
+
+
+@given(function_with_edges())
+@example((ValuedFunction(PosetDomain("dag", n=1), (2.5,)), []))
+@example((ValuedFunction(PosetDomain("dag", n=4), (3, 1.0, 2.5, 1)), []))
+@settings(max_examples=200, deadline=None)
+def test_profile_agrees_with_edge_loop(case):
+    f, edges = case
+    assert f.domain.cover_edges() == edges
+    p = violation_profile(f)
+    assert (p.violated_edges, p.out_counts, p.total_degree, p.undirected_counts,
+            p.influential_edge_count) == brute_profile(f, edges)
+    assert violation_profile(f) is p
+    n = f.domain.n
+    violated, out, total, undirected, _ = brute_profile(f, edges)
+    dump = profile_dump(f)
+    assert dump["violated_edges"] == [list(e) for e in violated]
+    assert (dump["I_minus"], dump["U_minus"], dump["I_undirected"]) \
+        == (list(out), list(total), list(undirected))
+    directed = math.fsum(math.sqrt(c) for c in out) / n
+    assert dump["objective_directed"] == directed == dump["objective_robust"]
+    assert dump["objective_undirected"] == math.fsum(math.sqrt(c) for c in undirected) / n

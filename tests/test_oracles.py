@@ -1,17 +1,19 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import decreasing_chain
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
-                            random_monotone, weight_function)
+                            random_monotone, threshold, weight_function)
 from monocube.isoperimetry import undirected_objective, violation_profile
 from monocube.oracles import (boolean_variance, enumerate_matchings_check,
                               exact_distance, exact_distance_bruteforce,
                               is_monotone, median_threshold, mvc_branch_bound,
-                              violated_pairs, worst_coloring)
-from monocube.poset import DomainSizeError, hypercube
+                              violated_pairs, worst_coloring, _repair)
+from monocube.poset import DomainSizeError, PosetDomain, hypercube
 
 
 def test_is_monotone_examples():
@@ -180,3 +182,61 @@ def test_boolean_variance():
     assert boolean_variance(h) == Fraction(3, 16)
     with pytest.raises(ValueError):
         boolean_variance(ValuedFunction(hypercube(1), (1, 2)))
+
+
+def test_exact_distance_keeps_recursion_limit():
+    f = threshold(random_function(hypercube(10), 2, 5), 1)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert exact_distance(f).cover_size > 0
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def scan_repair(f, cover):
+    """The repair by its definition, one kept vertex at a time: g(z) is the
+    first largest f(x) over kept x <= z in vertex order, else the first
+    smallest kept value."""
+    kept = [x for x in range(f.n) if x not in cover]
+    fallback = min(f.values[x] for x in kept)
+    out = []
+    for z in range(f.n):
+        best = None
+        for x in kept:
+            if f.domain.reaches(x, z) and (best is None or f.values[x] > best):
+                best = f.values[x]
+        out.append(fallback if best is None else best)
+    return out
+
+
+@st.composite
+def function_and_cover(draw):
+    """Values where 1 and 1.0 (and 2 and 2.0) tie, on a hypercube or a
+    random DAG, with any cover that keeps at least one vertex."""
+    if draw(st.booleans()):
+        domain = hypercube(draw(st.integers(1, 5)))
+    else:
+        n = draw(st.integers(1, 12))
+        order = draw(st.permutations(range(n)))
+        picks = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+        domain = PosetDomain("dag", n=n, edges=[(order[min(a, b)], order[max(a, b)])
+                                                for a, b in picks if a != b])
+    values = draw(st.lists(st.sampled_from([0, 1, 1.0, 2, 2.0, 3]),
+                           min_size=domain.n, max_size=domain.n))
+    cover = draw(st.sets(st.integers(0, domain.n - 1), max_size=domain.n - 1))
+    return ValuedFunction(domain, tuple(values)), frozenset(cover)
+
+
+@given(function_and_cover())
+@settings(max_examples=200, deadline=None)
+def test_repair_matches_its_definition(case):
+    f, cover = case
+    expected = scan_repair(f, cover)
+    assert [repr(v) for v in _repair(f, cover).values] == [repr(v) for v in expected]
+    cert = exact_distance(f)
+    if cert.vertex_cover:
+        assert [repr(v) for v in cert.repaired.values] \
+            == [repr(v) for v in scan_repair(f, cert.vertex_cover)]

@@ -37,6 +37,18 @@ def test_hypercube_edge_count(d):
     assert len(hypercube(d).cover_edges()) == d * 2 ** (d - 1)
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_edge_arrays_follow_cover_edge_order(d):
+    dom = PosetDomain("hypercube", d=d)
+    lower, upper = dom.edge_arrays
+    assert not lower.flags.writeable and not upper.flags.writeable
+    assert list(zip(lower.tolist(), upper.tolist())) \
+        == [(x, x | 1 << i) for x in range(1 << d) for i in range(d) if not x >> i & 1]
+    assert dom.cover_edges() == list(zip(lower.tolist(), upper.tolist()))
+    dag = PosetDomain("dag", n=dom.n, edges=list(reversed(dom.cover_edges())))
+    assert list(zip(*(a.tolist() for a in dag.edge_arrays))) == sorted(dom.cover_edges())
+
+
 def test_dag_cycle_detected():
     with pytest.raises(CycleError):
         PosetDomain("dag", n=2, edges=[(0, 1), (1, 0)])
