@@ -102,8 +102,7 @@ class PosetDomain:
             lower, coord = np.nonzero((np.arange(self.n)[:, None] & bits) == 0)
             upper = lower | bits[coord]
         else:
-            ends = np.array(self._edges, dtype=np.intp).reshape(-1, 2)
-            lower, upper = ends[:, 0].copy(), ends[:, 1].copy()
+            lower, upper = np.array(self._edges, dtype=np.intp).reshape(-1, 2).T.copy()
         lower.flags.writeable = False
         upper.flags.writeable = False
         return lower, upper
