@@ -30,7 +30,7 @@ from .isoperimetry import EdgeColoring, dist_to_const_fraction, \
     undirected_objective, violation_profile
 from .oracles import exact_distance
 from .poset import DomainSizeError, hypercube, read_domain
-from .seeds import derive_seed
+from .seeds import derive_seed, parallel_map
 from .testers import DEFAULT_BUDGET_CONSTANT, measure_rejection, run_pair_tester
 
 TWO_SQRT_TWO = 2.0 * (2.0 ** 0.5)
@@ -256,13 +256,7 @@ def cmd_verify_inequalities(args) -> int:
     started = time.perf_counter()
     params = [(args.d, args.r, args.seed, idx, args.colorings, args.mu_sets)
               for idx in range(args.count)]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_verify_instance, params, chunksize=4))
-    else:
-        rows = [_verify_instance(p) for p in params]
-    rows.sort(key=lambda r: r["index"])
+    rows = parallel_map(_verify_instance, params, args.jobs)
     failed = [r for r in rows if not r["ok"]]
     report = {
         "result": {

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 
 from .funcs import ValuedFunction, canonical_rank
-from .isoperimetry import EdgeColoring, colored_objective, violation_profile
+from .isoperimetry import EdgeColoring, ViolationProfile, colored_objective, \
+    violation_profile
 from .oracles import exact_distance, is_monotone
 from .poset import DomainSizeError, PosetDomain, SweepingGraph
 
@@ -236,14 +238,12 @@ def verify_decomposition(f: ValuedFunction, dec: Decomposition
     """
     checks: list[tuple[str, bool, str]] = []
     eps_f = exact_distance(f).epsilon
-    profile_f = violation_profile(f)
-    violated_f = set(profile_f.violated_edges)
 
     eps_parts = []
     violated_parts = []
     for idx, (fi, graph) in enumerate(dec.components):
         eps_parts.append(exact_distance(fi).epsilon)
-        violated_parts.append(len(violation_profile(fi).violated_edges))
+        violated_parts.append(violation_profile(fi).num_violated)
 
     ok = 2 * sum(eps_parts, Fraction(0)) >= eps_f
     checks.append(("distance_preserved", ok,
@@ -251,17 +251,16 @@ def verify_decomposition(f: ValuedFunction, dec: Decomposition
                                  f"< eps(f) = {eps_f}"))
 
     witness = ""
-    ok = True
     for idx, (fi, graph) in enumerate(dec.components):
-        edges_i = set(graph.edges())
-        for e in violation_profile(fi).violated_edges:
-            if e not in violated_f or e not in edges_i:
-                ok = False
-                witness = f"component {idx}: edge {e} escapes S_f^- cap E(H_{idx})"
-                break
-        if not ok:
+        p = violation_profile(fi)
+        inside = graph.vertex_array
+        escaped = np.flatnonzero(~(inside[p.lower] & inside[p.upper])
+                                 | (f.ranks[p.lower] <= f.ranks[p.upper]))
+        if len(escaped):
+            e = p.violated_edges[escaped[0]]
+            witness = f"component {idx}: edge {e} escapes S_f^- cap E(H_{idx})"
             break
-    checks.append(("violations_contained", ok, witness))
+    checks.append(("violations_contained", not witness, witness))
 
     witness = ""
     ok = True
@@ -319,7 +318,8 @@ def verify_decomposition(f: ValuedFunction, dec: Decomposition
 
     return DecompositionCertificate(
         epsilon_f=eps_f, epsilon_parts=tuple(eps_parts),
-        violated_f=len(violated_f), violated_parts=tuple(violated_parts),
+        violated_f=violation_profile(f).num_violated,
+        violated_parts=tuple(violated_parts),
         checks=tuple(checks))
 
 
@@ -357,16 +357,17 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
 
     v1 = colored_objective(f, col)
 
-    union_edges = set()
-    per_part_edges = []
+    # masks over f's violated edges: those inside each part graph for (2)
+    # and (3), those each part also violates for (4)
+    per_part = []
+    union = np.zeros(profile.num_violated, dtype=bool)
     for (_, graph) in dec.components:
-        edges_i = [e for e in profile.violated_edges
-                   if graph.vertex_mask >> e[0] & 1 and graph.vertex_mask >> e[1] & 1]
-        per_part_edges.append(edges_i)
-        union_edges.update(edges_i)
-    v2 = colored_objective(f, col, union_edges)
-    v3 = math.fsum(colored_objective(f, col, edges_i) for edges_i in per_part_edges)
-    v4 = math.fsum(colored_objective(f, col, violation_profile(fi).violated_edges)
+        inside = graph.vertex_array
+        per_part.append(inside[profile.lower] & inside[profile.upper])
+        union |= per_part[-1]
+    v2 = colored_objective(f, col, union)
+    v3 = math.fsum(colored_objective(f, col, keep) for keep in per_part)
+    v4 = math.fsum(colored_objective(f, col, _inherited_edges(fi, profile))
                    for (fi, _graph) in dec.components)
 
     eps_f = dec.certificate.epsilon_f if dec.certificate else exact_distance(f).epsilon
@@ -379,6 +380,17 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
         f"chain=({v1}, {v2}, {v3}, {v4}) eps_sum={eps_sum} eps_f={eps_f}"
     return ChainReport((v1, v2, v3, v4), eps_f, eps_sum, ordering_ok,
                        distance_ok, detail)
+
+
+def _inherited_edges(fi: ValuedFunction, profile: ViolationProfile) -> np.ndarray:
+    """The mask of f's violated edges (``profile``) that the part f_i also
+    violates.  ValueError if f_i violates an edge f does not: no coloring
+    of f has a color for it."""
+    keep = fi.ranks[profile.lower] > fi.ranks[profile.upper]
+    missing = violation_profile(fi).num_violated - int(np.count_nonzero(keep))
+    if missing:
+        raise ValueError(f"a part violates {missing} edges that f does not violate")
+    return keep
 
 
 @dataclass(frozen=True)
@@ -396,7 +408,7 @@ def edge_bound_check(f: ValuedFunction) -> EdgeBoundReport:
     the full-strength bound is checked alongside."""
     if f.domain.kind != "hypercube":
         raise ValueError("edge bound is stated for hypercube domains")
-    violated = len(violation_profile(f).violated_edges)
+    violated = violation_profile(f).num_violated
     cover = exact_distance(f).cover_size
     return EdgeBoundReport(
         violated=violated, cover_size=cover, n=f.domain.n,

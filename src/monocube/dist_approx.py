@@ -330,10 +330,8 @@ def u_degree_coloring(f: ValuedFunction) -> EdgeColoring:
     """Color each violated edge toward the endpoint incident on more
     violated edges: red (lower endpoint) when U(x) >= U(y), blue otherwise."""
     profile = violation_profile(f)
-    U = profile.total_degree
-    return EdgeColoring({
-        (x, y): (RED if U[x] >= U[y] else BLUE)
-        for (x, y) in profile.violated_edges})
+    U = profile.total
+    return EdgeColoring(profile, U[profile.lower] >= U[profile.upper])
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,12 @@ arrays (`PosetDomain.edge_arrays`) and the per-vertex counts come from
 the copy cached on the function.  `ViolationProfile` stores arrays, and
 its tuple fields (``violated_edges``, ``out_counts``, ``total_degree``,
 ``undirected_counts``) are read-only views built on first access.
+
+A red/blue coloring of the violated edges (`EdgeColoring`) is a boolean
+vector aligned with one profile: ``red[k]`` colors the edge
+``(lower[k], upper[k])``.  A subset of the violated edges is a boolean
+mask over the same positions, so every colored count, whole or
+restricted, is one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -104,57 +110,56 @@ def violation_profile(f: ValuedFunction) -> ViolationProfile:
 
 
 class EdgeColoring:
-    """A total red/blue assignment on the violated edges of one function."""
+    """A total red/blue coloring of the violated edges of one function.
 
-    def __init__(self, assignment: Mapping[tuple[int, int], str]):
-        for e, c in assignment.items():
-            if c not in (RED, BLUE):
-                raise ValueError(f"bad color {c!r} for edge {e}")
-        self.assignment = dict(assignment)
+    ``red[k]`` is the color of violated edge k of ``profile`` (in profile
+    order): True for red, False for blue.
+    """
 
-    def __getitem__(self, edge: tuple[int, int]) -> str:
-        return self.assignment[edge]
-
-    def __len__(self) -> int:
-        return len(self.assignment)
-
-    def edges(self) -> Iterable[tuple[int, int]]:
-        return self.assignment.keys()
+    def __init__(self, profile: ViolationProfile, red):
+        red = np.asarray(red, dtype=bool)
+        if red.shape != profile.lower.shape:
+            raise ValueError(f"{red.size} colors for {profile.num_violated} "
+                             f"violated edges")
+        self.profile = profile
+        self.red = red
 
     def validate_for(self, profile: ViolationProfile) -> None:
-        violated = set(profile.violated_edges)
-        colored = set(self.assignment)
-        if colored != violated:
-            missing = violated - colored
-            extra = colored - violated
-            raise ValueError(
-                f"coloring is not total on the violated edges "
-                f"(missing {len(missing)}, extra {len(extra)})")
+        """Raise ValueError unless this coloring covers exactly the violated
+        edges of ``profile``, in its order."""
+        own = self.profile
+        if own is not profile and not (np.array_equal(own.lower, profile.lower)
+                                       and np.array_equal(own.upper, profile.upper)):
+            raise ValueError("coloring was made for a different violated edge set")
 
     @classmethod
     def all_red(cls, profile: ViolationProfile) -> "EdgeColoring":
-        return cls({e: RED for e in profile.violated_edges})
+        return cls(profile, np.ones(profile.num_violated, dtype=bool))
 
     @classmethod
     def all_blue(cls, profile: ViolationProfile) -> "EdgeColoring":
-        return cls({e: BLUE for e in profile.violated_edges})
+        return cls(profile, np.zeros(profile.num_violated, dtype=bool))
 
     @classmethod
     def random(cls, profile: ViolationProfile, rng) -> "EdgeColoring":
-        return cls({e: (RED if rng.random() < 0.5 else BLUE)
-                    for e in profile.violated_edges})
+        """Each edge red with probability 1/2: one ``rng.random()`` per
+        violated edge, in profile order."""
+        m = profile.num_violated
+        return cls(profile, np.fromiter((rng.random() < 0.5 for _ in range(m)),
+                                        dtype=bool, count=m))
 
 
 def colored_counts(f: ValuedFunction, col: EdgeColoring,
-                   edges: Iterable[tuple[int, int]] | None = None
-                   ) -> tuple[list[int], list[int]]:
+                   keep: np.ndarray | None = None) -> tuple[list[int], list[int]]:
     """(red counts at lower endpoints, blue counts at upper endpoints),
-    optionally restricted to a subset of the colored edges."""
+    optionally counting only the violated edges where the boolean mask
+    ``keep`` is True."""
     n = f.domain.n
-    colored = col.assignment.items() if edges is None else ((e, col[e]) for e in edges)
+    p = col.profile
     # one bincount: a red edge lands in slot x, a blue one in slot n + y
-    slots = [x if c == RED else n + y for (x, y), c in colored]
-    counts = np.bincount(np.array(slots, dtype=np.intp), minlength=2 * n).tolist()
+    slots = np.where(col.red, p.lower, n + p.upper)
+    counts = np.bincount(slots if keep is None else slots[keep],
+                         minlength=2 * n).tolist()
     return counts[:n], counts[n:]
 
 
@@ -163,10 +168,10 @@ def _mean_sqrt(counts, n: int) -> float:
 
 
 def colored_objective(f: ValuedFunction, col: EdgeColoring,
-                      edges: Iterable[tuple[int, int]] | None = None) -> float:
+                      keep: np.ndarray | None = None) -> float:
     """E_x[sqrt(red count at x)] + E_y[sqrt(blue count at y)], optionally
-    counting only a subset of the colored edges."""
-    red, blue = colored_counts(f, col, edges)
+    counting only the violated edges selected by the mask ``keep``."""
+    red, blue = colored_counts(f, col, keep)
     n = f.domain.n
     return _mean_sqrt(red, n) + _mean_sqrt(blue, n)
 

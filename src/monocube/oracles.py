@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .funcs import ValuedFunction, canonical_rank, image_size
-from .isoperimetry import EdgeColoring, RED, BLUE, robust_objective, violation_profile
+from .isoperimetry import EdgeColoring, robust_objective, violation_profile
 from .poset import DomainSizeError
 
 DEFAULT_DISTANCE_CAP = 64
@@ -42,25 +42,22 @@ def is_monotone(f: ValuedFunction) -> bool:
 
 
 def violated_pairs(f: ValuedFunction) -> list[tuple[int, int]]:
-    """All violated comparable pairs, i.e. the violation graph's edges."""
+    """All violated comparable pairs, i.e. the violation graph's edges, in
+    (x, y) order."""
     values = f.values
-    domain = f.domain
-    n = domain.n
-    if domain.kind == "hypercube":
-        up = domain._up_masks()  # noqa: SLF001 - bulk access beats reaches()
-        pairs = []
-        for x in range(n):
-            vx = values[x]
-            m = up[x] & ~(1 << x)
-            while m:
-                low = m & -m
-                y = low.bit_length() - 1
-                if vx > values[y]:
-                    pairs.append((x, y))
-                m ^= low
-        return pairs
-    return [(x, y) for x in range(n) for y in range(n)
-            if x != y and values[x] > values[y] and domain.reaches(x, y)]
+    up = f.domain._up_masks()  # noqa: SLF001 - bulk access beats reaches()
+    pairs = []
+    # the bit walk is inline: a poset._mask_bits generator ran 7-23% slower at d=8..10
+    for x, mask in enumerate(up):
+        vx = values[x]
+        m = mask & ~(1 << x)
+        while m:
+            low = m & -m
+            y = low.bit_length() - 1
+            if vx > values[y]:
+                pairs.append((x, y))
+            m ^= low
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -346,25 +343,23 @@ def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
     seeded local search flipping one edge color at a time.
     """
     profile = violation_profile(f)
-    edges = list(profile.violated_edges)
-    m = len(edges)
+    m = profile.num_violated
     if m == 0:
-        col = EdgeColoring({})
+        col = EdgeColoring.all_red(profile)
         return col, robust_objective(f, col, profile)
     if mode == "exhaustive":
         if m > cap:
             raise DomainSizeError(f"2^{m} colorings exceeds cap 2^{cap}")
-        best_val = None
-        best_bits = 0
-        for bits in range(1 << m):
-            col = EdgeColoring({e: (RED if bits >> k & 1 else BLUE)
-                                for k, e in enumerate(edges)})
-            val = robust_objective(f, col, profile)
-            if best_val is None or val < best_val:
-                best_val, best_bits = val, bits
-        best = EdgeColoring({e: (RED if best_bits >> k & 1 else BLUE)
-                             for k, e in enumerate(edges)})
-        return best, best_val
+        col = EdgeColoring.all_red(profile)
+        shifts = np.arange(m)
+
+        def value(bits: int) -> float:
+            # coloring number `bits` makes edge k red iff bit k is set
+            col.red[:] = bits >> shifts & 1
+            return robust_objective(f, col, profile)
+
+        # min keeps the first of equal values, as a strict < scan does
+        return col, value(min(range(1 << m), key=value))
     if mode != "greedy":
         raise ValueError(f"mode must be 'exhaustive' or 'greedy', not {mode!r}")
 
@@ -373,22 +368,21 @@ def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
     best_val = None
     best_col = None
     for restart in range(restarts):
-        colors = ([RED] * m if restart == 0
-                  else [RED if rng.random() < 0.5 else BLUE for _ in range(m)])
-        col = EdgeColoring(dict(zip(edges, colors)))
+        col = (EdgeColoring.all_red(profile) if restart == 0
+               else EdgeColoring.random(profile, rng))
+        red = col.red
         val = robust_objective(f, col, profile)
         improved = True
         while improved:
             improved = False
             for k in range(m):
-                colors[k] = BLUE if colors[k] == RED else RED
-                cand = EdgeColoring(dict(zip(edges, colors)))
-                cand_val = robust_objective(f, cand, profile)
+                red[k] = not red[k]
+                cand_val = robust_objective(f, col, profile)
                 if cand_val < val - 1e-15:
-                    val, col = cand_val, cand
+                    val = cand_val
                     improved = True
                 else:
-                    colors[k] = BLUE if colors[k] == RED else RED
+                    red[k] = not red[k]
         if best_val is None or val < best_val:
             best_val, best_col = val, col
     return best_col, best_val

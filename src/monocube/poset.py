@@ -143,44 +143,31 @@ class PosetDomain:
     def _up_masks(self) -> list[int]:
         """up[x] = bitmask of {y : x <= y}, including x itself."""
         if self._up is None:
-            if self.kind == "hypercube":
-                up = [1 << x for x in range(self.n)]
-                for i in range(self.d):
-                    bit = 1 << i
-                    for x in range(self.n - 1, -1, -1):
-                        if not x & bit:
-                            up[x] |= up[x | bit]
-            else:
-                up = [1 << x for x in range(self.n)]
-                out: list[list[int]] = [[] for _ in range(self.n)]
-                for (u, v) in self._edges:
-                    out[u].append(v)
-                for x in reversed(self._topo):
-                    for v in out[x]:
-                        up[x] |= up[v]
-            self._up = up
+            self._up = self._closure_masks(upward=True)
         return self._up
 
     def _down_masks(self) -> list[int]:
         """down[x] = bitmask of {y : y <= x}, including x itself."""
         if self._down is None:
-            if self.kind == "hypercube":
-                down = [1 << x for x in range(self.n)]
-                for i in range(self.d):
-                    bit = 1 << i
-                    for x in range(self.n):
-                        if x & bit:
-                            down[x] |= down[x ^ bit]
-            else:
-                down = [1 << x for x in range(self.n)]
-                inc: list[list[int]] = [[] for _ in range(self.n)]
-                for (u, v) in self._edges:
-                    inc[v].append(u)
-                for x in self._topo:
-                    for u in inc[x]:
-                        down[x] |= down[u]
-            self._down = down
+            self._down = self._closure_masks(upward=False)
         return self._down
+
+    def _closure_masks(self, upward: bool) -> list[int]:
+        """One pass over the cover edges: each vertex's mask absorbs those of
+        its successors (upward, in reverse topological order) or of its
+        predecessors (in topological order).  Increasing ids are a
+        topological order of the hypercube."""
+        lower, upper = self.edge_arrays
+        tails, heads = (lower, upper) if upward else (upper, lower)
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in zip(tails.tolist(), heads.tolist()):
+            nbrs[u].append(v)
+        order = range(self.n) if self.kind == "hypercube" else self._topo
+        masks = [1 << x for x in range(self.n)]
+        for x in (reversed(order) if upward else order):
+            for v in nbrs[x]:
+                masks[x] |= masks[v]
+        return masks
 
     def up_mask(self, x: int) -> int:
         self.check_vertex(x)
@@ -201,15 +188,8 @@ class PosetDomain:
         if self.kind == "hypercube" and self.d > cap_dim:
             raise DomainSizeError(
                 f"closure of hypercube(d={self.d}) exceeds cap d<={cap_dim}")
-        up = self._up_masks()
-        pairs = []
-        for x in range(self.n):
-            m = up[x] & ~(1 << x)
-            while m:
-                low = m & -m
-                pairs.append((x, low.bit_length() - 1))
-                m ^= low
-        return pairs
+        return [(x, y) for x, mask in enumerate(self._up_masks())
+                for y in _mask_bits(mask & ~(1 << x))]
 
     # -- sweeping graphs ---------------------------------------------------------
 
@@ -258,6 +238,14 @@ class SweepingGraph:
     def vertices(self) -> frozenset[int]:
         return frozenset(_mask_bits(self.vertex_mask))
 
+    @cached_property
+    def vertex_array(self) -> np.ndarray:
+        """The vertex set as a boolean array over the domain's vertices."""
+        n = self.domain.n
+        packed = np.frombuffer(self.vertex_mask.to_bytes((n + 7) // 8, "little"),
+                               dtype=np.uint8)
+        return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+
     def edges(self) -> list[tuple[int, int]]:
         m = self.vertex_mask
         return [(x, y) for (x, y) in self.domain.cover_edges()
@@ -305,12 +293,13 @@ def _topological_order(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
 
 def build_domain(spec) -> PosetDomain:
     """Build a domain from a dimension, an (n, edges) pair, or a parsed
-    JSON mapping ({"d": ...} or {"n": ..., "edges": [[u, v], ...]})."""
+    JSON mapping ({"d": ...} or {"n": ..., "edges": [[u, v], ...]}).  A
+    dimension gives the shared `hypercube` instance."""
     if isinstance(spec, int):
-        return PosetDomain("hypercube", d=spec)
+        return hypercube(spec)
     if isinstance(spec, dict):
         if "d" in spec:
-            return PosetDomain("hypercube", d=int(spec["d"]))
+            return hypercube(int(spec["d"]))
         if "n" in spec:
             edges = [(int(u), int(v)) for u, v in spec.get("edges", [])]
             return PosetDomain("dag", n=int(spec["n"]), edges=edges)

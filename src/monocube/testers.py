@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .funcs import CountingOracle, ValuedFunction, index_dtype
-from .seeds import derive_seed
+from .seeds import derive_seed, parallel_map
 
 DEFAULT_BUDGET_CONSTANT = 4.0
 
@@ -215,14 +215,7 @@ def measure_rejection(f: ValuedFunction, run, trials: int, seed: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     seeds = [derive_seed(seed, t) for t in range(trials)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(partial(_one_trial, f, run), seeds,
-                                    chunksize=max(1, trials // (4 * jobs))))
-    else:
-        reports = [_one_trial(f, run, s) for s in seeds]
+    reports = parallel_map(functools.partial(_one_trial, f, run), seeds, jobs)
     rejections = sum(r.rejected for r in reports)
     low, high = wilson_interval(rejections, trials)
     return RejectionMeasurement(
@@ -242,8 +235,3 @@ def run_pair_tester(oracle: CountingOracle, seed: int, *, epsilon: float,
     return pair_tester(oracle, TesterConfig(epsilon=epsilon, d=d, r=r,
                                             budget_constant=budget_constant,
                                             seed=seed))
-
-
-def run_edge_tester(oracle: CountingOracle, seed: int, *, epsilon: float, d: int,
-                    budget_constant: float = DEFAULT_BUDGET_CONSTANT) -> TesterReport:
-    return edge_tester(oracle, epsilon, d, budget_constant, seed)

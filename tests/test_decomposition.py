@@ -197,9 +197,21 @@ def test_chain_check_single_edge():
 
 def test_chain_check_monotone():
     f = random_monotone(hypercube(3), 3, 0)
-    rep = robust_chain_check(f, EdgeColoring({}))
+    rep = robust_chain_check(f, EdgeColoring.all_red(violation_profile(f)))
     assert rep.values == (0.0, 0.0, 0.0, 0.0)
     assert rep.ordering_ok and rep.distance_ok
+
+
+def test_chain_check_rejects_a_part_violating_an_edge_f_does_not():
+    f = ValuedFunction(hypercube(2), (1, 0, 1, 1))   # violates (0, 1) only
+    dec = decompose(f)
+    graph = dec.components[0][1]
+    part = ValuedFunction(f.domain, (1, 1, 0, 1))    # violates (0, 2)
+    from monocube.decomposition import Decomposition
+    corrupted = Decomposition(dec.matching, dec.partition, ((part, graph),),
+                              dec.certificate, False)
+    with pytest.raises(ValueError):
+        robust_chain_check(f, EdgeColoring.all_red(violation_profile(f)), corrupted)
 
 
 def test_chain_check_random_suite():

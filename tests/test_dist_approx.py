@@ -6,7 +6,7 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocube.dist_approx import (BLUE, RED, CaptureConfig, approx_distance,
+from monocube.dist_approx import (RED, CaptureConfig, approx_distance,
                                   approx_mono, bucket_profile, capture,
                                   hoeffding_samples, mu_estimate, mu_exact,
                                   rate_schedule, sqrt_d_log_d, u_degree_coloring,
@@ -232,25 +232,26 @@ def test_approx_distance_anti_dictator():
 
 def test_u_degree_coloring():
     mono = random_monotone(hypercube(3), 4, 0)
-    assert len(u_degree_coloring(mono)) == 0
+    assert len(u_degree_coloring(mono).red) == 0
 
     single = ValuedFunction(hypercube(1), (1, 0))
     col = u_degree_coloring(single)
-    assert col[(0, 1)] == RED  # tie goes to the lower endpoint
+    assert col.red.tolist() == [True]  # tie goes to the lower endpoint
 
     # upper endpoint incident on two violated edges, lowers on one each
     f = ValuedFunction(hypercube(2), (1, 2, 2, 0))
     profile = violation_profile(f)
-    assert set(profile.violated_edges) == {(1, 3), (2, 3)}
+    assert profile.violated_edges == ((1, 3), (2, 3))
     col = u_degree_coloring(f)
-    assert col[(1, 3)] == BLUE and col[(2, 3)] == BLUE
+    assert col.red.tolist() == [False, False]
 
 
 def test_u_degree_coloring_counts_edges_once():
     for seed in range(10):
         f = random_function(hypercube(5), 5, seed)
         col = u_degree_coloring(f)
-        assert set(col.edges()) == set(violation_profile(f).violated_edges)
+        col.validate_for(violation_profile(f))
+        assert len(col.red) == violation_profile(f).num_violated
 
 
 def test_bucket_profile_monotone_empty():

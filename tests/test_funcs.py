@@ -150,3 +150,11 @@ def test_counting_oracle_exact():
     assert oracle.query_count == 7
     oracle.reset()
     assert oracle.query_count == 0 and oracle.log == []
+
+
+def test_read_function_shares_the_hypercube(tmp_path):
+    for name, seed in (("a.json", 1), ("b.json", 2)):
+        write_function(random_function(hypercube(4), 3, seed), str(tmp_path / name))
+    a = read_function(str(tmp_path / "a.json"))
+    b = read_function(str(tmp_path / "b.json"))
+    assert a.domain is b.domain is hypercube(4)

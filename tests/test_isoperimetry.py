@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
                             random_monotone, threshold, weight_function)
-from monocube.isoperimetry import (BLUE, RED, EdgeColoring,
+from monocube.isoperimetry import (EdgeColoring,
                                    PersistenceDecompositionReport,
                                    check_good_graph, directed_objective,
                                    dist_to_const, is_persistent,
@@ -63,16 +63,17 @@ def test_robust_objective_examples():
     assert robust_objective(f, EdgeColoring.all_red(p)) == directed_objective(f)
     assert robust_objective(f, EdgeColoring.all_blue(p)) == pytest.approx(0.5)
     mono = random_monotone(hypercube(4), 3, 1)
-    assert robust_objective(mono, EdgeColoring({})) == 0.0
+    assert robust_objective(mono, EdgeColoring.all_red(violation_profile(mono))) == 0.0
 
 
 def test_robust_objective_validates_coloring():
     f = anti_dictator(2)
+    p = violation_profile(f)
+    assert p.violated_edges == ((0, 1), (2, 3))
     with pytest.raises(ValueError):
-        robust_objective(f, EdgeColoring({(0, 1): RED}))  # not total
+        EdgeColoring(p, [True])  # not total
     with pytest.raises(ValueError):
-        robust_objective(f, EdgeColoring({(0, 1): RED, (2, 3): BLUE,
-                                          (0, 2): RED}))  # extra edge
+        EdgeColoring(p, [True, False, True])  # extra edge
 
 
 def test_coloring_conservation():
@@ -81,8 +82,8 @@ def test_coloring_conservation():
         f = random_function(hypercube(5), 6, seed)
         p = violation_profile(f)
         col = EdgeColoring.random(p, rng)
-        red = sum(1 for e in col.edges() if col[e] == RED)
-        blue = len(col) - red
+        red = int(col.red.sum())
+        blue = len(col.red) - red
         from monocube.isoperimetry import colored_counts
         rc, bc = colored_counts(f, col)
         assert sum(rc) == red and sum(bc) == blue
@@ -327,3 +328,18 @@ def test_profile_agrees_with_edge_loop(case):
     directed = math.fsum(math.sqrt(c) for c in out) / n
     assert dump["objective_directed"] == directed == dump["objective_robust"]
     assert dump["objective_undirected"] == math.fsum(math.sqrt(c) for c in undirected) / n
+
+
+def test_validate_for_rejects_another_functions_coloring():
+    f = ValuedFunction(hypercube(2), (1, 2, 2, 0))   # violates (1, 3), (2, 3)
+    g = ValuedFunction(hypercube(2), (2, 1, 1, 2))   # violates (0, 1), (0, 2)
+    col = EdgeColoring.all_red(violation_profile(f))
+    assert violation_profile(g).num_violated == len(col.red)
+    with pytest.raises(ValueError):
+        col.validate_for(violation_profile(g))
+    with pytest.raises(ValueError):
+        robust_objective(g, col)
+    # a profile with the same violated edges, computed separately, is accepted
+    same = ValuedFunction(hypercube(2), (5, 6, 6, 4))
+    assert violation_profile(same) is not violation_profile(f)
+    assert robust_objective(same, col) == robust_objective(f, col)

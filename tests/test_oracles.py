@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import decreasing_chain
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
@@ -240,3 +240,35 @@ def test_repair_matches_its_definition(case):
     if cert.vertex_cover:
         assert [repr(v) for v in cert.repaired.values] \
             == [repr(v) for v in scan_repair(f, cert.vertex_cover)]
+
+
+@st.composite
+def function_on_any_domain(draw):
+    """Small-integer values on a hypercube (d = 1..6) or a random DAG,
+    edgeless DAGs and n = 1 included."""
+    if draw(st.booleans()):
+        domain = hypercube(draw(st.integers(1, 6)))
+    else:
+        n = draw(st.integers(1, 12))
+        order = draw(st.permutations(range(n)))
+        picks = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+        domain = PosetDomain("dag", n=n, edges=[(order[min(a, b)], order[max(a, b)])
+                                                for a, b in picks if a != b])
+    values = draw(st.lists(st.sampled_from([0, 1, 1.0, 2, 3]),
+                           min_size=domain.n, max_size=domain.n))
+    return ValuedFunction(domain, tuple(values))
+
+
+@given(function_on_any_domain())
+@example(ValuedFunction(PosetDomain("dag", n=1), (2,)))
+@example(ValuedFunction(PosetDomain("dag", n=4), (3, 2, 1, 0)))
+@example(ValuedFunction(hypercube(1), (1, 0)))
+@settings(max_examples=200, deadline=None)
+def test_violated_pairs_matches_its_definition(f):
+    """The one bitmask walk lists exactly the violated comparable pairs,
+    in the (x, y) order of the O(n^2) scan."""
+    n = f.domain.n
+    expected = [(x, y) for x in range(n) for y in range(n)
+                if x != y and f.values[x] > f.values[y] and f.domain.reaches(x, y)]
+    assert violated_pairs(f) == expected
