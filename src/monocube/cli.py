@@ -7,7 +7,7 @@ they run sequentially or under --jobs; the only non-deterministic report
 field is the wall-clock entry in the meta block.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error
-(including an input too large for an exact method).
+(including an input over the exact methods' pair budget, `poset.MAX_PAIRS`).
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def cmd_gen_lowerbound(args) -> int:
 def cmd_exact_distance(args) -> int:
     started = time.perf_counter()
     f = read_function(args.fn)
-    cert = exact_distance(f, cap=args.cap)
+    cert = exact_distance(f)
     report = {
         "result": {
             "epsilon": str(cert.epsilon),
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact-distance", help="exact distance to monotonicity")
     p.add_argument("--fn", required=True)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_exact_distance)
 

@@ -1,6 +1,6 @@
 """Boolean decomposition of a real-valued function on a DAG poset.
 
-Pipeline: canonicalize values to integer ranks, find a max-weight
+Pipeline: read the values as integer ranks, find a max-weight
 min-cardinality matching of violated comparable pairs, merge conflicting
 singleton pairs into conflict-free blocks, take each block's sweeping
 graph, and threshold the function inside each graph against the sinks it
@@ -26,13 +26,11 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from .funcs import ValuedFunction, canonical_rank
+from .funcs import ValuedFunction
 from .isoperimetry import EdgeColoring, ViolationProfile, colored_objective, \
     violation_profile
-from .oracles import exact_distance, is_monotone
-from .poset import DomainSizeError, PosetDomain, SweepingGraph
-
-DEFAULT_SOLVER_CAP = 256
+from .oracles import exact_distance, is_monotone, violated_pairs
+from .poset import PosetDomain, SweepingGraph
 
 
 @dataclass(frozen=True)
@@ -77,23 +75,17 @@ class PairPartition:
         return len(self.blocks)
 
 
-def max_weight_min_card_matching(f: ValuedFunction,
-                                 solver_cap: int = DEFAULT_SOLVER_CAP) -> Matching:
-    """Matching of violated comparable pairs maximizing the total value
+def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
+    """Matching of violated comparable pairs maximizing the total rank
     gap, tie-broken by fewest pairs.  Empty for monotone input."""
     n = f.domain.n
-    if n > solver_cap:
-        raise DomainSizeError(
-            f"matching solver: {n} vertices exceeds cap {solver_cap}")
-    ranked = canonical_rank(f)
-    from .oracles import violated_pairs
-    candidates = violated_pairs(ranked)
+    candidates = violated_pairs(f)
     if not candidates:
         return Matching(())
+    ranks = f.ranks.tolist()  # Python ints: (n + 1) * gap must not wrap
     graph = nx.Graph()
     for (x, y) in candidates:
-        gap = ranked.values[x] - ranked.values[y]
-        graph.add_edge(x, y, weight=(n + 1) * gap - 1)
+        graph.add_edge(x, y, weight=(n + 1) * (ranks[x] - ranks[y]) - 1)
     matched = nx.max_weight_matching(graph, maxcardinality=False)
     oriented = []
     cand = set(candidates)
@@ -209,13 +201,13 @@ class Decomposition:
         return len(self.components)
 
 
-def decompose(f: ValuedFunction, solver_cap: int = DEFAULT_SOLVER_CAP,
-              verify: bool = True) -> Decomposition:
+def decompose(f: ValuedFunction, verify: bool = True) -> Decomposition:
     """Run the full pipeline; monotone input yields an explicitly empty
-    decomposition with the monotone flag set."""
+    decomposition with the monotone flag set.  Non-monotone inputs over
+    the pair budget raise `DomainSizeError`."""
     if is_monotone(f):
         return Decomposition(Matching(()), PairPartition(()), (), None, True)
-    matching = max_weight_min_card_matching(f, solver_cap)
+    matching = max_weight_min_card_matching(f)
     partition = merge_pairs(f.domain, matching)
     components = tuple(build_components(f, partition))
     dec = Decomposition(matching, partition, components, None, False)

@@ -15,6 +15,10 @@ fast path.
 Two independent routes are kept for cross-checks: a branch-and-bound
 minimum vertex cover on the general violation graph, and a brute-force
 sweep over all vertex subsets.
+
+Every route starts from `violated_pairs`, which checks the pair budget
+(`poset.MAX_PAIRS`) before any mask is built; the exponential oracles
+keep their own caps.
 """
 
 from __future__ import annotations
@@ -25,12 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .funcs import ValuedFunction, canonical_rank, image_size
+from .funcs import ValuedFunction, canonical_rank
 from .isoperimetry import EdgeColoring, robust_objective, violation_profile
 from .poset import DomainSizeError
 
-DEFAULT_DISTANCE_CAP = 64
-BOOLEAN_DISTANCE_CAP = 1024
 MATCHING_ENUM_CAP = 16
 COLORING_ENUM_CAP = 20
 
@@ -43,7 +45,8 @@ def is_monotone(f: ValuedFunction) -> bool:
 
 def violated_pairs(f: ValuedFunction) -> list[tuple[int, int]]:
     """All violated comparable pairs, i.e. the violation graph's edges, in
-    (x, y) order."""
+    (x, y) order.  Raises `DomainSizeError` over the pair budget."""
+    f.domain.check_pair_budget()
     values = f.values
     up = f.domain._up_masks()  # noqa: SLF001 - bulk access beats reaches()
     pairs = []
@@ -159,7 +162,7 @@ def _koenig_cover(adj: dict[int, list[int]], rights: set[int],
     return cover_left, cover_right
 
 
-def exact_distance(f: ValuedFunction, cap: int | None = None) -> DistanceCertificate:
+def exact_distance(f: ValuedFunction) -> DistanceCertificate:
     """Exact distance to monotonicity with a certificate.
 
     The cover comes from the Dilworth/Koenig reduction on the violation
@@ -167,13 +170,10 @@ def exact_distance(f: ValuedFunction, cap: int | None = None) -> DistanceCertifi
     lies in the Koenig cover; kept vertices form a maximum antichain of
     the violation order, i.e. a maximum violation-free set.  The repaired
     function extends f from the kept set by downward maxima, so it is
-    monotone and differs from f exactly on the cover.
+    monotone and differs from f exactly on the cover.  Inputs over the
+    pair budget raise `DomainSizeError`.
     """
     n = f.domain.n
-    if cap is None:
-        cap = BOOLEAN_DISTANCE_CAP if image_size(f) <= 2 else DEFAULT_DISTANCE_CAP
-    if n > cap:
-        raise DomainSizeError(f"exact_distance: {n} vertices exceeds cap {cap}")
     pairs = violated_pairs(f)
     if not pairs:
         return DistanceCertificate(Fraction(0), frozenset(), f)

@@ -6,6 +6,8 @@ coordinate ``i`` (1-based) of vertex ``x`` is bit ``i-1`` of ``x``, so
 Reachability, the transitive closure, and sweeping graphs are all
 answered from per-vertex up-set / down-set bitmasks (Python ints), which
 are built lazily and cached on the domain.
+Every walk over all comparable pairs first calls
+`PosetDomain.check_pair_budget`, the exact methods' one size budget.
 
 Whole-table scans read the cover edges as two cached integer arrays,
 `PosetDomain.edge_arrays` = ``(lower, upper)``, in exactly the order
@@ -33,12 +35,11 @@ class CycleError(ValueError):
 
 
 class DomainSizeError(RuntimeError):
-    """Raised when an exact computation would exceed its configured cap."""
+    """Raised when an exact computation would exceed its size budget."""
 
 
-# Materializing the closure of hypercube(d) costs Theta(3^d) pairs; above
-# this cap callers must use reaches() instead.
-DEFAULT_CLOSURE_CAP_DIM = 12
+# Most comparable pairs an exact method may walk: hypercube d <= 12, DAG n <= 1448.
+MAX_PAIRS = 1 << 20
 
 
 class PosetDomain:
@@ -179,15 +180,19 @@ class PosetDomain:
 
     # -- transitive closure ----------------------------------------------------
 
-    def transitive_closure(self, cap_dim: int = DEFAULT_CLOSURE_CAP_DIM) -> list[tuple[int, int]]:
-        """All strict-order pairs (x, y) with x < y in the partial order.
+    def check_pair_budget(self) -> None:
+        """Raise `DomainSizeError` above `MAX_PAIRS` comparable pairs, counted
+        without masks: 3^d - 2^d on the hypercube, at most n(n-1)/2 on a DAG."""
+        pairs = (3 ** self.d - 2 ** self.d if self.kind == "hypercube"
+                 else self.n * (self.n - 1) // 2)
+        if pairs > MAX_PAIRS:
+            raise DomainSizeError(f"{self!r} has up to {pairs} comparable pairs, "
+                                  f"over the budget of {MAX_PAIRS}")
 
-        Guarded for hypercubes above ``cap_dim`` (the closure has
-        3^d - 2^d pairs).
-        """
-        if self.kind == "hypercube" and self.d > cap_dim:
-            raise DomainSizeError(
-                f"closure of hypercube(d={self.d}) exceeds cap d<={cap_dim}")
+    def transitive_closure(self) -> list[tuple[int, int]]:
+        """All strict-order pairs (x, y) with x < y in the partial order,
+        within the pair budget."""
+        self.check_pair_budget()
         return [(x, y) for x, mask in enumerate(self._up_masks())
                 for y in _mask_bits(mask & ~(1 << x))]
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from monocube.cli import main
+from monocube.poset import hypercube
 
 
 def run(args):
@@ -113,15 +114,23 @@ def test_usage_errors(tmp_path):
 
 
 def test_oversized_input_is_a_usage_error(tmp_path, capsys):
-    # non-Boolean d=7 has 128 vertices, over the exact-distance cap
-    fn = tmp_path / "f7.json"
-    assert run(["gen-function", "--d", "7", "--r", "3", "--seed", "0",
+    # hypercube d=13 has 3^13 - 2^13 comparable pairs, over the pair budget
+    fn = tmp_path / "f13.json"
+    assert run(["gen-function", "--d", "13", "--r", "3", "--seed", "0",
                 "--out", str(fn)]) == 0
     capsys.readouterr()
-    assert run(["exact-distance", "--fn", str(fn)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    for command in ("exact-distance", "decompose"):
+        assert run([command, "--fn", str(fn)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert hypercube(13)._up is None  # refused before any mask was built
+
+
+def test_verify_inequalities_non_boolean_d7(tmp_path):
+    # every exact solve of the suite, the certificate's included, fits the pair budget
+    assert run(["verify-inequalities", "--d", "7", "--r", "8", "--count", "2",
+                "--out", str(tmp_path / "v.json")]) == 0
 
 
 def test_report_meta_fields(tmp_path):

@@ -104,6 +104,12 @@ def test_merge_termination_and_disjointness():
                 assert not masks[i] & masks[j]
 
 
+def test_decompose_non_boolean_d7():
+    # the matching and the certificate's exact solves share one pair budget
+    dec = decompose(random_function(hypercube(7), 5, 0))
+    assert dec.certificate.all_ok
+
+
 def test_components_d1():
     f = ValuedFunction(hypercube(1), (2, 1))
     dec = decompose(f)

@@ -77,11 +77,25 @@ def test_exact_distance_boolean_large():
     assert cert.cover_size == mvc_branch_bound(f)
 
 
-def test_exact_distance_cap():
+def test_exact_distance_pair_budget():
+    # non-Boolean d=7 (2059 comparable pairs) solves, with its certificate
     f = random_function(hypercube(7), 5, 0)
-    with pytest.raises(DomainSizeError):
-        exact_distance(f)  # 128 vertices, real-valued default cap is 64
-    exact_distance(f, cap=128)
+    cert = exact_distance(f)
+    assert is_monotone(cert.repaired)
+    assert all(x in cert.vertex_cover or y in cert.vertex_cover
+               for (x, y) in violated_pairs(f))
+    assert {x for x in range(128) if cert.repaired.values[x] != f.values[x]} \
+        == cert.vertex_cover
+    assert cert.epsilon == Fraction(cert.cover_size, 128)
+    assert cert.cover_size == mvc_branch_bound(f)
+    # edgeless DAGs: n(n-1)/2 bounds the pairs, 1448 is the largest n admitted
+    for n in (1024, 1448):
+        edgeless = ValuedFunction(PosetDomain("dag", n=n), (0,) * n)
+        assert exact_distance(edgeless).epsilon == 0
+    over = PosetDomain("dag", n=1449)
+    with pytest.raises(DomainSizeError, match="1049076 comparable pairs"):
+        exact_distance(ValuedFunction(over, (1,) * 1449))
+    assert over._up is None  # refused before any mask was built
 
 
 def test_cover_certifies_violations():

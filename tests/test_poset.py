@@ -106,6 +106,11 @@ def test_transitive_closure_cap():
         hypercube(13).transitive_closure()
 
 
+def test_transitive_closure_at_the_pair_budget():
+    # the largest closure the budget admits: 3^12 - 2^12 pairs
+    assert len(hypercube(12).transitive_closure()) == 527345
+
+
 def test_sweeping_graph_examples(chain3):
     dom = hypercube(2)
     H = dom.sweeping_graph({0}, {3})
