@@ -146,6 +146,8 @@ def cmd_test_monotone(args) -> int:
             "rejection_rate": measurement.rate,
             "wilson95": [measurement.wilson_low, measurement.wilson_high],
             "mean_queries": measurement.mean_queries,
+            "per_setting": [{"b": b, "tau": tau, **stats}
+                            for (b, tau), stats in measurement.per_setting.items()],
         },
         "meta": _meta("test-monotone",
                       {"fn": args.fn, "eps": args.eps, "budget": args.budget,

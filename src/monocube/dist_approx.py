@@ -17,10 +17,11 @@ configurations query identical multisets on any two functions.
 
 One array evaluator, `_capture_hits`, decides the capture event for a
 block of vertices at once; `capture`, `mu_exact` and `mu_estimate` all
-go through it.  The estimators take each draw from a `random.Random`
-stream in sample order and then evaluate the block with one counted
-rank lookup, so the stream and the query log match a one-sample-at-a-time
-evaluation exactly.
+go through it.  Each estimate draws its samples as arrays of `BLOCK`
+from its own `numpy.random.Generator`, seeded by `derive_seed`, and
+reads each block with one counted rank lookup, so the query log lists
+each sample's pattern in draw order.  `approx_mono` draws each
+coordinate set S from such a stream too.
 
 The log factor inside sqrt(d log d) is base 2 and clamped below at 1 so
 the d = 1 corner stays defined.
@@ -29,10 +30,9 @@ the d = 1 corner stays defined.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -154,12 +154,11 @@ def mu_estimate(oracle: CountingOracle, S, additive_error: float,
         raise ValueError("capture estimation runs on hypercube domains")
     S = sorted(set(S))
     samples = hoeffding_samples(additive_error, failure_prob)
-    rng = random.Random(seed)
-    dtype = index_dtype(oracle.domain.n)
+    n = oracle.domain.n
+    rng = np.random.default_rng(seed)
     hits = 0
     for lo in range(0, samples, BLOCK):
-        m = min(BLOCK, samples - lo)
-        xs = np.fromiter((rng.getrandbits(d) for _ in range(m)), dtype=dtype, count=m)
+        xs = rng.integers(0, n, size=min(BLOCK, samples - lo), dtype=index_dtype(n))
         hits += _capture_hits(xs, S, oracle.lookup_ranks)
     return Estimate(hits / samples, samples, additive_error, failure_prob)
 
@@ -171,15 +170,10 @@ def violated_fraction_estimate(oracle: CountingOracle, additive_error: float,
     if d is None:
         raise ValueError("edge sampling runs on hypercube domains")
     samples = hoeffding_samples(additive_error, failure_prob)
-    rng = random.Random(seed)
-    dtype = index_dtype(oracle.domain.n)
-    draws = edge_draws(rng, d, samples)
+    rng = np.random.default_rng(seed)
     hits = 0
     for lo in range(0, samples, BLOCK):
-        m = min(BLOCK, samples - lo)
-        edges = np.fromiter(chain.from_iterable(islice(draws, m)), dtype=dtype,
-                            count=2 * m).reshape(m, 2)
-        ranks = oracle.lookup_ranks(edges)
+        ranks = oracle.lookup_ranks(edge_draws(rng, d, min(BLOCK, samples - lo)))
         hits += int(np.count_nonzero(ranks[:, 0] > ranks[:, 1]))
     return Estimate(hits / samples, samples, additive_error, failure_prob)
 
@@ -239,8 +233,8 @@ def approx_mono(oracle: CountingOracle, config: CaptureConfig) -> ApproxMonoRepo
 
     mu_results = []
     for idx, t in enumerate(rates, start=1):
-        rng = random.Random(derive_seed(config.seed, idx, 0))
-        S = [i for i in range(1, d + 1) if rng.random() < 1.0 / t]
+        keep = np.random.default_rng(derive_seed(config.seed, idx, 0)).random(d) < 1.0 / t
+        S = (np.flatnonzero(keep) + 1).tolist()
         est = mu_estimate(oracle, S, mu_err, delta_each,
                           derive_seed(config.seed, idx, 1))
         mu_results.append({"t": t, "S": S, "estimate": est})

@@ -16,12 +16,10 @@ same violations as one on values.  The violation profile (per-vertex
 violated-edge counts, see `isoperimetry`) is cached the same way.
 
 `CountingOracle` wraps a function behind a query counter (optionally a
-query log) so testers can account for every lookup they make.  Its
-array lookup, `CountingOracle.lookup_ranks`, takes an integer ndarray of
+query log) so testers can account for every lookup they make.  Its one
+read, `CountingOracle.lookup_ranks`, takes an integer ndarray of
 vertices of any shape, counts every element as one query, logs the
 vertices in row-major order and returns their ranks in the same shape.
-`CountingOracle.lookup_many` is the same lookup for a sequence of
-vertices, returning their values.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -106,19 +104,6 @@ class CountingOracle:
         self.fn = fn
         self.query_count = 0
         self.log: list[int] | None = [] if record else None
-
-    def __call__(self, x: int) -> float:
-        self.query_count += 1
-        if self.log is not None:
-            self.log.append(x)
-        return self.fn.values[x]
-
-    def lookup_many(self, xs: Sequence[int]) -> list[float]:
-        self.query_count += len(xs)
-        if self.log is not None:
-            self.log.extend(xs)
-        values = self.fn.values
-        return [values[x] for x in xs]
 
     def lookup_ranks(self, xs: np.ndarray) -> np.ndarray:
         """Ranks at the vertices of the integer array ``xs``, one query per

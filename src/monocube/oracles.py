@@ -170,13 +170,14 @@ def exact_distance(f: ValuedFunction) -> DistanceCertificate:
     lies in the Koenig cover; kept vertices form a maximum antichain of
     the violation order, i.e. a maximum violation-free set.  The repaired
     function extends f from the kept set by downward maxima, so it is
-    monotone and differs from f exactly on the cover.  Inputs over the
-    pair budget raise `DomainSizeError`.
+    monotone and differs from f exactly on the cover.  A monotone input
+    gets the zero certificate from its cover edges alone, at any size;
+    other inputs over the pair budget raise `DomainSizeError`.
     """
+    if is_monotone(f):
+        return DistanceCertificate(Fraction(0), frozenset(), f)
     n = f.domain.n
     pairs = violated_pairs(f)
-    if not pairs:
-        return DistanceCertificate(Fraction(0), frozenset(), f)
     adj: dict[int, list[int]] = {}
     rights = set()
     for (x, y) in pairs:

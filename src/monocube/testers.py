@@ -12,20 +12,20 @@ is also provided directly.
 The full query schedule is generated from the seed and the configuration
 before any value is read, so the queried multiset never depends on the
 function: two runs with equal seeds on different functions touch
-identical points (the replay property).  The schedule is kept as one
-integer array of (x, y) pairs and read with a single counted rank
-lookup; the verdict and the reported witness are derived afterwards,
-taking the first violating pair in schedule order.  Draws with y = x
-cost one lookup; all others cost two.
+identical points (the replay property).  Each schedule is drawn as
+arrays from one `numpy.random.Generator` seeded with the run's seed
+(`pair_draws`, `edge_draws`), kept as one integer array of (x, y) pairs
+and read with a single counted rank lookup; the verdict and the
+reported witness are derived afterwards, taking the first violating
+pair in schedule order.  Draws with y = x cost one lookup; all others
+cost two.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -88,52 +88,50 @@ def repetitions(config: TesterConfig) -> int:
     return max(1, math.ceil(config.budget_constant * base * (math.log2(d) + 1 if d > 1 else 1)))
 
 
-@functools.cache
-def _bit_positions(nbytes: int) -> tuple:
-    """For each byte k < nbytes and byte value v, the positions 8k + i of
-    v's set bits, in increasing order."""
-    return tuple(tuple(tuple(8 * k + i for i in range(8) if v >> i & 1)
-                       for v in range(256))
-                 for k in range(nbytes))
+def pair_draws(rng: np.random.Generator, d: int, settings: list, reps: int) -> np.ndarray:
+    """``reps`` draws from D_pair(b, tau) for each (b, tau) in ``settings``,
+    as an array of shape (len(settings), reps, 2) holding (x, y) in the
+    vertex dtype `index_dtype(2^d)`.
+
+    x is uniform on the d-cube.  Each coordinate gets a uniform key in
+    [0, 1), and the coordinates where x does not have bit b get 1 added,
+    which puts them after every b-coordinate; the tau smallest keys then
+    pick a uniform tau-subset of x's b-coordinates, which y flips.  y = x
+    exactly when x has fewer than tau b-coordinates.
+    """
+    dtype = index_dtype(1 << d)
+    x = rng.integers(0, 1 << d, size=(len(settings), reps), dtype=dtype)
+    keys = rng.random((len(settings), reps, d))
+    b_col = np.array([b for b, _ in settings], dtype=dtype)[:, None, None]
+    other = (x[..., None] >> np.arange(d, dtype=dtype) & 1) ^ b_col  # 1 where x's bit is not b
+    keys += other
+    pairs = np.stack([x, x], axis=-1)
+    for s, (_, tau) in enumerate(settings):
+        if not 1 <= tau <= d:
+            raise ValueError(f"tau={tau} must lie in 1..d={d}")
+        chosen = np.argpartition(keys[s], tau - 1, axis=1)[:, :tau]
+        enough = d - other[s].sum(axis=1) >= tau
+        pairs[s, enough, 1] ^= (1 << chosen[enough]).sum(axis=1).astype(dtype)
+    return pairs
 
 
-def sample_pair(b: int, tau: int, d: int, rng: random.Random) -> tuple[int, int]:
-    """One draw from the pair-test distribution D_pair(b, tau)."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    x = rng.getrandbits(d)
-    equal = x if b else ~x & ((1 << d) - 1)  # the coordinates where x has bit b
-    S = []
-    for table in _bit_positions((d + 7) // 8):
-        S += table[equal & 255]
-        equal >>= 8
-    if tau > len(S):
-        return x, x
-    y = x
-    for i in rng.sample(S, tau):
-        y ^= 1 << i
-    return x, y
+def edge_draws(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
+    """``count`` uniformly random directed edges (x, x + e_i) of the d-cube
+    as an array of shape (count, 2) in the vertex dtype `index_dtype(2^d)`:
+    the coordinates i are drawn first, then the points x."""
+    dtype = index_dtype(1 << d)
+    bit = dtype.type(1) << rng.integers(0, d, size=count, dtype=dtype)
+    x = rng.integers(0, 1 << d, size=count, dtype=dtype) & ~bit
+    return np.stack([x, x | bit], axis=-1)
 
 
-def edge_draws(rng: random.Random, d: int, count: int):
-    """``count`` uniformly random directed edges (x, x + e_i) of the
-    d-cube, each drawn as the coordinate i, then the point x."""
-    for _ in range(count):
-        i = rng.randrange(d)
-        x = rng.getrandbits(d) & ~(1 << i)
-        yield x, x | 1 << i
-
-
-def _evaluate_schedule(oracle: CountingOracle, settings: list, reps: int, draws,
+def _evaluate_schedule(oracle: CountingOracle, settings: list, pairs: np.ndarray,
                        seed: int) -> TesterReport:
     """Query every scheduled pair, then derive verdict and per-setting stats.
 
-    ``draws`` yields the (x, y) pairs: ``reps`` for each (b, tau) in
-    ``settings``, in that order.  All of them are drawn before the one
-    array lookup, which issues x, then y only when y != x, pair by pair.
+    ``pairs[s, j]`` is the j-th (x, y) draw of setting ``settings[s]``.
+    The one array lookup issues x, then y only when y != x, pair by pair.
     """
-    pairs = np.fromiter(chain.from_iterable(draws), dtype=index_dtype(oracle.domain.n),
-                        count=2 * reps * len(settings)).reshape(len(settings), reps, 2)
     start = oracle.query_count
     issued = np.ones(pairs.shape, dtype=bool)
     issued[..., 1] = pairs[..., 0] != pairs[..., 1]
@@ -144,7 +142,7 @@ def _evaluate_schedule(oracle: CountingOracle, settings: list, reps: int, draws,
     for s, (b, tau) in enumerate(settings):
         # b = 0: x is the lower end of the pair, b = 1: y is
         violating = np.flatnonzero(ranks[s, :, b] > ranks[s, :, 1 - b])
-        per_setting[b, tau] = {"draws": reps, "violations": len(violating)}
+        per_setting[b, tau] = {"draws": pairs.shape[1], "violations": len(violating)}
         if witness is None and len(violating):
             x, y = pairs[s, violating[0]].tolist()
             witness = (x, y, oracle.fn.values[x], oracle.fn.values[y])
@@ -161,12 +159,10 @@ def pair_tester(oracle: CountingOracle, config: TesterConfig) -> TesterReport:
     if oracle.domain.d != config.d:
         raise ValueError(f"config.d={config.d} but the oracle's domain is "
                          f"{oracle.domain!r}")
-    rng = random.Random(config.seed)
-    reps = repetitions(config)
     settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(config.d)]
-    draws = (sample_pair(b, tau, config.d, rng)
-             for (b, tau) in settings for _ in range(reps))
-    return _evaluate_schedule(oracle, settings, reps, draws, config.seed)
+    pairs = pair_draws(np.random.default_rng(config.seed), config.d, settings,
+                       repetitions(config))
+    return _evaluate_schedule(oracle, settings, pairs, config.seed)
 
 
 def edge_tester(oracle: CountingOracle, epsilon: float, d: int,
@@ -178,9 +174,9 @@ def edge_tester(oracle: CountingOracle, epsilon: float, d: int,
         raise ValueError("epsilon must lie in (0,1)")
     if oracle.domain.d != d:
         raise ValueError(f"d={d} but the oracle's domain is {oracle.domain!r}")
-    rng = random.Random(seed)
     reps = max(1, math.ceil(budget_constant * d / epsilon))
-    return _evaluate_schedule(oracle, [(0, 1)], reps, edge_draws(rng, d, reps), seed)
+    edges = edge_draws(np.random.default_rng(seed), d, reps)
+    return _evaluate_schedule(oracle, [(0, 1)], edges[None], seed)
 
 
 @dataclass(frozen=True)
@@ -191,6 +187,7 @@ class RejectionMeasurement:
     wilson_low: float
     wilson_high: float
     mean_queries: float
+    per_setting: dict  # (b, tau) -> draws and violations summed over the trials
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
@@ -218,10 +215,17 @@ def measure_rejection(f: ValuedFunction, run, trials: int, seed: int,
     reports = parallel_map(functools.partial(_one_trial, f, run), seeds, jobs)
     rejections = sum(r.rejected for r in reports)
     low, high = wilson_interval(rejections, trials)
+    per_setting = {}
+    for report in reports:
+        for setting, stats in report.per_setting.items():
+            total = per_setting.setdefault(setting, {"draws": 0, "violations": 0})
+            total["draws"] += stats["draws"]
+            total["violations"] += stats["violations"]
     return RejectionMeasurement(
         trials=trials, rejections=rejections, rate=rejections / trials,
         wilson_low=low, wilson_high=high,
-        mean_queries=math.fsum(r.queries for r in reports) / trials)
+        mean_queries=math.fsum(r.queries for r in reports) / trials,
+        per_setting=per_setting)
 
 
 def _one_trial(f: ValuedFunction, run, trial_seed: int) -> TesterReport:

@@ -64,6 +64,37 @@ def test_test_monotone_on_monotone(tmp_path):
     assert doc["result"]["mean_queries"] > 0
 
 
+def test_test_monotone_reports_match_across_jobs(tmp_path):
+    fn = tmp_path / "f.json"
+    run(["gen-function", "--d", "6", "--r", "4", "--seed", "5", "--out", str(fn)])
+    texts = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"tm{jobs}.json"
+        assert run(["test-monotone", "--fn", str(fn), "--eps", "0.5", "--trials", "6",
+                    "--seed", "4", "--jobs", jobs, "--out", str(out)]) == 0
+        doc = strip_volatile(json.load(open(out)))
+        doc["meta"]["config"].pop("jobs")  # the one field that echoes --jobs
+        texts.append(json.dumps(doc))
+    assert texts[0] == texts[1]
+    per_setting = json.loads(texts[0])["result"]["per_setting"]
+    assert [(s["b"], s["tau"]) for s in per_setting] == [(0, 1), (1, 1)]
+    assert all(s["draws"] % 6 == 0 and s["violations"] <= s["draws"] for s in per_setting)
+
+
+def test_monotone_over_the_pair_budget_has_distance_zero(tmp_path):
+    # d=13 is over the pair budget, but a monotone input needs no pair walk
+    fn = tmp_path / "m13.json"
+    assert run(["gen-function", "--d", "13", "--r", "3", "--seed", "0", "--monotone",
+                "--out", str(fn)]) == 0
+    cert, dec = tmp_path / "cert.json", tmp_path / "dec.json"
+    assert run(["exact-distance", "--fn", str(fn), "--out", str(cert)]) == 0
+    assert run(["decompose", "--fn", str(fn), "--out", str(dec)]) == 0
+    result = json.load(open(cert))["result"]
+    assert result["epsilon"] == "0" and result["monotone"] and result["cover_size"] == 0
+    doc = json.load(open(dec))
+    assert doc["monotone"] is True and doc["k"] == 0
+
+
 def test_verify_inequalities_passes_and_is_deterministic(tmp_path):
     out1 = tmp_path / "v1.json"
     out2 = tmp_path / "v2.json"

@@ -1,18 +1,18 @@
 import math
-import random
 from fractions import Fraction
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocube.dist_approx import (RED, CaptureConfig, approx_distance,
+from monocube.dist_approx import (BLOCK, RED, CaptureConfig, approx_distance,
                                   approx_mono, bucket_profile, capture,
                                   hoeffding_samples, mu_estimate, mu_exact,
                                   rate_schedule, sqrt_d_log_d, u_degree_coloring,
                                   violated_fraction_estimate)
 from monocube.funcs import (CountingOracle, ValuedFunction, anti_dictator,
-                            random_function, random_monotone)
+                            index_dtype, random_function, random_monotone)
 from monocube.isoperimetry import violation_profile
 from monocube.oracles import exact_distance
 from monocube.poset import hypercube
@@ -104,25 +104,28 @@ def test_estimator_query_logs():
     S = [1, 3, 4]
     oracle = CountingOracle(f, record=True)
     est = mu_estimate(oracle, S, 0.025, 0.1, seed=8)
-    assert est.samples > 2048  # spans more than one evaluation block
-    rng = random.Random(8)
+    assert est.samples > BLOCK  # spans more than one evaluation block
+    rng = np.random.default_rng(8)
     bits = [1 << (i - 1) for i in S]
     want = []
-    for _ in range(est.samples):
-        x = rng.getrandbits(5)
-        want += [x, *(x ^ b for b in bits),
-                 *(x ^ a ^ b for a, b in combinations(bits, 2))]
+    for lo in range(0, est.samples, BLOCK):
+        for x in rng.integers(0, 32, size=min(BLOCK, est.samples - lo),
+                              dtype=index_dtype(32)).tolist():
+            want += [x, *(x ^ b for b in bits),
+                     *(x ^ a ^ b for a, b in combinations(bits, 2))]
     assert oracle.log == want
     assert oracle.query_count == len(want)
 
     oracle = CountingOracle(f, record=True)
     est = violated_fraction_estimate(oracle, 0.025, 0.1, seed=9)
-    rng = random.Random(9)
+    rng = np.random.default_rng(9)
     want = []
-    for _ in range(est.samples):
-        i = rng.randrange(5)
-        x = rng.getrandbits(5) & ~(1 << i)
-        want += [x, x | 1 << i]
+    for lo in range(0, est.samples, BLOCK):
+        m = min(BLOCK, est.samples - lo)
+        coords = rng.integers(0, 5, size=m, dtype=index_dtype(32)).tolist()
+        for i, x in zip(coords, rng.integers(0, 32, size=m, dtype=index_dtype(32)).tolist()):
+            x &= ~(1 << i)
+            want += [x, x | 1 << i]
     assert oracle.log == want
     assert oracle.query_count == len(want)
 

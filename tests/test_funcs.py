@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,11 +144,14 @@ def test_counting_oracle_exact():
     f = random_function(hypercube(3), 4, 0)
     oracle = CountingOracle(f, record=True)
     for k, x in enumerate([0, 3, 3, 7, 1]):
-        assert oracle(x) == f.values[x]
+        assert oracle.lookup_ranks(np.array(x)) == f.ranks[x]
         assert oracle.query_count == k + 1
     assert oracle.log == [0, 3, 3, 7, 1]
-    assert oracle.lookup_many([2, 2]) == [f.values[2]] * 2
-    assert oracle.query_count == 7
+    block = np.array([[2, 5], [2, 0]])
+    assert oracle.lookup_ranks(block).tolist() == [[f.ranks[2], f.ranks[5]],
+                                                   [f.ranks[2], f.ranks[0]]]
+    assert oracle.query_count == 9
+    assert oracle.log == [0, 3, 3, 7, 1, 2, 5, 2, 0]
     oracle.reset()
     assert oracle.query_count == 0 and oracle.log == []
 

@@ -60,17 +60,17 @@ INPUTS = {
 
 GOLDEN = [
     (["approx-distance", "--fn", "hard-d9.json", "--alpha", "0.2", "--seed", "5"],
-     "4182f12dbec3caef5b06190db5d1a20b4942fe751221ab8fc576160227983d2e"),
+     "2de9ce2411e35921ee3f89e55847d1c60e3b553ea499d72f37d23c596788b3dd"),
     (["approx-distance", "--fn", "mixed-d6.json", "--alpha", "0.1", "--seed", "2"],
-     "eaa6e91867d45c771ea9b2962f10870a47c67be32b8c6b04d8ff83433e31a96c"),
+     "7e5911f302d37bc68f8003f4d0aaadac50bcb1f2f5dc2d8f56ce10d4146feb68"),
     (["approx-distance", "--fn", "mono-d6.json", "--alpha", "0.1", "--seed", "4"],
-     "9b3e37c11665c62c41e27aeb3f746ae972e4dd09b60c12782e4c4159d9d756a5"),
+     "21995b4eb1873ab22f2ae62a796c5b7d2e5fb206d1a91727c886ec89ecb5d6f6"),
     (["test-monotone", "--fn", "mixed-d6.json", "--eps", "0.5", "--trials", "8",
       "--seed", "3"],
-     "8a5a46f5549f7b75596ea5f9c0e65f1e64c6b50441417fc19a8de7be63d4656d"),
+     "7d19b6868ea0ca801c0181b4e37e332c16aae00f4c7db78bb58f7e28a5f307b7"),
     (["test-monotone", "--fn", "anti-d10.json", "--eps", "0.5", "--trials", "5",
       "--seed", "1"],
-     "094f7446f5b4a0ee1222d35ac3a39d668c762011907966d3ba80627f8fdbdb42"),
+     "b02364457a1ea2828de210ea82c8a25a4303f47c5dab27e6d526a0d78f7100a1"),
     (["exact-distance", "--fn", "bool-d8.json"],
      "a6c94a099b31dd327c0f28f05d0f603f1b63109eb495ab632c4bee94437b1b83"),
     (["exact-distance", "--fn", "tied-d5.json"],

@@ -1,15 +1,18 @@
 import math
-import random
+from collections import Counter
 from functools import partial
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from monocube.funcs import (CountingOracle, ValuedFunction, anti_dictator,
                             random_function, random_monotone)
 from monocube.poset import hypercube
-from monocube.testers import (TesterConfig, edge_tester, measure_rejection,
-                              pair_tester, repetitions, run_pair_tester,
-                              sample_pair, tau_schedule, wilson_interval)
+from monocube.testers import (TesterConfig, edge_draws, edge_tester,
+                              measure_rejection, pair_draws, pair_tester,
+                              repetitions, run_pair_tester, tau_schedule,
+                              wilson_interval)
 
 
 def test_tau_schedule():
@@ -37,47 +40,85 @@ def test_config_validation():
         TesterConfig(epsilon=0.5, d=4, r=2, budget_constant=0)
 
 
-def test_sample_pair_d1():
-    rng = random.Random(0)
-    seen = set()
-    for _ in range(100):
-        x, y = sample_pair(0, 1, 1, rng)
-        seen.add((x, y))
-        if x == 0:
-            assert y == 1
-        else:
-            assert y == 1  # S empty: y = x = 1
-    assert seen == {(0, 1), (1, 1)}
+def draw_table(pairs, settings):
+    """(b, tau, x, y) rows of a ``pair_draws`` array, in schedule order."""
+    return [(b, tau, x, y) for (b, tau), rows in zip(settings, pairs.tolist())
+            for x, y in rows]
 
 
-def test_sample_pair_directions_and_distance():
-    rng = random.Random(1)
-    for _ in range(2000):
-        x, y = sample_pair(0, 2, 4, rng)
-        assert (x & y) == x  # x below y
-        if y != x:
-            assert (x ^ y).bit_count() == 2
-            assert bin(x).count("1") + 2 == bin(y).count("1")
-    for _ in range(2000):
-        x, y = sample_pair(1, 1, 4, rng)
-        assert (y & x) == y  # x above y
-        if y != x:
-            assert (x ^ y).bit_count() == 1
+def b_coordinates(x, b, d):
+    """The bits of the coordinates where x has bit b."""
+    return x if b else ~x & ((1 << d) - 1)
 
 
-def test_sample_pair_x_uniform():
-    # chi-square style check at 5 sigma per cell over 10^6 draws
-    rng = random.Random(7)
+def test_pair_draws_x_uniform():
+    # 5 sigma per cell over 10^6 draws
     d = 4
-    counts = [0] * 16
-    draws = 1_000_000
-    for _ in range(draws):
-        x, _ = sample_pair(0, 1, d, rng)
-        counts[x] += 1
+    settings = [(b, tau) for b in (0, 1) for tau in (1, 2)]
+    pairs = pair_draws(np.random.default_rng(7), d, settings, 250_000)
+    counts = np.bincount(pairs[..., 0].ravel(), minlength=16)
+    draws = pairs[..., 0].size
     expect = draws / 16
     sigma = math.sqrt(draws * (1 / 16) * (15 / 16))
-    for c in counts:
-        assert abs(c - expect) < 5 * sigma
+    assert len(counts) == 16
+    assert all(abs(c - expect) < 5 * sigma for c in counts.tolist())
+
+
+@pytest.mark.parametrize("d,settings", [(1, [(0, 1), (1, 1)]),
+                                        (4, [(0, 1), (1, 1), (0, 2), (1, 2)])],
+                         ids=["d1", "d4"])
+def test_pair_draws_degenerate_exactly_without_tau_b_coordinates(d, settings):
+    pairs = pair_draws(np.random.default_rng(d), d, settings, 4000)
+    seen = set()
+    for (b, tau, x, y) in draw_table(pairs, settings):
+        assert (y == x) == (b_coordinates(x, b, d).bit_count() < tau)
+        seen.add((b, x, y))
+    if d == 1:
+        assert seen == {(0, 0, 1), (0, 1, 1), (1, 1, 0), (1, 0, 0)}
+
+
+def test_pair_draws_flip_uniform_tau_subsets():
+    # for each (b, tau) and x, y - x flips tau of x's b-coordinates, each of
+    # the C(m, tau) subsets equally often (5 sigma per cell)
+    d = 4
+    for b in (0, 1):
+        for tau in (1, 2):
+            pairs = pair_draws(np.random.default_rng(10 * b + tau), d, [(b, tau)], 200_000)
+            cells = Counter()
+            per_x = Counter()
+            for (_, _, x, y) in draw_table(pairs, [(b, tau)]):
+                per_x[x] += 1
+                if y == x:
+                    continue
+                flip = x ^ y
+                assert flip.bit_count() == tau
+                assert flip & b_coordinates(x, b, d) == flip
+                assert (x & y) == (y if b else x)  # b = 0 goes up, b = 1 down
+                cells[x, flip] += 1
+            for x, total in per_x.items():
+                m = b_coordinates(x, b, d).bit_count()
+                if m < tau:
+                    continue
+                p = 1 / math.comb(m, tau)
+                subsets = [sum(1 << i for i in c)
+                           for c in combinations(range(d), tau)
+                           if all(b_coordinates(x, b, d) >> i & 1 for i in c)]
+                assert len(subsets) == math.comb(m, tau)
+                sigma = math.sqrt(total * p * (1 - p))
+                for flip in subsets:
+                    assert abs(cells[x, flip] - total * p) <= 5 * sigma
+
+
+def test_edge_draws_uniform():
+    # each of the d 2^(d-1) directed edges equally often, 5 sigma per cell
+    d = 4
+    edges = edge_draws(np.random.default_rng(3), d, 320_000)
+    counts = Counter(map(tuple, edges.tolist()))
+    cover = {(x, x | 1 << i) for x in range(1 << d) for i in range(d) if not x >> i & 1}
+    assert set(counts) == cover and len(cover) == d << (d - 1)
+    draws, p = len(edges), 1 / len(cover)
+    sigma = math.sqrt(draws * p * (1 - p))
+    assert all(abs(c - draws * p) < 5 * sigma for c in counts.values())
 
 
 def test_pair_tester_accepts_monotone():
@@ -109,16 +150,10 @@ def test_pair_tester_query_accounting():
     assert rep.queries == oracle.query_count == len(oracle.log)
     # regenerate the schedule to count degenerate draws: 2 queries per
     # distinct pair, 1 per y = x draw
-    from monocube.testers import repetitions, tau_schedule
-    rng = random.Random(cfg.seed)
-    degenerate = 0
-    total = 0
-    for b in (0, 1):
-        for tau in tau_schedule(cfg.d):
-            for _ in range(repetitions(cfg)):
-                x, y = sample_pair(b, tau, cfg.d, rng)
-                degenerate += x == y
-                total += 1
+    settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(cfg.d)]
+    pairs = pair_draws(np.random.default_rng(cfg.seed), cfg.d, settings, repetitions(cfg))
+    degenerate = int(np.count_nonzero(pairs[..., 0] == pairs[..., 1]))
+    total = pairs[..., 0].size
     assert total == draws
     assert rep.queries == 2 * (total - degenerate) + degenerate
 
@@ -147,10 +182,9 @@ def test_pair_tester_matches_pairwise_reference(d, seed):
     values = [(x * 7 % 5) + (0.5 if x % 4 == 1 else 0) for x in range(1 << d)]
     f = ValuedFunction(hypercube(d), tuple(values))
     cfg = TesterConfig(epsilon=0.3, d=d, r=4, budget_constant=0.5, seed=seed)
-    rng = random.Random(seed)
-    schedule = [(b, tau, *sample_pair(b, tau, d, rng))
-                for b in (0, 1) for tau in tau_schedule(d)
-                for _ in range(repetitions(cfg))]
+    settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(d)]
+    schedule = draw_table(
+        pair_draws(np.random.default_rng(seed), d, settings, repetitions(cfg)), settings)
     oracle = CountingOracle(f, record=True)
     rep = pair_tester(oracle, cfg)
     verdict, witness, per_setting, log = reference_report(f, schedule)
@@ -173,12 +207,9 @@ def test_pair_tester_replay_identical_queries():
 def test_pair_tester_d1_per_draw_rate():
     # per-draw rejection probability of the single-edge instance is 1/2
     f = ValuedFunction(hypercube(1), (1, 0))
-    rng = random.Random(5)
     draws = 10_000
-    hits = 0
-    for _ in range(draws):
-        x, y = sample_pair(0, 1, 1, rng)
-        hits += f.values[x] > f.values[y]
+    pairs = pair_draws(np.random.default_rng(5), 1, [(0, 1)], draws)[0]
+    hits = sum(f.values[x] > f.values[y] for x, y in pairs.tolist())
     sigma = math.sqrt(draws * 0.25)
     assert abs(hits - draws / 2) < 3 * sigma
 
