@@ -79,34 +79,18 @@ def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
     """Matching of violated comparable pairs maximizing the total rank
     gap, tie-broken by fewest pairs.  Empty for monotone input."""
     n = f.domain.n
-    candidates = violated_pairs(f)
-    if not candidates:
+    pairs = violated_pairs(f)
+    if not len(pairs):
         return Matching(())
-    ranks = f.ranks.tolist()  # Python ints: (n + 1) * gap must not wrap
+    ranks = f.ranks.astype(np.int64)  # (n + 1) * gap must not wrap
+    weights = (n + 1) * (ranks[pairs[:, 0]] - ranks[pairs[:, 1]]) - 1
+    lower, upper = pairs.T.tolist()
     graph = nx.Graph()
-    for (x, y) in candidates:
-        graph.add_edge(x, y, weight=(n + 1) * (ranks[x] - ranks[y]) - 1)
+    graph.add_weighted_edges_from(zip(lower, upper, weights.tolist()))
     matched = nx.max_weight_matching(graph, maxcardinality=False)
-    oriented = []
-    cand = set(candidates)
-    for (a, b) in matched:
-        oriented.append((a, b) if (a, b) in cand else (b, a))
+    cand = set(zip(lower, upper))
+    oriented = [(a, b) if (a, b) in cand else (b, a) for (a, b) in matched]
     return Matching(tuple(sorted(oriented)))
-
-
-def conflict(domain: PosetDomain, pair_a: tuple[frozenset[int], frozenset[int]],
-             pair_b: tuple[frozenset[int], frozenset[int]]) -> bool:
-    """True iff the sweeping graphs of the two pairs share a vertex."""
-    X, Y = frozenset(pair_a[0]), frozenset(pair_a[1])
-    Xp, Yp = frozenset(pair_b[0]), frozenset(pair_b[1])
-    sets = [X, Y, Xp, Yp]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if sets[i] & sets[j]:
-                raise ValueError("conflict test requires four disjoint sets")
-    ha = domain.sweeping_graph(X, Y).vertex_mask
-    hb = domain.sweeping_graph(Xp, Yp).vertex_mask
-    return bool(ha & hb)
 
 
 def merge_pairs(domain: PosetDomain, matching: Matching) -> PairPartition:

@@ -128,7 +128,7 @@ def _capture_hits(xs: np.ndarray, S: list[int], lookup) -> int:
 def _violated(fu: np.ndarray, fv: np.ndarray, up: np.ndarray) -> np.ndarray:
     """Whether the edge between u and its neighbour v is violated, from their
     ranks and whether u is the edge's upper end."""
-    return np.where(up, fv > fu, fu > fv)
+    return ((fu > fv) & ~up) | ((fv > fu) & up)
 
 
 def hoeffding_samples(additive_error: float, failure_prob: float) -> int:

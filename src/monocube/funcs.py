@@ -13,7 +13,8 @@ also carries a cached **rank view**: ``ranks[x]`` is the index of
 narrowest unsigned dtype.  Ranks compare exactly as the values do, for
 any mix of ints and floats, so a strict comparison on ranks decides the
 same violations as one on values.  The violation profile (per-vertex
-violated-edge counts, see `isoperimetry`) is cached the same way.
+violated-edge counts, see `isoperimetry`) and the exact distance
+certificate (see `oracles`) are cached the same way.
 
 `CountingOracle` wraps a function behind a query counter (optionally a
 query log) so testers can account for every lookup they make.  Its one
@@ -37,6 +38,7 @@ from .poset import PosetDomain, build_domain, hypercube
 
 if TYPE_CHECKING:
     from .isoperimetry import ViolationProfile
+    from .oracles import DistanceCertificate
 
 
 class FunctionFormatError(ValueError):
@@ -82,6 +84,13 @@ class ValuedFunction:
         per function like `ranks`."""
         from .isoperimetry import ViolationProfile  # isoperimetry imports funcs
         return ViolationProfile.of(self)
+
+    @cached_property
+    def exact_distance(self) -> DistanceCertificate:
+        """This function's `oracles.exact_distance` certificate, solved once
+        per function like `ranks`."""
+        from .oracles import DistanceCertificate  # oracles imports funcs
+        return DistanceCertificate.of(self)
 
 
 def index_dtype(n: int) -> np.dtype:

@@ -72,11 +72,11 @@ class ViolationProfile:
         caches it on f."""
         lower, upper = f.domain.edge_arrays
         n = f.domain.n
-        rank_lower = f.ranks[lower]
-        rank_upper = f.ranks[upper]
+        rank_lower = f.ranks.take(lower)
+        rank_upper = f.ranks.take(upper)
         violated = rank_lower > rank_upper
-        rising = upper[rank_lower < rank_upper]
-        lower, upper = lower[violated], upper[violated]
+        rising = upper.compress(rank_lower < rank_upper)
+        lower, upper = lower.compress(violated), upper.compress(violated)
         out = np.bincount(lower, minlength=n)
         return cls(lower, upper, out,
                    total=out + np.bincount(upper, minlength=n),
@@ -156,8 +156,9 @@ def colored_counts(f: ValuedFunction, col: EdgeColoring,
     ``keep`` is True."""
     n = f.domain.n
     p = col.profile
-    # one bincount: a red edge lands in slot x, a blue one in slot n + y
-    slots = np.where(col.red, p.lower, n + p.upper)
+    # one bincount: a red edge lands in slot x, a blue one in slot n + y,
+    # widened so that n + y cannot wrap the uint32 endpoints
+    slots = np.where(col.red, p.lower, p.upper.astype(np.intp) + n)
     counts = np.bincount(slots if keep is None else slots[keep],
                          minlength=2 * n).tolist()
     return counts[:n], counts[n:]

@@ -16,14 +16,19 @@ Two independent routes are kept for cross-checks: a branch-and-bound
 minimum vertex cover on the general violation graph, and a brute-force
 sweep over all vertex subsets.
 
-Every route starts from `violated_pairs`, which checks the pair budget
-(`poset.MAX_PAIRS`) before any mask is built; the exponential oracles
-keep their own caps.
+Every route starts from `violated_pairs`: one gather-and-compare of the
+function's ranks over the domain's cached comparable-pair arrays
+(`PosetDomain.pair_arrays`), which check the pair budget
+(`poset.MAX_PAIRS`) before any mask or array is built; the exponential
+oracles keep their own caps.  `exact_distance` is solved once per
+function: its certificate is cached on the function, like the ranks and
+the violation profile.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,27 +45,17 @@ COLORING_ENUM_CAP = 20
 def is_monotone(f: ValuedFunction) -> bool:
     """True iff no cover edge is violated (enough, by transitivity)."""
     lower, upper = f.domain.edge_arrays
-    return bool(np.all(f.ranks[lower] <= f.ranks[upper]))
+    return bool(np.all(f.ranks.take(lower) <= f.ranks.take(upper)))
 
 
-def violated_pairs(f: ValuedFunction) -> list[tuple[int, int]]:
-    """All violated comparable pairs, i.e. the violation graph's edges, in
-    (x, y) order.  Raises `DomainSizeError` over the pair budget."""
-    f.domain.check_pair_budget()
-    values = f.values
-    up = f.domain._up_masks()  # noqa: SLF001 - bulk access beats reaches()
-    pairs = []
-    # the bit walk is inline: a poset._mask_bits generator ran 7-23% slower at d=8..10
-    for x, mask in enumerate(up):
-        vx = values[x]
-        m = mask & ~(1 << x)
-        while m:
-            low = m & -m
-            y = low.bit_length() - 1
-            if vx > values[y]:
-                pairs.append((x, y))
-            m ^= low
-    return pairs
+def violated_pairs(f: ValuedFunction) -> np.ndarray:
+    """All violated comparable pairs, i.e. the violation graph's edges, as
+    an ``(m, 2)`` array of rows (x, y) in `PosetDomain.pair_arrays` order
+    (x ascending, then y ascending).  Raises `DomainSizeError` over the
+    pair budget."""
+    lower, upper = f.domain.pair_arrays
+    violated = np.flatnonzero(f.ranks.take(lower) > f.ranks.take(upper))
+    return np.stack((lower.take(violated), upper.take(violated)), axis=1)
 
 
 @dataclass(frozen=True)
@@ -72,6 +67,38 @@ class DistanceCertificate:
     @property
     def cover_size(self) -> int:
         return len(self.vertex_cover)
+
+    @classmethod
+    def of(cls, f: ValuedFunction) -> "DistanceCertificate":
+        """Solve f; callers use `exact_distance`, which caches the
+        certificate on f."""
+        if is_monotone(f):
+            return cls(Fraction(0), frozenset(), f)
+        n = f.domain.n
+        lower, upper = violated_pairs(f).T
+        # adjacency in pair order: left vertices ascending, each one's right
+        # neighbours ascending
+        firsts = np.flatnonzero(np.r_[True, lower[1:] != lower[:-1]]).tolist()
+        ys = upper.tolist()
+        adj = {x: ys[a:b] for x, a, b in
+               zip(lower[firsts].tolist(), firsts, firsts[1:] + [len(ys)])}
+        match_r = _hopcroft_karp(adj, set(ys))
+        cover_left, cover_right = _koenig_cover(adj, match_r)
+        assert len(cover_left) + len(cover_right) == len(match_r), \
+            "Koenig cover size must equal the matching size"
+        left = np.zeros(n, dtype=bool)
+        right = np.zeros(n, dtype=bool)
+        left[list(cover_left)] = True
+        right[list(cover_right)] = True
+        assert np.all(left[lower] | right[upper]), \
+            "Koenig construction left a violated pair uncovered"
+
+        cover = frozenset(cover_left | cover_right)
+        repaired = _repair(f, cover)
+        changed = sum(map(operator.ne, repaired.values, f.values))
+        assert changed == len(cover), \
+            f"repair changed {changed} points, cover has {len(cover)}"
+        return cls(Fraction(len(cover), n), cover, repaired)
 
 
 def _hopcroft_karp(adj: dict[int, list[int]], rights: set[int]) -> dict[int, int]:
@@ -136,7 +163,7 @@ def _augment(root: int, adj: dict[int, list[int]], match_l: dict, match_r: dict,
                 path.pop()
 
 
-def _koenig_cover(adj: dict[int, list[int]], rights: set[int],
+def _koenig_cover(adj: dict[int, list[int]],
                   match_r: dict[int, int]) -> tuple[set[int], set[int]]:
     """Koenig construction: a minimum vertex cover (left part, right part)
     of the bipartite graph from a maximum matching."""
@@ -163,7 +190,8 @@ def _koenig_cover(adj: dict[int, list[int]], rights: set[int],
 
 
 def exact_distance(f: ValuedFunction) -> DistanceCertificate:
-    """Exact distance to monotonicity with a certificate.
+    """Exact distance to monotonicity with a certificate, solved on first
+    use and cached on f.
 
     The cover comes from the Dilworth/Koenig reduction on the violation
     order's split graph: a vertex is kept iff neither of its two copies
@@ -174,28 +202,7 @@ def exact_distance(f: ValuedFunction) -> DistanceCertificate:
     gets the zero certificate from its cover edges alone, at any size;
     other inputs over the pair budget raise `DomainSizeError`.
     """
-    if is_monotone(f):
-        return DistanceCertificate(Fraction(0), frozenset(), f)
-    n = f.domain.n
-    pairs = violated_pairs(f)
-    adj: dict[int, list[int]] = {}
-    rights = set()
-    for (x, y) in pairs:
-        adj.setdefault(x, []).append(y)
-        rights.add(y)
-    match_r = _hopcroft_karp(adj, rights)
-    cover_left, cover_right = _koenig_cover(adj, rights, match_r)
-    cover = frozenset(cover_left | cover_right)
-    assert len(cover_left) + len(cover_right) == len(match_r), \
-        "Koenig cover size must equal the matching size"
-    assert all(x in cover_left or y in cover_right for (x, y) in pairs), \
-        "Koenig construction left a violated pair uncovered"
-
-    repaired = _repair(f, cover)
-    changed = sum(repaired.values[x] != f.values[x] for x in range(n))
-    assert changed == len(cover), \
-        f"repair changed {changed} points, cover has {len(cover)}"
-    return DistanceCertificate(Fraction(len(cover), n), cover, repaired)
+    return f.exact_distance
 
 
 def _repair(f: ValuedFunction, cover: frozenset[int]) -> ValuedFunction:
@@ -229,7 +236,7 @@ def exact_distance_bruteforce(f: ValuedFunction, cap: int = 20) -> int:
     if n > cap:
         raise DomainSizeError(f"brute force over 2^{n} subsets exceeds cap 2^{cap}")
     bad = [0] * n
-    for (x, y) in violated_pairs(f):
+    for (x, y) in violated_pairs(f).tolist():
         bad[x] |= 1 << y
         bad[y] |= 1 << x
     best = 0
@@ -252,9 +259,8 @@ def mvc_branch_bound(f: ValuedFunction) -> int:
     bound on the general graph (include a max-degree vertex or all of its
     neighbours; greedy-matching lower bound for pruning).  Cross-check
     route for `exact_distance`."""
-    pairs = violated_pairs(f)
     adj: dict[int, set[int]] = {}
-    for (x, y) in pairs:
+    for (x, y) in violated_pairs(f).tolist():
         adj.setdefault(x, set()).add(y)
         adj.setdefault(y, set()).add(x)
 
@@ -317,7 +323,7 @@ def enumerate_matchings_check(f: ValuedFunction, cap: int = MATCHING_ENUM_CAP
     if n > cap:
         raise DomainSizeError(f"matching enumeration needs n <= {cap}, got {n}")
     ranked = canonical_rank(f)
-    pairs = violated_pairs(ranked)
+    pairs = violated_pairs(ranked).tolist()
     gaps = [ranked.values[x] - ranked.values[y] for (x, y) in pairs]
     best = (0, 0)  # (weight, -cardinality) maximized lexicographically
 

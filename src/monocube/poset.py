@@ -3,18 +3,25 @@
 Vertices are integers ``0..n-1``.  For a hypercube of dimension ``d``,
 coordinate ``i`` (1-based) of vertex ``x`` is bit ``i-1`` of ``x``, so
 ``n = 2**d`` and every cover edge flips exactly one bit from 0 to 1.
-Reachability, the transitive closure, and sweeping graphs are all
-answered from per-vertex up-set / down-set bitmasks (Python ints), which
-are built lazily and cached on the domain.
-Every walk over all comparable pairs first calls
-`PosetDomain.check_pair_budget`, the exact methods' one size budget.
+Reachability and sweeping graphs are answered from per-vertex up-set /
+down-set bitmasks (Python ints), which are built lazily and cached on
+the domain.
 
-Whole-table scans read the cover edges as two cached integer arrays,
-`PosetDomain.edge_arrays` = ``(lower, upper)``, in exactly the order
-`cover_edges()` lists them: row-major over (vertex, coordinate) on the
-hypercube, the sorted edge list on a DAG.  `PosetDomain.down_max` is the
-one downward-max closure sweep (one pass per coordinate on the
-hypercube, one pass in topological order on a DAG).
+Whole-table scans read two kinds of cached, read-only ``uint32`` array
+pairs:
+
+* `PosetDomain.edge_arrays` = ``(lower, upper)``, the cover edges in
+  exactly the order `cover_edges()` lists them: row-major over (vertex,
+  coordinate) on the hypercube, the sorted edge list on a DAG.
+* `PosetDomain.pair_arrays` = ``(lower, upper)``, every strict
+  comparable pair x < y, x ascending and then y ascending.  It is built
+  by one chunked comparison (``x & ~y == 0`` on the hypercube, the
+  unpacked up-set masks on a DAG) after `PosetDomain.check_pair_budget`,
+  the exact methods' one size budget, has admitted the domain.
+
+`PosetDomain.down_max` is the one downward-max closure sweep (one pass
+per coordinate on the hypercube, one pass in topological order on a
+DAG).
 
 Domains are immutable after construction and safe to share across
 workers.
@@ -40,6 +47,8 @@ class DomainSizeError(RuntimeError):
 
 # Most comparable pairs an exact method may walk: hypercube d <= 12, DAG n <= 1448.
 MAX_PAIRS = 1 << 20
+# Cells of the x-by-y comparison `PosetDomain.pair_arrays` holds at once.
+PAIR_CHUNK = 1 << 20
 
 
 class PosetDomain:
@@ -96,17 +105,49 @@ class PosetDomain:
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(lower, upper)`` endpoint arrays of the cover edges,
-        in `cover_edges()` order."""
+        """Read-only ``uint32`` ``(lower, upper)`` endpoint arrays of the
+        cover edges, in `cover_edges()` order."""
         if self.kind == "hypercube":
-            bits = 1 << np.arange(self.d)
-            lower, coord = np.nonzero((np.arange(self.n)[:, None] & bits) == 0)
-            upper = lower | bits[coord]
+            ids = np.arange(self.n, dtype=np.uint32)[:, None]
+            bits = np.uint32(1) << np.arange(self.d, dtype=np.uint32)
+            free = (ids & bits) == 0  # row-major over (vertex, coordinate)
+            lower = np.broadcast_to(ids, free.shape)[free]
+            upper = (ids | bits)[free]
         else:
-            lower, upper = np.array(self._edges, dtype=np.intp).reshape(-1, 2).T.copy()
-        lower.flags.writeable = False
-        upper.flags.writeable = False
-        return lower, upper
+            lower, upper = np.array(self._edges, dtype=np.uint32).reshape(-1, 2).T.copy()
+        return _read_only(lower, upper)
+
+    @cached_property
+    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``uint32`` ``(lower, upper)`` arrays of every strict
+        comparable pair x < y, x ascending and then y ascending.  Raises
+        `DomainSizeError` over the pair budget before any mask is built."""
+        self.check_pair_budget()
+        n = self.n
+        if self.kind == "hypercube":
+            ids = np.arange(n, dtype=np.min_scalar_type(n - 1))
+
+            def at_most(rows: slice) -> np.ndarray:  # x <= y iff x & ~y == 0
+                return (ids[rows, None] & ~ids) == 0
+        else:
+            width = (n + 7) // 8
+            packed = np.frombuffer(b"".join(m.to_bytes(width, "little")
+                                            for m in self._up_masks()),
+                                   dtype=np.uint8).reshape(n, width)
+
+            def at_most(rows: slice) -> np.ndarray:  # bit y of up[x]: x <= y
+                return np.unpackbits(packed[rows], axis=1, count=n,
+                                     bitorder="little").view(bool)
+        step = max(1, PAIR_CHUNK // n)
+        lowers, uppers = [], []
+        for start in range(0, n, step):
+            le = at_most(slice(start, start + step))
+            diagonal = np.arange(len(le))
+            le[diagonal, diagonal + start] = False
+            x, y = np.nonzero(le)
+            lowers.append((x + start).astype(np.uint32))
+            uppers.append(y.astype(np.uint32))
+        return _read_only(np.concatenate(lowers), np.concatenate(uppers))
 
     def down_max(self, a: np.ndarray) -> np.ndarray:
         """The downward-max closure of a value array: ``out[x]`` is the
@@ -170,14 +211,6 @@ class PosetDomain:
                 masks[x] |= masks[v]
         return masks
 
-    def up_mask(self, x: int) -> int:
-        self.check_vertex(x)
-        return self._up_masks()[x]
-
-    def down_mask(self, x: int) -> int:
-        self.check_vertex(x)
-        return self._down_masks()[x]
-
     # -- transitive closure ----------------------------------------------------
 
     def check_pair_budget(self) -> None:
@@ -191,10 +224,9 @@ class PosetDomain:
 
     def transitive_closure(self) -> list[tuple[int, int]]:
         """All strict-order pairs (x, y) with x < y in the partial order,
-        within the pair budget."""
-        self.check_pair_budget()
-        return [(x, y) for x, mask in enumerate(self._up_masks())
-                for y in _mask_bits(mask & ~(1 << x))]
+        in `pair_arrays` order, within the pair budget."""
+        lower, upper = self.pair_arrays
+        return list(zip(lower.tolist(), upper.tolist()))
 
     # -- sweeping graphs ---------------------------------------------------------
 
@@ -226,9 +258,9 @@ class PosetDomain:
 class SweepingGraph:
     """Sweeping graph between a source set and a sink set.
 
-    By construction the graph is induced: every domain edge with both
-    endpoints inside is an edge of the graph, so edges are derived on
-    demand from the vertex mask.
+    By construction the graph is induced: its edges are the domain's
+    cover edges with both endpoints inside, so only the vertex set is
+    stored.
     """
 
     domain: PosetDomain
@@ -236,12 +268,9 @@ class SweepingGraph:
     sink_set: frozenset[int]
     vertex_mask: int
 
-    def __contains__(self, z: int) -> bool:
-        return bool(self.vertex_mask >> z & 1)
-
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset(_mask_bits(self.vertex_mask))
+        return frozenset(np.flatnonzero(self.vertex_array).tolist())
 
     @cached_property
     def vertex_array(self) -> np.ndarray:
@@ -251,27 +280,11 @@ class SweepingGraph:
                                dtype=np.uint8)
         return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
 
-    def edges(self) -> list[tuple[int, int]]:
-        m = self.vertex_mask
-        return [(x, y) for (x, y) in self.domain.cover_edges()
-                if m >> x & 1 and m >> y & 1]
 
-    def sources_below(self, z: int) -> frozenset[int]:
-        """S(z) = {s in S : s <= z}; nonempty for every z in the graph."""
-        down = self.domain.down_mask(z)
-        return frozenset(s for s in self.source_set if down >> s & 1)
-
-    def sinks_above(self, z: int) -> frozenset[int]:
-        """T(z) = {t in T : z <= t}; nonempty for every z in the graph."""
-        up = self.domain.up_mask(z)
-        return frozenset(t for t in self.sink_set if up >> t & 1)
-
-
-def _mask_bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _topological_order(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
@@ -325,26 +338,3 @@ def read_domain(path) -> PosetDomain:
     with open(path) as fh:
         return build_domain(json.load(fh))
 
-
-def position_relative_to(domain: PosetDomain, z: int, graph: SweepingGraph) -> str:
-    """Locate z relative to a sweeping graph H.
-
-    Returns 'inside' if z is a vertex of H, 'above' if some vertex of H is
-    strictly below z, 'below' if some vertex of H is strictly above z, and
-    'neither' otherwise.  A vertex outside H is never both above and below.
-    """
-    domain.check_vertex(z)
-    if z in graph:
-        return "inside"
-    zbit = 1 << z
-    above = bool(graph.vertex_mask & domain.down_mask(z) & ~zbit)
-    below = bool(graph.vertex_mask & domain.up_mask(z) & ~zbit)
-    if above and below:
-        raise AssertionError(
-            f"vertex {z} is both above and below the sweeping graph; "
-            "this contradicts the sweeping-graph separation property")
-    if above:
-        return "above"
-    if below:
-        return "below"
-    return "neither"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from monocube.decomposition import (Matching, conflict, decompose,
+from monocube.decomposition import (Matching, decompose,
                                     decomposition_dump, edge_bound_check,
                                     max_weight_min_card_matching, merge_pairs,
                                     robust_chain_check, verify_decomposition)
@@ -12,6 +12,7 @@ from monocube.funcs import (ValuedFunction, anti_dictator, canonical_rank,
 from monocube.isoperimetry import EdgeColoring, violation_profile
 from monocube.oracles import enumerate_matchings_check, exact_distance, is_monotone
 from monocube.poset import hypercube
+from poset_oracles import conflict, position_relative_to
 
 
 def matching_weight(f, matching):
@@ -134,7 +135,6 @@ def test_components_source_sink_values():
 
 def test_components_above_rule():
     # a vertex strictly above a component's graph gets value 1
-    from monocube.poset import position_relative_to
     f = random_function(hypercube(4), 4, 3)
     dec = decompose(f, verify=False)
     for (fi, graph) in dec.components:

@@ -10,7 +10,7 @@ from monocube.dist_approx import (BLOCK, RED, CaptureConfig, approx_distance,
                                   approx_mono, bucket_profile, capture,
                                   hoeffding_samples, mu_estimate, mu_exact,
                                   rate_schedule, sqrt_d_log_d, u_degree_coloring,
-                                  violated_fraction_estimate)
+                                  violated_fraction_estimate, _violated)
 from monocube.funcs import (CountingOracle, ValuedFunction, anti_dictator,
                             index_dtype, random_function, random_monotone)
 from monocube.isoperimetry import violation_profile
@@ -69,6 +69,13 @@ def test_capture_agrees_with_definition(case):
     brute = [brute_capture(f.values, x, S) for x in range(f.n)]
     assert [capture(f, x, S) for x in range(f.n)] == brute
     assert mu_exact(f, S) == Fraction(sum(brute), f.n)
+
+
+def test_violated_matches_its_definition():
+    # every (rank of u, rank of v, u is the upper end) combination
+    fu, fv, up = (a.ravel() for a in np.meshgrid([0, 1, 2], [0, 1, 2], [False, True]))
+    expected = [(a > b) if not u else (b > a) for a, b, u in zip(fu, fv, up)]
+    assert _violated(fu, fv, up).tolist() == expected
 
 
 def test_mu_exact_examples():

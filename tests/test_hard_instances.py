@@ -75,7 +75,7 @@ def test_violations_are_local_exhaustive_d9():
         spec = LowerBoundSpec(spec_d, spec_r, i)
         f = lower_bound_function(spec)
         w = spec.width
-        for (x, y) in violated_pairs(f):
+        for (x, y) in violated_pairs(f).tolist():
             diff = x ^ y
             assert diff.bit_count() <= w
             assert diff & (1 << (i - 1))

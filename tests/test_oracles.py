@@ -6,14 +6,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import decreasing_chain
+from monocube.cli import _verify_instance
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
                             random_monotone, threshold, weight_function)
 from monocube.isoperimetry import undirected_objective, violation_profile
-from monocube.oracles import (boolean_variance, enumerate_matchings_check,
+from monocube.oracles import (DistanceCertificate, boolean_variance,
+                              enumerate_matchings_check,
                               exact_distance, exact_distance_bruteforce,
                               is_monotone, median_threshold, mvc_branch_bound,
                               violated_pairs, worst_coloring, _repair)
 from monocube.poset import DomainSizeError, PosetDomain, hypercube
+from monocube.seeds import derive_seed
 
 
 def test_is_monotone_examples():
@@ -83,7 +86,7 @@ def test_exact_distance_pair_budget():
     cert = exact_distance(f)
     assert is_monotone(cert.repaired)
     assert all(x in cert.vertex_cover or y in cert.vertex_cover
-               for (x, y) in violated_pairs(f))
+               for (x, y) in violated_pairs(f).tolist())
     assert {x for x in range(128) if cert.repaired.values[x] != f.values[x]} \
         == cert.vertex_cover
     assert cert.epsilon == Fraction(cert.cover_size, 128)
@@ -100,11 +103,50 @@ def test_exact_distance_pair_budget():
     assert over._up is None  # refused before any mask was built
 
 
+def counting_solves(monkeypatch):
+    """Record every function `DistanceCertificate.of` solves."""
+    solved = []
+    solve = DistanceCertificate.of.__func__
+
+    def recording(cls, f):
+        solved.append(f)
+        return solve(cls, f)
+
+    monkeypatch.setattr(DistanceCertificate, "of", classmethod(recording))
+    return solved
+
+
+def test_exact_distance_is_solved_once_per_function(monkeypatch):
+    solved = counting_solves(monkeypatch)
+    f = random_function(hypercube(5), 4, 7)
+    cert = exact_distance(f)
+    assert exact_distance(f) is cert
+    assert solved == [f]
+    # an equal function is a new object with its own cache
+    g = ValuedFunction(f.domain, f.values)
+    assert exact_distance(g) == cert and exact_distance(g) is not cert
+    assert len(solved) == 2
+
+
+def test_verify_instance_solves_f_once(monkeypatch):
+    """The instance, its decomposition certificate and its edge bound all
+    read one solve of f; each Boolean part is solved once as well."""
+    solved = counting_solves(monkeypatch)
+    d, r, master, index = 5, 4, 3, 0
+    row = _verify_instance((d, r, master, index, 2, 2))
+    assert row["ok"] and not row["monotone"]
+    f = random_function(hypercube(d), r, derive_seed(master, index))
+    assert [g.values for g in solved].count(f.values) == 1
+    parts = solved[1:]
+    assert parts and all(g.is_boolean() for g in parts)
+    assert len({id(g) for g in parts}) == len(parts)
+
+
 def test_cover_certifies_violations():
     for seed in range(15):
         f = random_function(hypercube(4), 4, 500 + seed)
         cert = exact_distance(f)
-        for (x, y) in violated_pairs(f):
+        for (x, y) in violated_pairs(f).tolist():
             assert x in cert.vertex_cover or y in cert.vertex_cover
 
 
@@ -112,7 +154,7 @@ def test_matching_sandwich():
     # any maximal matching M of the violation graph: |M| <= cover <= 2|M|
     for seed in range(25):
         f = random_function(hypercube(5), 5, seed)
-        pairs = violated_pairs(f)
+        pairs = violated_pairs(f).tolist()
         used = set()
         maximal = 0
         for (x, y) in pairs:
@@ -282,9 +324,9 @@ def function_on_any_domain(draw):
 @example(ValuedFunction(hypercube(1), (1, 0)))
 @settings(max_examples=200, deadline=None)
 def test_violated_pairs_matches_its_definition(f):
-    """The one bitmask walk lists exactly the violated comparable pairs,
-    in the (x, y) order of the O(n^2) scan."""
+    """The pair arrays list exactly the violated comparable pairs, in the
+    (x, y) order of the O(n^2) scan."""
     n = f.domain.n
     expected = [(x, y) for x in range(n) for y in range(n)
                 if x != y and f.values[x] > f.values[y] and f.domain.reaches(x, y)]
-    assert violated_pairs(f) == expected
+    assert list(map(tuple, violated_pairs(f).tolist())) == expected

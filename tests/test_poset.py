@@ -1,9 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
+from monocube import poset
 from monocube.poset import (CycleError, DomainSizeError, PosetDomain,
-                            build_domain, hypercube, position_relative_to)
+                            build_domain, hypercube)
+from poset_oracles import (comparable_pairs_walk, position_relative_to,
+                           sinks_above, sources_below, sweeping_edges)
 
 
 def brute_paths(domain, s, t):
@@ -42,6 +46,7 @@ def test_edge_arrays_follow_cover_edge_order(d):
     dom = PosetDomain("hypercube", d=d)
     lower, upper = dom.edge_arrays
     assert not lower.flags.writeable and not upper.flags.writeable
+    assert lower.dtype == upper.dtype == np.uint32
     assert list(zip(lower.tolist(), upper.tolist())) \
         == [(x, x | 1 << i) for x in range(1 << d) for i in range(d) if not x >> i & 1]
     assert dom.cover_edges() == list(zip(lower.tolist(), upper.tolist()))
@@ -85,6 +90,58 @@ def test_reaches_agrees_at_d10():
     assert hc._up_masks() == dag._up_masks()
 
 
+def random_dag(n, seed):
+    """A DAG on n vertices whose topological order is a random relabelling
+    of 0..n-1, with about 2n random forward edges."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = set()
+    for _ in range(2 * n if n > 1 else 0):
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((order[a], order[b]))
+    return PosetDomain("dag", n=n, edges=edges)
+
+
+PAIR_DOMAINS = ([("cube", d) for d in range(1, 9)]
+                + [("dag", n, seed) for n, seed in [(2, 0), (7, 1), (40, 2), (200, 3)]]
+                + [("edgeless", n) for n in (1, 2, 50)])
+
+
+def pair_domain(spec):
+    if spec[0] == "cube":
+        return PosetDomain("hypercube", d=spec[1])
+    if spec[0] == "dag":
+        return random_dag(spec[1], spec[2])
+    return PosetDomain("dag", n=spec[1])
+
+
+@pytest.mark.parametrize("spec", PAIR_DOMAINS, ids=lambda s: "-".join(map(str, s)))
+def test_pair_arrays_match_the_bitmask_walk(spec):
+    """Element by element and in order, also when the comparison is split
+    into chunks of a few rows (a chunk of 1 cell still takes a whole row)."""
+    walk = comparable_pairs_walk(pair_domain(spec))
+    for chunk in (poset.PAIR_CHUNK, 1, 37):
+        dom = pair_domain(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poset, "PAIR_CHUNK", chunk)
+            lower, upper = dom.pair_arrays
+        assert lower.dtype == upper.dtype == np.uint32
+        assert not lower.flags.writeable and not upper.flags.writeable
+        assert list(zip(lower.tolist(), upper.tolist())) == walk
+        assert dom.pair_arrays[0] is lower  # cached
+
+
+def test_pair_arrays_refused_before_any_mask_is_built():
+    with pytest.raises(DomainSizeError, match="1586131 comparable pairs"):
+        hypercube(13).pair_arrays
+    for dom in (PosetDomain("hypercube", d=13), PosetDomain("dag", n=1449, edges=[(0, 1)])):
+        with pytest.raises(DomainSizeError):
+            dom.pair_arrays
+        assert dom._up is None and dom._down is None
+        assert not {"pair_arrays", "edge_arrays"} & set(vars(dom))
+
+
 def test_transitive_closure_examples(chain3):
     assert sorted(chain3.transitive_closure()) == [(0, 1), (0, 2), (1, 2)]
     assert sorted(hypercube(1).transitive_closure()) == [(0, 1)]
@@ -115,15 +172,15 @@ def test_sweeping_graph_examples(chain3):
     dom = hypercube(2)
     H = dom.sweeping_graph({0}, {3})
     assert H.vertices == {0, 1, 2, 3}
-    assert set(H.edges()) == set(dom.cover_edges())
+    assert set(sweeping_edges(H)) == set(dom.cover_edges())
 
     empty = dom.sweeping_graph({1}, {2})
     assert empty.vertices == frozenset()
-    assert empty.edges() == []
+    assert sweeping_edges(empty) == []
 
     Hc = chain3.sweeping_graph({0}, {1})
     assert Hc.vertices == {0, 1}
-    assert Hc.edges() == [(0, 1)]
+    assert sweeping_edges(Hc) == [(0, 1)]
 
 
 def test_sweeping_graph_overlap_rejected():
@@ -148,7 +205,7 @@ def test_sweeping_graph_matches_path_union(d, seed):
             vertices |= vs
             edges |= es
     assert H.vertices == vertices
-    assert set(H.edges()) == edges
+    assert set(sweeping_edges(H)) == edges
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -163,12 +220,12 @@ def test_sweeping_graph_properties(d):
         T = set(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
         H = dom.sweeping_graph(S, T)
         for z in H.vertices:
-            assert H.sources_below(z)
-            assert H.sinks_above(z)
+            assert sources_below(H, z)
+            assert sinks_above(H, z)
         for z in range(dom.n):
             # raises if both above and below
             position_relative_to(dom, z, H)
-        edge_set = set(H.edges())
+        edge_set = set(sweeping_edges(H))
         for (x, y) in dom.cover_edges():
             if x in H.vertices and y in H.vertices:
                 assert (x, y) in edge_set
