@@ -282,42 +282,6 @@ def cmd_verify_inequalities(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_bench(args) -> int:
-    started = time.perf_counter()
-    rows = []
-    for idx in range(args.count):
-        seed = derive_seed(args.seed, idx)
-        f = random_function(hypercube(args.d), args.r, seed)
-        t0 = time.perf_counter()
-        cert = exact_distance(f)
-        t1 = time.perf_counter()
-        dec = decompose(f)
-        t2 = time.perf_counter()
-        oracle = CountingOracle(f)
-        tester = run_pair_tester(oracle, seed, epsilon=0.25, d=args.d,
-                                 r=image_size(f))
-        t3 = time.perf_counter()
-        rows.append({
-            "index": idx, "d": args.d, "r": args.r,
-            "epsilon": float(cert.epsilon),
-            "k": dec.k,
-            "exact_distance_s": round(t1 - t0, 6),
-            "decompose_s": round(t2 - t1, 6),
-            "tester_s": round(t3 - t2, 6),
-            "tester_queries": tester.queries,
-            "tester_verdict": tester.verdict,
-        })
-    report = {
-        "result": {"rows": rows},
-        "meta": _meta("bench", {"d": args.d, "r": args.r, "count": args.count},
-                      args.seed, started),
-    }
-    _emit(report, args.out)
-    if args.format == "csv" and args.out:
-        _emit_csv(rows, args.out.rsplit(".", 1)[0] + ".csv")
-    return 0
-
-
 # -- parser -----------------------------------------------------------------------
 
 
@@ -385,15 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_inequalities)
-
-    p = sub.add_parser("bench", help="timing snapshot of the main operations")
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--r", type=int, default=4)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

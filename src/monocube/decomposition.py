@@ -15,6 +15,13 @@ so the exact maximum-weight matching under these weights is exactly the
 max-weight min-cardinality matching.  The general-graph maximum-weight
 matching itself is delegated to networkx (blossom algorithm, exact for
 integer weights); brute-force enumeration in `oracles` cross-checks it.
+
+The certificate and the chain check treat the k parts as one stack:
+`verify_decomposition` solves every unsolved part in one
+`oracles.exact_distances` call and checks all parts' violated edges at
+once, and `robust_chain_check` builds (k, m) masks over f's m violated
+edges (inside each part's graph, violated by each part) and gets every
+chain value from `isoperimetry.colored_objectives`.
 """
 
 from __future__ import annotations
@@ -22,15 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import networkx as nx
 import numpy as np
 
 from .funcs import ValuedFunction
-from .isoperimetry import EdgeColoring, ViolationProfile, colored_objective, \
-    violation_profile
-from .oracles import exact_distance, is_monotone, violated_pairs
-from .poset import PosetDomain, SweepingGraph
+from .isoperimetry import EdgeColoring, colored_objectives, violation_profile
+from .oracles import exact_distance, exact_distances, is_monotone, violated_pairs
+from .poset import PosetDomain, SweepingGraph, row_chunks
 
 
 @dataclass(frozen=True)
@@ -213,29 +220,31 @@ def verify_decomposition(f: ValuedFunction, dec: Decomposition
     Failures carry a concrete witness.
     """
     checks: list[tuple[str, bool, str]] = []
-    eps_f = exact_distance(f).epsilon
-
-    eps_parts = []
-    violated_parts = []
-    for idx, (fi, graph) in enumerate(dec.components):
-        eps_parts.append(exact_distance(fi).epsilon)
-        violated_parts.append(violation_profile(fi).num_violated)
+    eps_f, *eps_parts = (cert.epsilon for cert in
+                         exact_distances([f, *(fi for (fi, _) in dec.components)]))
 
     ok = 2 * sum(eps_parts, Fraction(0)) >= eps_f
     checks.append(("distance_preserved", ok,
                    "" if ok else f"2*sum eps_i = {2 * sum(eps_parts, Fraction(0))} "
                                  f"< eps(f) = {eps_f}"))
 
-    witness = ""
-    for idx, (fi, graph) in enumerate(dec.components):
-        p = violation_profile(fi)
-        inside = graph.vertex_array
-        escaped = np.flatnonzero(~(inside[p.lower] & inside[p.upper])
-                                 | (f.ranks[p.lower] <= f.ranks[p.upper]))
-        if len(escaped):
-            e = p.violated_edges[escaped[0]]
-            witness = f"component {idx}: edge {e} escapes S_f^- cap E(H_{idx})"
-            break
+    # every part's violated cover edges, a chunk of parts at a time; the
+    # first escaped one in (part, edge) order is the witness
+    lower, upper = f.domain.edge_arrays
+    kept = f.ranks.take(lower) > f.ranks.take(upper)
+    inside = _inside_stack(dec, f.n)
+    violated_parts, witness = [], ""
+    for rows, violated in _violated_cover_edges(f.domain, _part_ranks(dec, f.n)):
+        violated_parts += np.count_nonzero(violated, axis=1).tolist()
+        if witness:
+            continue
+        block = inside[rows]
+        escaped = violated & ~(block.take(lower, axis=1) & block.take(upper, axis=1) & kept)
+        if escaped.any():
+            r, e = np.unravel_index(np.argmax(escaped), escaped.shape)
+            idx = rows.start + int(r)
+            witness = (f"component {idx}: edge {(int(lower[e]), int(upper[e]))} "
+                       f"escapes S_f^- cap E(H_{idx})")
     checks.append(("violations_contained", not witness, witness))
 
     witness = ""
@@ -331,20 +340,25 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
         zero = (0.0, 0.0, 0.0, 0.0)
         return ChainReport(zero, Fraction(0), Fraction(0), True, True, "monotone input")
 
-    v1 = colored_objective(f, col)
-
-    # masks over f's violated edges: those inside each part graph for (2)
-    # and (3), those each part also violates for (4)
-    per_part = []
-    union = np.zeros(profile.num_violated, dtype=bool)
-    for (_, graph) in dec.components:
-        inside = graph.vertex_array
-        per_part.append(inside[profile.lower] & inside[profile.upper])
-        union |= per_part[-1]
-    v2 = colored_objective(f, col, union)
-    v3 = math.fsum(colored_objective(f, col, keep) for keep in per_part)
-    v4 = math.fsum(colored_objective(f, col, _inherited_edges(fi, profile))
-                   for (fi, _graph) in dec.components)
+    # masks over f's violated edges, one row per part: those inside the
+    # part's graph for (2) and (3), those the part also violates for (4)
+    lower, upper = profile.lower, profile.upper
+    inside = _inside_stack(dec, f.n)
+    inside = inside[:, lower] & inside[:, upper]
+    ranks = _part_ranks(dec, f.n)
+    inherited = ranks[:, lower] > ranks[:, upper]
+    # an edge a part violates and f does not has no color under col
+    missing = np.array([count for _, violated in _violated_cover_edges(f.domain, ranks)
+                        for count in np.count_nonzero(violated, axis=1).tolist()]) \
+        - np.count_nonzero(inherited, axis=1)
+    if missing.any():
+        raise ValueError(f"a part violates {missing[missing > 0][0]} edges that f does "
+                         f"not violate")
+    everything = np.ones((1, len(lower)), dtype=bool)
+    v1, v2, *per_part = colored_objectives(
+        f, col, np.vstack((everything, inside.any(axis=0), inside, inherited)))
+    v3 = math.fsum(per_part[:dec.k])
+    v4 = math.fsum(per_part[dec.k:])
 
     eps_f = dec.certificate.epsilon_f if dec.certificate else exact_distance(f).epsilon
     eps_sum = (dec.certificate.epsilon_sum if dec.certificate
@@ -358,15 +372,27 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
                        distance_ok, detail)
 
 
-def _inherited_edges(fi: ValuedFunction, profile: ViolationProfile) -> np.ndarray:
-    """The mask of f's violated edges (``profile``) that the part f_i also
-    violates.  ValueError if f_i violates an edge f does not: no coloring
-    of f has a color for it."""
-    keep = fi.ranks[profile.lower] > fi.ranks[profile.upper]
-    missing = violation_profile(fi).num_violated - int(np.count_nonzero(keep))
-    if missing:
-        raise ValueError(f"a part violates {missing} edges that f does not violate")
-    return keep
+def _inside_stack(dec: Decomposition, n: int) -> np.ndarray:
+    """The parts' vertex sets as one boolean ``(k, n)`` array."""
+    return np.array([graph.vertex_array for (_, graph) in dec.components],
+                    dtype=bool).reshape(dec.k, n)
+
+
+def _part_ranks(dec: Decomposition, n: int) -> np.ndarray:
+    """The parts' ranks as one ``(k, n)`` array."""
+    return np.array([fi.ranks for (fi, _) in dec.components]).reshape(dec.k, n)
+
+
+def _violated_cover_edges(domain: PosetDomain, ranks: np.ndarray
+                          ) -> Iterator[tuple[slice, np.ndarray]]:
+    """For each chunk of rows (`poset.row_chunks`) of a ``(k, n)`` rank
+    stack: its slice, and a boolean array with one row per function over
+    `PosetDomain.edge_arrays`, True where the function violates the cover
+    edge."""
+    lower, upper = domain.edge_arrays
+    for rows in row_chunks(len(ranks), len(lower)):
+        block = ranks[rows]
+        yield rows, block.take(lower, axis=1) > block.take(upper, axis=1)
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,16 @@ class ValuedFunction:
             raise ValueError(
                 f"value array has length {len(self.values)}, "
                 f"domain has {self.domain.n} vertices")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value {v!r}")
+        # an int is finite at any size: check only the other values, and
+        # look for the offender only once one is known to exist
+        types = set(map(type, self.values))
+        if types <= {int, bool}:
+            return
+        rest = self.values if types == {float} else \
+            [v for v in self.values if not isinstance(v, int)]
+        if not all(map(math.isfinite, rest)):
+            bad = next(v for v in rest if not math.isfinite(v))
+            raise ValueError(f"non-finite value {bad!r}")
 
     @property
     def n(self) -> int:
@@ -147,6 +154,9 @@ def canonical_rank(f: ValuedFunction) -> ValuedFunction:
 
     Order-isomorphic: sign(f(x) - f(y)) is preserved for every pair, so
     violated edges, distance to monotonicity, and image size all survive.
+    The library reads `ValuedFunction.ranks` (these ranks minus one)
+    instead; this function stays public because perfbench's tracer wraps
+    it by name.
     """
     ranks = {v: i + 1 for i, v in enumerate(image_values(f))}
     return ValuedFunction(f.domain, tuple(ranks[v] for v in f.values))
@@ -222,9 +232,9 @@ def read_function(path: str) -> ValuedFunction:
     if not isinstance(doc, dict) or "values" not in doc:
         raise FunctionFormatError(f"{path}: missing 'values'")
     values = doc["values"]
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise FunctionFormatError(f"{path}: non-numeric value {v!r}")
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise FunctionFormatError(f"{path}: non-numeric value {bad!r}")
     if "d" in doc:
         domain = build_domain({"d": doc["d"]})
     elif "domain" in doc:

@@ -30,13 +30,15 @@ its tuple fields (``violated_edges``, ``out_counts``, ``total_degree``,
 A red/blue coloring of the violated edges (`EdgeColoring`) is a boolean
 vector aligned with one profile: ``red[k]`` colors the edge
 ``(lower[k], upper[k])``.  A subset of the violated edges is a boolean
-mask over the same positions, so every colored count, whole or
-restricted, is one ``np.bincount``.
+mask over the same positions.  A colored count is one ``np.bincount``,
+and `colored_objectives` gets the restricted objectives of a whole
+``(rows, m)`` mask stack from one bincount per chunk of rows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,7 +48,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .funcs import ValuedFunction, image_values, threshold
-from .poset import DomainSizeError
+from .poset import DomainSizeError, row_chunks
 
 RED = "red"
 BLUE = "blue"
@@ -149,32 +151,55 @@ class EdgeColoring:
                                         dtype=bool, count=m))
 
 
-def colored_counts(f: ValuedFunction, col: EdgeColoring,
-                   keep: np.ndarray | None = None) -> tuple[list[int], list[int]]:
-    """(red counts at lower endpoints, blue counts at upper endpoints),
-    optionally counting only the violated edges where the boolean mask
-    ``keep`` is True."""
+def colored_counts(f: ValuedFunction, col: EdgeColoring) -> tuple[list[int], list[int]]:
+    """(red counts at lower endpoints, blue counts at upper endpoints)."""
     n = f.domain.n
-    p = col.profile
-    # one bincount: a red edge lands in slot x, a blue one in slot n + y,
-    # widened so that n + y cannot wrap the uint32 endpoints
-    slots = np.where(col.red, p.lower, p.upper.astype(np.intp) + n)
-    counts = np.bincount(slots if keep is None else slots[keep],
-                         minlength=2 * n).tolist()
+    counts = np.bincount(_colored_slots(col, n), minlength=2 * n).tolist()
     return counts[:n], counts[n:]
+
+
+def _colored_slots(col: EdgeColoring, n: int) -> np.ndarray:
+    """Each violated edge's count slot: a red edge lands in slot x, a blue
+    one in slot n + y, widened so that n + y cannot wrap the uint32
+    endpoints."""
+    p = col.profile
+    return np.where(col.red, p.lower, p.upper.astype(np.intp) + n)
 
 
 def _mean_sqrt(counts, n: int) -> float:
     return math.fsum(np.sqrt(counts).tolist()) / n
 
 
-def colored_objective(f: ValuedFunction, col: EdgeColoring,
-                      keep: np.ndarray | None = None) -> float:
-    """E_x[sqrt(red count at x)] + E_y[sqrt(blue count at y)], optionally
-    counting only the violated edges selected by the mask ``keep``."""
-    red, blue = colored_counts(f, col, keep)
+def colored_objective(f: ValuedFunction, col: EdgeColoring) -> float:
+    """E_x[sqrt(red count at x)] + E_y[sqrt(blue count at y)]."""
     n = f.domain.n
-    return _mean_sqrt(red, n) + _mean_sqrt(blue, n)
+    return _objectives(np.bincount(_colored_slots(col, n), minlength=2 * n), n)[0]
+
+
+def colored_objectives(f: ValuedFunction, col: EdgeColoring,
+                       masks: np.ndarray) -> list[float]:
+    """`colored_objective` counting only the violated edges selected by
+    each row of a boolean ``(rows, m)`` mask stack, from one
+    ``np.bincount`` over row * 2n + slot per chunk of rows (at most
+    `poset.PAIR_CHUNK` counts)."""
+    n = f.domain.n
+    slots = _colored_slots(col, n)
+    out = []
+    for rows in row_chunks(len(masks), 2 * n):
+        block = masks[rows]
+        row, edge = np.divmod(np.flatnonzero(block), max(len(slots), 1))
+        out += _objectives(np.bincount(row * (2 * n) + slots.take(edge),
+                                       minlength=len(block) * 2 * n), n)
+    return out
+
+
+def _objectives(counts: np.ndarray, n: int) -> list[float]:
+    """The colored objective of each run of 2n slot counts (red at x, then
+    blue at y): one ``np.sqrt`` over all counts, then ``math.fsum`` over
+    each half, so every value is bit-identical to `_mean_sqrt` of the red
+    and of the blue counts, added."""
+    halves = [math.fsum(h) / n for h in np.sqrt(counts).reshape(-1, n).tolist()]
+    return list(map(operator.add, halves[0::2], halves[1::2]))
 
 
 def directed_objective(f: ValuedFunction) -> float:

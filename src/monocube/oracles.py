@@ -16,27 +16,36 @@ Two independent routes are kept for cross-checks: a branch-and-bound
 minimum vertex cover on the general violation graph, and a brute-force
 sweep over all vertex subsets.
 
-Every route starts from `violated_pairs`: one gather-and-compare of the
-function's ranks over the domain's cached comparable-pair arrays
+Every route starts from the violated pairs: one gather-and-compare of
+the function's ranks over the domain's cached comparable-pair arrays
 (`PosetDomain.pair_arrays`), which check the pair budget
 (`poset.MAX_PAIRS`) before any mask or array is built; the exponential
 oracles keep their own caps.  `exact_distance` is solved once per
 function: its certificate is cached on the function, like the ranks and
 the violation profile.
+
+The exact solver works on a stack: `DistanceCertificate.of_all` takes
+functions on one domain as one ``(rows, n)`` rank array, and a single
+function is the batch of one.  `exact_distances` solves a
+decomposition's parts in one call.  The monotonicity test, the
+violated-pair compare, the repair and the certificate's assertions each
+run once per chunk of rows (at most `poset.PAIR_CHUNK` cells, see
+`poset.row_chunks`); only Hopcroft-Karp and the Koenig cover run row by
+row.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from .funcs import ValuedFunction, canonical_rank
+from .funcs import ValuedFunction
 from .isoperimetry import EdgeColoring, robust_objective, violation_profile
-from .poset import DomainSizeError
+from .poset import DomainSizeError, PosetDomain, row_chunks
 
 MATCHING_ENUM_CAP = 16
 COLORING_ENUM_CAP = 20
@@ -44,8 +53,18 @@ COLORING_ENUM_CAP = 20
 
 def is_monotone(f: ValuedFunction) -> bool:
     """True iff no cover edge is violated (enough, by transitivity)."""
-    lower, upper = f.domain.edge_arrays
-    return bool(np.all(f.ranks.take(lower) <= f.ranks.take(upper)))
+    return bool(_monotone_rows(f.domain, f.ranks[None])[0])
+
+
+def _monotone_rows(domain: PosetDomain, ranks: np.ndarray) -> np.ndarray:
+    """`is_monotone` for each row of a ``(rows, n)`` rank stack on one
+    domain, compared over the cover edges in row chunks."""
+    lower, upper = domain.edge_arrays
+    out = np.empty(len(ranks), dtype=bool)
+    for rows in row_chunks(len(ranks), len(lower)):
+        block = ranks[rows]
+        out[rows] = np.all(block.take(lower, axis=1) <= block.take(upper, axis=1), axis=1)
+    return out
 
 
 def violated_pairs(f: ValuedFunction) -> np.ndarray:
@@ -53,9 +72,19 @@ def violated_pairs(f: ValuedFunction) -> np.ndarray:
     an ``(m, 2)`` array of rows (x, y) in `PosetDomain.pair_arrays` order
     (x ascending, then y ascending).  Raises `DomainSizeError` over the
     pair budget."""
-    lower, upper = f.domain.pair_arrays
-    violated = np.flatnonzero(f.ranks.take(lower) > f.ranks.take(upper))
-    return np.stack((lower.take(violated), upper.take(violated)), axis=1)
+    _, lower, upper = _violated_rows(f.domain, f.ranks[None])
+    return np.stack((lower, upper), axis=1)
+
+
+def _violated_rows(domain: PosetDomain, ranks: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, x, y)`` arrays of every violated comparable pair of each row
+    of a ``(rows, n)`` rank stack: row by row, each row's pairs in
+    `PosetDomain.pair_arrays` order."""
+    lower, upper = domain.pair_arrays
+    violated = np.flatnonzero(ranks.take(lower, axis=1) > ranks.take(upper, axis=1))
+    row, pos = np.divmod(violated, max(len(lower), 1))  # 2-D nonzero is 4x slower
+    return row, lower.take(pos), upper.take(pos)
 
 
 @dataclass(frozen=True)
@@ -70,35 +99,76 @@ class DistanceCertificate:
 
     @classmethod
     def of(cls, f: ValuedFunction) -> "DistanceCertificate":
-        """Solve f; callers use `exact_distance`, which caches the
-        certificate on f."""
-        if is_monotone(f):
-            return cls(Fraction(0), frozenset(), f)
-        n = f.domain.n
-        lower, upper = violated_pairs(f).T
-        # adjacency in pair order: left vertices ascending, each one's right
-        # neighbours ascending
-        firsts = np.flatnonzero(np.r_[True, lower[1:] != lower[:-1]]).tolist()
-        ys = upper.tolist()
-        adj = {x: ys[a:b] for x, a, b in
-               zip(lower[firsts].tolist(), firsts, firsts[1:] + [len(ys)])}
-        match_r = _hopcroft_karp(adj, set(ys))
-        cover_left, cover_right = _koenig_cover(adj, match_r)
-        assert len(cover_left) + len(cover_right) == len(match_r), \
-            "Koenig cover size must equal the matching size"
-        left = np.zeros(n, dtype=bool)
-        right = np.zeros(n, dtype=bool)
-        left[list(cover_left)] = True
-        right[list(cover_right)] = True
-        assert np.all(left[lower] | right[upper]), \
-            "Koenig construction left a violated pair uncovered"
+        """Solve f, as a batch of one; callers use `exact_distance`, which
+        caches the certificate on f."""
+        return cls.of_all([f])[0]
 
-        cover = frozenset(cover_left | cover_right)
-        repaired = _repair(f, cover)
-        changed = sum(map(operator.ne, repaired.values, f.values))
-        assert changed == len(cover), \
-            f"repair changed {changed} points, cover has {len(cover)}"
-        return cls(Fraction(len(cover), n), cover, repaired)
+    @classmethod
+    def of_all(cls, fs: Sequence[ValuedFunction]) -> list["DistanceCertificate"]:
+        """Solve functions on one domain as one ``(rows, n)`` rank stack;
+        callers use `exact_distances`, which caches each certificate on its
+        function.
+
+        Monotone rows get the zero certificate from one cover-edge compare.
+        The others are compared over the comparable pairs in row chunks of
+        at most `poset.PAIR_CHUNK` cells; each row's violation graph goes
+        through Hopcroft-Karp and Koenig on its own, and the chunk's covers
+        are checked, repaired and counted as one stack.
+        """
+        if not fs:
+            return []
+        domain = fs[0].domain
+        if any(f.domain is not domain for f in fs):
+            raise ValueError("a batch of exact solves must share one domain")
+        n = domain.n
+        certs = [cls(Fraction(0), frozenset(), f) for f in fs]
+        ranks = np.stack([f.ranks for f in fs])
+        todo = np.flatnonzero(~_monotone_rows(domain, ranks))
+        if not len(todo):
+            return certs
+        for rows in row_chunks(len(todo), max(len(domain.pair_arrays[0]), n)):
+            block = ranks[todo[rows]]
+            row, xs, ys = _violated_rows(domain, block)
+            # adjacency in pair order: left vertices ascending, each one's
+            # right neighbours ascending; every row has a run of pairs and
+            # a run of left vertices
+            cells = row * n + xs
+            firsts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+            starts = firsts.tolist()
+            ends = starts[1:] + [len(row)]
+            lefts, ys_list = xs[firsts].tolist(), ys.tolist()
+            bounds = np.arange(len(block) + 1)
+            pair_runs = np.searchsorted(row, bounds).tolist()
+            left_runs = np.searchsorted(row[firsts], bounds).tolist()
+            covers, left, right = [], [], []  # cover cells r * n + x of each side
+            for r in range(len(block)):
+                g, h = left_runs[r], left_runs[r + 1]
+                adj = {x: ys_list[a:b] for x, a, b in zip(lefts[g:h], starts[g:h], ends[g:h])}
+                match_r = _hopcroft_karp(adj, set(ys_list[pair_runs[r]:pair_runs[r + 1]]))
+                cover_left, cover_right = _koenig_cover(adj, match_r)
+                assert len(cover_left) + len(cover_right) == len(match_r), \
+                    "Koenig cover size must equal the matching size"
+                left.extend(r * n + x for x in cover_left)
+                right.extend(r * n + y for y in cover_right)
+                covers.append(frozenset(cover_left | cover_right))
+            covered = np.zeros((2, block.size), dtype=bool)
+            covered[0, left] = covered[1, right] = True
+            assert np.all(covered[0, cells] | covered[1, row * n + ys]), \
+                "Koenig construction left a violated pair uncovered"
+
+            source = _repair(domain, block, covers)
+            repaired = np.take_along_axis(block, source, axis=1)
+            assert np.all(_monotone_rows(domain, repaired)), \
+                "repair produced a non-monotone function"
+            changed = np.count_nonzero(repaired != block, axis=1).tolist()
+            for i, cover, count, s in zip(todo[rows].tolist(), covers, changed,
+                                          source.tolist()):
+                assert count == len(cover), \
+                    f"repair changed {count} points, cover has {len(cover)}"
+                f = fs[i]
+                g = ValuedFunction(domain, tuple(map(f.values.__getitem__, s)))
+                certs[i] = cls(Fraction(len(cover), n), cover, g)
+        return certs
 
 
 def _hopcroft_karp(adj: dict[int, list[int]], rights: set[int]) -> dict[int, int]:
@@ -189,6 +259,16 @@ def _koenig_cover(adj: dict[int, list[int]],
     return cover_left, cover_right
 
 
+def exact_distances(fs: Sequence[ValuedFunction]) -> list[DistanceCertificate]:
+    """`exact_distance` of each function on one domain: the ones not yet
+    solved are solved as one batch (`DistanceCertificate.of_all`) and
+    cached on their functions."""
+    todo = [f for f in fs if "exact_distance" not in vars(f)]
+    for f, cert in zip(todo, DistanceCertificate.of_all(todo)):
+        vars(f)["exact_distance"] = cert
+    return [f.exact_distance for f in fs]
+
+
 def exact_distance(f: ValuedFunction) -> DistanceCertificate:
     """Exact distance to monotonicity with a certificate, solved on first
     use and cached on f.
@@ -205,28 +285,26 @@ def exact_distance(f: ValuedFunction) -> DistanceCertificate:
     return f.exact_distance
 
 
-def _repair(f: ValuedFunction, cover: frozenset[int]) -> ValuedFunction:
-    """Monotone extension keeping f on the complement of the cover:
-    g(z) = f(x) for the smallest kept x <= z of largest value, falling back
-    to the first kept vertex of smallest value when no kept x is below z.
+def _repair(domain: PosetDomain, ranks: np.ndarray,
+            covers: Sequence[frozenset[int]]) -> np.ndarray:
+    """Monotone extensions keeping each row of a ``(rows, n)`` rank stack
+    on the complement of its cover, as the vertex each point copies: row
+    r's g(z) = f(x) for the smallest kept x <= z of largest value, falling
+    back to the first kept vertex of smallest value when no kept x is
+    below z.
 
     One downward-max closure sweep over the key rank*n + (n-1-x) of the
-    kept vertices picks that x for every z at once; g copies the value
-    object stored at x, so an int and an equal float are never swapped.
+    kept vertices picks that x for every row and z at once; g copies the
+    value object stored at x, so an int and an equal float are never
+    swapped.
     """
-    domain = f.domain
     n = domain.n
-    kept = np.ones(n, dtype=bool)
-    kept[list(cover)] = False
-    ranks = f.ranks.astype(np.int64)
-    smaller_first = n - 1 - np.arange(n)
-    best = domain.down_max(np.where(kept, ranks * n + smaller_first, -1))
-    kept_x = np.flatnonzero(kept)
-    fallback = kept_x[np.argmin(ranks[kept_x])]
-    source = np.where(best < 0, fallback, n - 1 - best % n)
-    g = ValuedFunction(domain, tuple(map(f.values.__getitem__, source.tolist())))
-    assert is_monotone(g), "repair produced a non-monotone function"
-    return g
+    kept = np.ones(ranks.shape, dtype=bool)
+    kept.ravel()[[r * n + x for r, cover in enumerate(covers) for x in cover]] = False
+    ranks = ranks.astype(np.int64)
+    best = domain.down_max(np.where(kept, ranks * n + (n - 1 - np.arange(n)), -1))
+    fallback = np.where(kept, ranks, np.iinfo(np.int64).max).argmin(axis=1)
+    return np.where(best < 0, fallback[:, None], n - 1 - best % n)
 
 
 def exact_distance_bruteforce(f: ValuedFunction, cap: int = 20) -> int:
@@ -317,14 +395,14 @@ def enumerate_matchings_check(f: ValuedFunction, cap: int = MATCHING_ENUM_CAP
                               ) -> tuple[int, int]:
     """Brute-force (max total rank gap, min cardinality among maximizers)
     over all matchings of violated comparable pairs.  Validates the
-    decomposition's matching solver; weights use canonical ranks, exactly
-    as the solver does."""
+    decomposition's matching solver; weights are rank gaps, exactly as
+    the solver's."""
     n = f.domain.n
     if n > cap:
         raise DomainSizeError(f"matching enumeration needs n <= {cap}, got {n}")
-    ranked = canonical_rank(f)
-    pairs = violated_pairs(ranked).tolist()
-    gaps = [ranked.values[x] - ranked.values[y] for (x, y) in pairs]
+    ranks = f.ranks.tolist()
+    pairs = violated_pairs(f).tolist()
+    gaps = [ranks[x] - ranks[y] for (x, y) in pairs]
     best = (0, 0)  # (weight, -cardinality) maximized lexicographically
 
     def rec(idx: int, used: int, weight: int, card: int) -> None:

@@ -19,9 +19,10 @@ pairs:
   unpacked up-set masks on a DAG) after `PosetDomain.check_pair_budget`,
   the exact methods' one size budget, has admitted the domain.
 
-`PosetDomain.down_max` is the one downward-max closure sweep (one pass
-per coordinate on the hypercube, one pass in topological order on a
-DAG).
+`PosetDomain.down_max` is the one downward-max closure sweep, along the
+last axis of one value array or a stack of them: one pass per coordinate
+on the hypercube, one reduction per topological level on a DAG.
+`row_chunks` splits a stack into chunks of at most `PAIR_CHUNK` cells.
 
 Domains are immutable after construction and safe to share across
 workers.
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class DomainSizeError(RuntimeError):
 
 # Most comparable pairs an exact method may walk: hypercube d <= 12, DAG n <= 1448.
 MAX_PAIRS = 1 << 20
-# Cells of the x-by-y comparison `PosetDomain.pair_arrays` holds at once.
+# Cells of a row-by-column temporary (`row_chunks`) held at once.
 PAIR_CHUNK = 1 << 20
 
 
@@ -138,10 +139,10 @@ class PosetDomain:
             def at_most(rows: slice) -> np.ndarray:  # bit y of up[x]: x <= y
                 return np.unpackbits(packed[rows], axis=1, count=n,
                                      bitorder="little").view(bool)
-        step = max(1, PAIR_CHUNK // n)
         lowers, uppers = [], []
-        for start in range(0, n, step):
-            le = at_most(slice(start, start + step))
+        for rows in row_chunks(n, n):
+            start = rows.start
+            le = at_most(rows)
             diagonal = np.arange(len(le))
             le[diagonal, diagonal + start] = False
             x, y = np.nonzero(le)
@@ -150,23 +151,46 @@ class PosetDomain:
         return _read_only(np.concatenate(lowers), np.concatenate(uppers))
 
     def down_max(self, a: np.ndarray) -> np.ndarray:
-        """The downward-max closure of a value array: ``out[x]`` is the
-        largest ``a[y]`` over all ``y <= x``."""
+        """The downward-max closure along the last axis of a value array or
+        a stack of them: ``out[..., x]`` is the largest ``a[..., y]`` over
+        all ``y <= x``."""
         out = np.array(a)
         if self.kind == "hypercube":
             for i in range(self.d):
-                pairs = out.reshape(-1, 2, 1 << i)  # [:, 1] has bit i set
-                np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+                # [..., 1, :] has bit i set
+                pairs = out.reshape(out.shape[:-1] + (self.n >> (i + 1), 2, 1 << i))
+                np.maximum(pairs[..., 1, :], pairs[..., 0, :], out=pairs[..., 1, :])
             return out
-        values = out.tolist()
-        preds: list[list[int]] = [[] for _ in range(self.n)]
+        for tails, starts, heads in self._levels:
+            reached = np.maximum.reduceat(out.take(tails, axis=-1), starts, axis=-1)
+            out[..., heads] = np.maximum(out[..., heads], reached)
+        return out
+
+    @cached_property
+    def _levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The DAG's cover edges grouped by the level of their upper
+        endpoint (the length of the longest path ending there), in level
+        order: per level, the edges' lower endpoints sorted by upper
+        endpoint, where each upper endpoint's run starts, and the upper
+        endpoints themselves.  Every edge into a level leaves a lower one."""
+        if not self._edges:
+            return []
+        succ: list[list[int]] = [[] for _ in range(self.n)]
         for (u, v) in self._edges:
-            preds[v].append(u)
+            succ[u].append(v)
+        level = [0] * self.n
         for x in self._topo:
-            for u in preds[x]:
-                if values[u] > values[x]:
-                    values[x] = values[u]
-        return np.array(values, dtype=out.dtype)
+            for v in succ[x]:
+                level[v] = max(level[v], level[x] + 1)
+        lower, upper = (e.astype(np.intp) for e in self.edge_arrays)
+        edge_level = np.array(level, dtype=np.intp)[upper]
+        order = np.lexsort((upper, edge_level))
+        bounds = np.flatnonzero(np.diff(edge_level[order])) + 1
+        levels = []
+        for tails, heads in zip(np.split(lower[order], bounds), np.split(upper[order], bounds)):
+            starts = np.flatnonzero(np.r_[True, heads[1:] != heads[:-1]])
+            levels.append((tails, starts, heads[starts]))
+        return levels
 
     @property
     def num_edges(self) -> int:
@@ -279,6 +303,14 @@ class SweepingGraph:
         packed = np.frombuffer(self.vertex_mask.to_bytes((n + 7) // 8, "little"),
                                dtype=np.uint8)
         return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+
+
+def row_chunks(rows: int, width: int) -> Iterator[slice]:
+    """Slices covering ``range(rows)``, each of at most ``PAIR_CHUNK //
+    width`` rows (at least one), so a chunk of a ``(rows, width)`` array
+    holds at most `PAIR_CHUNK` cells once ``width`` fits."""
+    step = max(1, PAIR_CHUNK // max(width, 1))
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -129,12 +129,17 @@ def test_verify_inequalities_csv(tmp_path):
     assert "epsilon" in header and "ok" in header
 
 
-def test_bench_runs(tmp_path):
-    out = tmp_path / "b.json"
-    assert run(["bench", "--d", "4", "--r", "3", "--count", "2", "--seed", "0",
-                "--out", str(out)]) == 0
-    doc = json.load(open(out))
-    assert len(doc["result"]["rows"]) == 2
+@pytest.mark.parametrize("values, epsilon", [([0, 10**400], "0"), ([10**400, 0], "1/2")])
+def test_integers_too_large_for_a_float_are_values(tmp_path, values, epsilon):
+    """An int is a finite real at any size: the file is written out digit
+    by digit and solved exactly."""
+    fn, out = tmp_path / "big.json", tmp_path / "cert.json"
+    fn.write_text(json.dumps({"d": 1, "values": values}))
+    assert str(10**400) in fn.read_text()
+    assert run(["exact-distance", "--fn", str(fn), "--out", str(out)]) == 0
+    result = json.load(open(out))["result"]
+    assert result["epsilon"] == epsilon
+    assert result["repaired_values"] == ([0, 10**400] if epsilon == "0" else [0, 0])
 
 
 def test_usage_errors(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ from monocube.decomposition import (Matching, decompose,
                                     robust_chain_check, verify_decomposition)
 from monocube.funcs import (ValuedFunction, anti_dictator, canonical_rank,
                             random_function, random_monotone)
-from monocube.isoperimetry import EdgeColoring, violation_profile
+from monocube.isoperimetry import EdgeColoring, robust_objective, violation_profile
 from monocube.oracles import enumerate_matchings_check, exact_distance, is_monotone
+from monocube import poset
 from monocube.poset import hypercube
 from poset_oracles import conflict, position_relative_to
 
@@ -193,6 +195,43 @@ def test_verify_catches_corruption():
     assert any(witness for (_, witness) in cert.failures())
 
 
+def escaped_edge_witness(f, dec):
+    """The first part edge outside S_f^- cap E(H_i), scanned part by part:
+    the per-part formulation of the violations_contained check."""
+    for idx, (fi, graph) in enumerate(dec.components):
+        for (x, y) in violation_profile(fi).violated_edges:
+            if not (x in graph.vertices and y in graph.vertices and f.values[x] > f.values[y]):
+                return f"component {idx}: edge {(x, y)} escapes S_f^- cap E(H_{idx})"
+    return ""
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 100])
+def test_violations_contained_names_the_first_escaped_edge(chunk, monkeypatch):
+    from monocube.decomposition import Decomposition
+    if chunk is not None:
+        monkeypatch.setattr(poset, "PAIR_CHUNK", chunk)
+    rng = random.Random(8)
+    failed = 0
+    for seed in range(30):
+        f = random_function(hypercube(4), 4, 900 + seed)
+        if is_monotone(f):
+            continue
+        dec = decompose(f, verify=False)
+        parts = list(dec.components)
+        for idx in rng.sample(range(dec.k), min(2, dec.k)):
+            values = tuple(rng.choice((0, 1)) for _ in range(f.n))
+            parts[idx] = (ValuedFunction(f.domain, values), parts[idx][1])
+        corrupted = Decomposition(dec.matching, dec.partition, tuple(parts), None, False)
+        cert = verify_decomposition(f, corrupted)
+        (ok, witness), = [(ok, w) for (name, ok, w) in cert.checks
+                          if name == "violations_contained"]
+        assert witness == escaped_edge_witness(f, corrupted) and ok == (not witness)
+        assert list(cert.violated_parts) == [violation_profile(fi).num_violated
+                                             for (fi, _) in parts]
+        failed += not ok
+    assert failed > 10
+
+
 def test_chain_check_single_edge():
     f = ValuedFunction(hypercube(1), (2, 1))
     col = EdgeColoring.all_red(violation_profile(f))
@@ -229,6 +268,65 @@ def test_chain_check_random_suite():
         col = EdgeColoring.random(violation_profile(f), rng)
         rep = robust_chain_check(f, col)
         assert rep.ordering_ok and rep.distance_ok, rep.detail
+
+
+def chain_values_per_part(f, col, dec):
+    """The chain's four values one mask at a time, counted in Python: the
+    per-part formulation the batched check replaced, kept as its reference.
+    ``math.sqrt`` and ``np.sqrt`` both round correctly, so the values agree
+    bit for bit."""
+    profile = violation_profile(f)
+    edges = list(zip(profile.lower.tolist(), profile.upper.tolist(), col.red.tolist()))
+    n = f.n
+
+    def objective(keep):
+        red, blue = [0] * n, [0] * n
+        for (x, y, is_red), kept in zip(edges, keep):
+            if kept:
+                if is_red:
+                    red[x] += 1
+                else:
+                    blue[y] += 1
+        return (math.fsum(map(math.sqrt, red)) / n
+                + math.fsum(map(math.sqrt, blue)) / n)
+
+    vertex_sets = [graph.vertices for (_, graph) in dec.components]
+    inside = [[x in vs and y in vs for (x, y, _) in edges] for vs in vertex_sets]
+    inherited = [[fi.values[x] > fi.values[y] for (x, y, _) in edges]
+                 for (fi, _) in dec.components]
+    union = [any(column) for column in zip(*inside)]
+    return (objective([True] * len(edges)), objective(union),
+            math.fsum(map(objective, inside)), math.fsum(map(objective, inherited)))
+
+
+def chain_cases():
+    rng = random.Random(5)
+    for seed in range(60):
+        d, r = rng.randint(1, 6), rng.randint(2, 8)
+        yield random_function(hypercube(d), r, 700 + seed)
+    yield from (anti_dictator(4), ValuedFunction(hypercube(2), (2, 0, 1, 1)))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 37])
+def test_chain_values_match_the_per_part_formulation(chunk, monkeypatch, diamond_dag):
+    if chunk is not None:
+        monkeypatch.setattr(poset, "PAIR_CHUNK", chunk)
+    rng = random.Random(6)
+    cases = list(chain_cases()) + [ValuedFunction(diamond_dag, (5, 1, 3, 4, 0, 2, 1))]
+    checked = 0
+    for f in cases:
+        if is_monotone(f):
+            continue
+        dec = decompose(f)
+        profile = violation_profile(f)
+        for col in (EdgeColoring.random(profile, rng), EdgeColoring.all_red(profile),
+                    EdgeColoring.all_blue(profile)):
+            rep = robust_chain_check(f, col, dec)
+            expected = chain_values_per_part(f, col, dec)
+            assert [v.hex() for v in rep.values] == [v.hex() for v in expected]
+            assert robust_objective(f, col).hex() == expected[0].hex()
+            checked += 1
+    assert checked > 100
 
 
 def test_edge_bound_examples():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,23 @@ def test_length_and_finiteness_checked():
         ValuedFunction(hypercube(2), (1, 2, 3))
     with pytest.raises(ValueError):
         ValuedFunction(hypercube(1), (1.0, float("inf")))
+
+
+def test_validation_names_the_first_offender(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    for values, bad in (((1, 2.5, nan, inf), "nan"), ((inf, 1.0, nan, 0), "inf"),
+                        ((np.float64(1), 3, np.float64(-inf), 1), "np.float64(-inf)")):
+        with pytest.raises(ValueError, match=rf"^non-finite value {re.escape(bad)}$"):
+            ValuedFunction(hypercube(2), values)
+    # ints are finite at any size, bools are ints, and finite floats pass
+    ValuedFunction(hypercube(2), (10**400, True, 0.5, -10**400))
+    path = tmp_path / "f.json"
+    path.write_text('{"d": 2, "values": [1, 2.0, true, "a"]}')
+    with pytest.raises(FunctionFormatError, match="non-numeric value True$"):
+        read_function(str(path))
+    path.write_text('{"d": 1, "values": [1, NaN]}')
+    with pytest.raises(FunctionFormatError, match="non-finite value nan$"):
+        read_function(str(path))
 
 
 def test_image_size_examples():

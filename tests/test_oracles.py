@@ -13,8 +13,10 @@ from monocube.isoperimetry import undirected_objective, violation_profile
 from monocube.oracles import (DistanceCertificate, boolean_variance,
                               enumerate_matchings_check,
                               exact_distance, exact_distance_bruteforce,
+                              exact_distances,
                               is_monotone, median_threshold, mvc_branch_bound,
                               violated_pairs, worst_coloring, _repair)
+from monocube import poset
 from monocube.poset import DomainSizeError, PosetDomain, hypercube
 from monocube.seeds import derive_seed
 
@@ -104,15 +106,16 @@ def test_exact_distance_pair_budget():
 
 
 def counting_solves(monkeypatch):
-    """Record every function `DistanceCertificate.of` solves."""
+    """Record every function `DistanceCertificate.of_all` solves; `of` is
+    its batch of one."""
     solved = []
-    solve = DistanceCertificate.of.__func__
+    solve = DistanceCertificate.of_all.__func__
 
-    def recording(cls, f):
-        solved.append(f)
-        return solve(cls, f)
+    def recording(cls, fs):
+        solved.extend(fs)
+        return solve(cls, fs)
 
-    monkeypatch.setattr(DistanceCertificate, "of", classmethod(recording))
+    monkeypatch.setattr(DistanceCertificate, "of_all", classmethod(recording))
     return solved
 
 
@@ -140,6 +143,66 @@ def test_verify_instance_solves_f_once(monkeypatch):
     parts = solved[1:]
     assert parts and all(g.is_boolean() for g in parts)
     assert len({id(g) for g in parts}) == len(parts)
+
+
+def batch_domain(spec):
+    kind, size, seed = spec
+    if kind == "cube":
+        return PosetDomain("hypercube", d=size)
+    rng = random.Random(seed)
+    order = list(range(size))
+    rng.shuffle(order)
+    edges = {(order[a], order[b]) for a, b in
+             (sorted(rng.sample(range(size), 2)) for _ in range(seed * size))}
+    return PosetDomain("dag", n=size, edges=edges)
+
+
+BATCH_DOMAINS = [("cube", 1, 0), ("cube", 3, 0), ("cube", 5, 0),
+                 ("dag", 7, 2), ("dag", 40, 3), ("dag", 1, 0), ("dag", 6, 0)]
+
+
+@pytest.mark.parametrize("spec", BATCH_DOMAINS, ids=lambda s: "-".join(map(str, s)))
+@pytest.mark.parametrize("chunk", [None, 1, 37, 500])
+def test_batch_solve_matches_single_solves(spec, chunk, monkeypatch):
+    """Monotone, non-monotone, constant, Boolean and mixed int/float rows
+    solved as one stack give each row's own certificate, field by field,
+    also when the stack is split into chunks of a few rows."""
+    domain = batch_domain(spec)
+    n = domain.n
+    values = [(1,) * n, tuple(range(n)), tuple(range(n, 0, -1)),
+              random_monotone(domain, 3, 1).values]
+    rng = random.Random(n)
+    for _ in range(6):
+        values.append(tuple(rng.choice([0, 1, 1.0, 2, 2.5, 3]) for _ in range(n)))
+        values.append(tuple(rng.choice([0, 1]) for _ in range(n)))
+    singles = [DistanceCertificate.of(ValuedFunction(domain, v)) for v in values]
+    if chunk is not None:
+        monkeypatch.setattr(poset, "PAIR_CHUNK", chunk)
+    batch = DistanceCertificate.of_all([ValuedFunction(domain, v) for v in values])
+    assert len(batch) == len(values)
+    for v, one, many in zip(values, singles, batch):
+        assert many.epsilon == one.epsilon and many.vertex_cover == one.vertex_cover
+        assert [repr(x) for x in many.repaired.values] == [repr(x) for x in one.repaired.values]
+        assert many.repaired.values == v if not one.vertex_cover else is_monotone(many.repaired)
+        if n <= 20:
+            f = ValuedFunction(domain, v)
+            assert many.cover_size == exact_distance_bruteforce(f)
+
+
+def test_exact_distances_caches_each_certificate(monkeypatch):
+    """Unsolved functions are solved in one batch and cached; solved ones
+    are read from their cache."""
+    domain = hypercube(4)
+    fs = [random_function(domain, r, seed) for r, seed in ((2, 1), (3, 2), (4, 3))]
+    first = exact_distance(fs[0])
+    solved = counting_solves(monkeypatch)
+    certs = exact_distances(fs)
+    assert solved == fs[1:]
+    assert certs[0] is first and all(f.exact_distance is c for f, c in zip(fs, certs))
+    assert exact_distances(fs) == certs and solved == fs[1:]
+    assert exact_distances([]) == []
+    with pytest.raises(ValueError, match="one domain"):
+        DistanceCertificate.of_all([fs[0], anti_dictator(3)])
 
 
 def test_cover_certifies_violations():
@@ -293,7 +356,8 @@ def function_and_cover(draw):
 def test_repair_matches_its_definition(case):
     f, cover = case
     expected = scan_repair(f, cover)
-    assert [repr(v) for v in _repair(f, cover).values] == [repr(v) for v in expected]
+    source = _repair(f.domain, f.ranks[None], [cover])[0]
+    assert [repr(f.values[x]) for x in source.tolist()] == [repr(v) for v in expected]
     cert = exact_distance(f)
     if cert.vertex_cover:
         assert [repr(v) for v in cert.repaired.values] \

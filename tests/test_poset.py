@@ -132,6 +132,24 @@ def test_pair_arrays_match_the_bitmask_walk(spec):
         assert dom.pair_arrays[0] is lower  # cached
 
 
+@pytest.mark.parametrize("spec", PAIR_DOMAINS, ids=lambda s: "-".join(map(str, s)))
+def test_down_max_stack_matches_each_row(spec):
+    """A (rows, n) stack gives every row's closure, each row as on its own
+    and, where n is small, as its definition: the max over y <= x."""
+    dom = pair_domain(spec)
+    rng = np.random.default_rng(len(spec) * 1000 + dom.n)
+    for dtype in (np.int64, np.uint8):
+        stack = rng.integers(0, 100, size=(5, dom.n)).astype(dtype)
+        out = dom.down_max(stack)
+        assert out.shape == stack.shape and out.dtype == dtype
+        for a, row in zip(stack, out):
+            assert np.array_equal(dom.down_max(a), row)
+            if dom.n <= 64:
+                assert row.tolist() == [max(a[y] for y in range(dom.n) if dom.reaches(y, x))
+                                        for x in range(dom.n)]
+        assert np.array_equal(dom.down_max(stack[:0]), stack[:0])
+
+
 def test_pair_arrays_refused_before_any_mask_is_built():
     with pytest.raises(DomainSizeError, match="1586131 comparable pairs"):
         hypercube(13).pair_arrays
