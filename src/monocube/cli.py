@@ -81,8 +81,9 @@ def cmd_gen_function(args) -> int:
     print(f"wrote {args.out}: n={domain.n} image_size={image_size(f)}"
           f"{' (monotone)' if args.monotone else ''}")
     if args.report:
-        _emit({"meta": _meta("gen-function", vars(args), args.seed, started)},
-              args.report)
+        config = {"d": args.d, "domain": args.domain, "r": args.r, "seed": args.seed,
+                  "monotone": args.monotone, "out": args.out}
+        _emit({"meta": _meta("gen-function", config, args.seed, started)}, args.report)
     return 0
 
 

@@ -16,28 +16,35 @@ max-weight min-cardinality matching.  The general-graph maximum-weight
 matching itself is delegated to networkx (blossom algorithm, exact for
 integer weights); brute-force enumeration in `oracles` cross-checks it.
 
+Each part is built from bitmask unions: the zeros inside its graph are
+the vertices below some block sink with rank at most the sink's, and
+the ones outside are the vertices above one of its sources.
+
 The certificate and the chain check treat the k parts as one stack:
 `verify_decomposition` solves every unsolved part in one
-`oracles.exact_distances` call and checks all parts' violated edges at
-once, and `robust_chain_check` builds (k, m) masks over f's m violated
-edges (inside each part's graph, violated by each part) and gets every
-chain value from `isoperimetry.colored_objectives`.
+`oracles.exact_distances` call, which solves each chunk of parts as one
+bipartite graph, and checks all parts' violated edges with
+`oracles.violated_cover_edges`; `robust_chain_check` builds (k, m) masks
+over f's m violated edges (inside each part's graph, violated by each
+part) and gets every chain value from `isoperimetry.colored_objectives`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import networkx as nx
 import numpy as np
 
 from .funcs import ValuedFunction
 from .isoperimetry import EdgeColoring, colored_objectives, violation_profile
-from .oracles import exact_distance, exact_distances, is_monotone, violated_pairs
-from .poset import PosetDomain, SweepingGraph, row_chunks
+from .oracles import (exact_distance, exact_distances, is_monotone, violated_cover_edges,
+                      violated_pairs)
+from .poset import PosetDomain, SweepingGraph, mask_array
 
 
 @dataclass(frozen=True)
@@ -134,28 +141,36 @@ def merge_pairs(domain: PosetDomain, matching: Matching) -> PairPartition:
 
 def build_components(f: ValuedFunction, partition: PairPartition
                      ) -> list[tuple[ValuedFunction, SweepingGraph]]:
-    """The Boolean functions and sweeping graphs for each block.
+    """The Boolean functions and sweeping graphs for each block, as
+    bitmask unions.
 
     Inside H_i a vertex is 1 iff its value beats every block sink it can
-    still reach; outside, it is 1 iff it sits strictly above some vertex
-    of H_i.
+    still reach, so the zeros there are the vertices below some sink t of
+    T_i with rank at most t's.  Outside, a vertex is 1 iff it sits
+    strictly above some vertex of H_i; every vertex of H_i lies above a
+    source inside H_i, so those are up(S_i cap H_i) minus H_i.
     """
     domain = f.domain
     components = []
     down = domain._down_masks()  # noqa: SLF001
     up = domain._up_masks()  # noqa: SLF001
+    ranks = f.ranks.tolist()
+    by_rank = [0] * (max(ranks) + 1)
+    for x, rank in enumerate(ranks):
+        by_rank[rank] |= 1 << x
+    at_most = list(itertools.accumulate(by_rank, operator.or_))  # rank <= k
     for (S, T) in partition.blocks:
         graph = domain.sweeping_graph(S, T)
         mask = graph.vertex_mask
-        values = []
-        for z in range(domain.n):
-            if mask >> z & 1:
-                best = max(f.values[t] for t in T if up[z] >> t & 1)
-                values.append(1 if f.values[z] > best else 0)
-            else:
-                above = bool(mask & down[z] & ~(1 << z))
-                values.append(1 if above else 0)
-        components.append((ValuedFunction(domain, tuple(values)), graph))
+        zeros = above = 0
+        for t in T:
+            zeros |= down[t] & at_most[ranks[t]]
+        for s in S:
+            if mask >> s & 1:
+                above |= up[s]
+        ones = (mask & ~zeros) | (above & ~mask)
+        values = tuple(mask_array(ones, domain.n).view(np.uint8).tolist())
+        components.append((ValuedFunction(domain, values), graph))
     return components
 
 
@@ -234,7 +249,7 @@ def verify_decomposition(f: ValuedFunction, dec: Decomposition
     kept = f.ranks.take(lower) > f.ranks.take(upper)
     inside = _inside_stack(dec, f.n)
     violated_parts, witness = [], ""
-    for rows, violated in _violated_cover_edges(f.domain, _part_ranks(dec, f.n)):
+    for rows, violated in violated_cover_edges(f.domain, _part_ranks(dec, f.n)):
         violated_parts += np.count_nonzero(violated, axis=1).tolist()
         if witness:
             continue
@@ -348,7 +363,7 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
     ranks = _part_ranks(dec, f.n)
     inherited = ranks[:, lower] > ranks[:, upper]
     # an edge a part violates and f does not has no color under col
-    missing = np.array([count for _, violated in _violated_cover_edges(f.domain, ranks)
+    missing = np.array([count for _, violated in violated_cover_edges(f.domain, ranks)
                         for count in np.count_nonzero(violated, axis=1).tolist()]) \
         - np.count_nonzero(inherited, axis=1)
     if missing.any():
@@ -381,18 +396,6 @@ def _inside_stack(dec: Decomposition, n: int) -> np.ndarray:
 def _part_ranks(dec: Decomposition, n: int) -> np.ndarray:
     """The parts' ranks as one ``(k, n)`` array."""
     return np.array([fi.ranks for (fi, _) in dec.components]).reshape(dec.k, n)
-
-
-def _violated_cover_edges(domain: PosetDomain, ranks: np.ndarray
-                          ) -> Iterator[tuple[slice, np.ndarray]]:
-    """For each chunk of rows (`poset.row_chunks`) of a ``(k, n)`` rank
-    stack: its slice, and a boolean array with one row per function over
-    `PosetDomain.edge_arrays`, True where the function violates the cover
-    edge."""
-    lower, upper = domain.edge_arrays
-    for rows in row_chunks(len(ranks), len(lower)):
-        block = ranks[rows]
-        yield rows, block.take(lower, axis=1) > block.take(upper, axis=1)
 
 
 @dataclass(frozen=True)

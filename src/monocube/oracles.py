@@ -27,11 +27,13 @@ the violation profile.
 The exact solver works on a stack: `DistanceCertificate.of_all` takes
 functions on one domain as one ``(rows, n)`` rank array, and a single
 function is the batch of one.  `exact_distances` solves a
-decomposition's parts in one call.  The monotonicity test, the
-violated-pair compare, the repair and the certificate's assertions each
-run once per chunk of rows (at most `poset.PAIR_CHUNK` cells, see
-`poset.row_chunks`); only Hopcroft-Karp and the Koenig cover run row by
-row.
+decomposition's parts in one call.  Every step runs once per chunk of
+rows (at most `poset.PAIR_CHUNK` cells, see `poset.row_chunks`): the
+monotonicity test (`violated_cover_edges`, which the decomposition's
+checks share), the violated-pair compare, one Hopcroft-Karp call on the
+disjoint union of the rows' split graphs, whose last breadth-first
+search is the Koenig cover, the repair and the certificate's
+assertions.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,18 +55,20 @@ COLORING_ENUM_CAP = 20
 
 def is_monotone(f: ValuedFunction) -> bool:
     """True iff no cover edge is violated (enough, by transitivity)."""
-    return bool(_monotone_rows(f.domain, f.ranks[None])[0])
+    return not any(violated.any() for _, violated in
+                   violated_cover_edges(f.domain, f.ranks[None]))
 
 
-def _monotone_rows(domain: PosetDomain, ranks: np.ndarray) -> np.ndarray:
-    """`is_monotone` for each row of a ``(rows, n)`` rank stack on one
-    domain, compared over the cover edges in row chunks."""
+def violated_cover_edges(domain: PosetDomain, ranks: np.ndarray
+                         ) -> Iterator[tuple[slice, np.ndarray]]:
+    """For each chunk of rows (`poset.row_chunks`) of a ``(rows, n)`` rank
+    stack on one domain: its slice, and a boolean array with one row per
+    function over `PosetDomain.edge_arrays`, True where the function
+    violates the cover edge."""
     lower, upper = domain.edge_arrays
-    out = np.empty(len(ranks), dtype=bool)
     for rows in row_chunks(len(ranks), len(lower)):
         block = ranks[rows]
-        out[rows] = np.all(block.take(lower, axis=1) <= block.take(upper, axis=1), axis=1)
-    return out
+        yield rows, block.take(lower, axis=1) > block.take(upper, axis=1)
 
 
 def violated_pairs(f: ValuedFunction) -> np.ndarray:
@@ -111,9 +115,11 @@ class DistanceCertificate:
 
         Monotone rows get the zero certificate from one cover-edge compare.
         The others are compared over the comparable pairs in row chunks of
-        at most `poset.PAIR_CHUNK` cells; each row's violation graph goes
-        through Hopcroft-Karp and Koenig on its own, and the chunk's covers
-        are checked, repaired and counted as one stack.
+        at most `poset.PAIR_CHUNK` cells.  A chunk is one bipartite graph,
+        the disjoint union of its rows' split graphs on the cells
+        ``row * n + x``: one Hopcroft-Karp call gives its matching and its
+        Koenig cover, and the cover is checked, repaired and counted as one
+        ``(rows, n)`` stack.
         """
         if not fs:
             return []
@@ -123,58 +129,59 @@ class DistanceCertificate:
         n = domain.n
         certs = [cls(Fraction(0), frozenset(), f) for f in fs]
         ranks = np.stack([f.ranks for f in fs])
-        todo = np.flatnonzero(~_monotone_rows(domain, ranks))
+        todo = np.flatnonzero(np.concatenate(
+            [violated.any(axis=1) for _, violated in violated_cover_edges(domain, ranks)]))
         if not len(todo):
             return certs
         for rows in row_chunks(len(todo), max(len(domain.pair_arrays[0]), n)):
             block = ranks[todo[rows]]
             row, xs, ys = _violated_rows(domain, block)
-            # adjacency in pair order: left vertices ascending, each one's
-            # right neighbours ascending; every row has a run of pairs and
-            # a run of left vertices
-            cells = row * n + xs
-            firsts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
-            starts = firsts.tolist()
-            ends = starts[1:] + [len(row)]
-            lefts, ys_list = xs[firsts].tolist(), ys.tolist()
-            bounds = np.arange(len(block) + 1)
-            pair_runs = np.searchsorted(row, bounds).tolist()
-            left_runs = np.searchsorted(row[firsts], bounds).tolist()
-            covers, left, right = [], [], []  # cover cells r * n + x of each side
-            for r in range(len(block)):
-                g, h = left_runs[r], left_runs[r + 1]
-                adj = {x: ys_list[a:b] for x, a, b in zip(lefts[g:h], starts[g:h], ends[g:h])}
-                match_r = _hopcroft_karp(adj, set(ys_list[pair_runs[r]:pair_runs[r + 1]]))
-                cover_left, cover_right = _koenig_cover(adj, match_r)
-                assert len(cover_left) + len(cover_right) == len(match_r), \
-                    "Koenig cover size must equal the matching size"
-                left.extend(r * n + x for x in cover_left)
-                right.extend(r * n + y for y in cover_right)
-                covers.append(frozenset(cover_left | cover_right))
+            # adjacency in pair order: left cells ascending, each one's
+            # right neighbour cells ascending
+            lefts, rights = row * n + xs, row * n + ys
+            firsts = np.flatnonzero(np.r_[True, lefts[1:] != lefts[:-1]])
+            neighbours, starts = rights.tolist(), firsts.tolist()
+            adj = {u: neighbours[a:b] for u, a, b in
+                   zip(lefts[firsts].tolist(), starts, starts[1:] + [len(row)])}
+            matched, cover_left, cover_right = _hopcroft_karp(adj)
+            assert len(cover_left) + len(cover_right) == matched, \
+                "Koenig cover size must equal the matching size"
             covered = np.zeros((2, block.size), dtype=bool)
-            covered[0, left] = covered[1, right] = True
-            assert np.all(covered[0, cells] | covered[1, row * n + ys]), \
+            covered[0, list(cover_left)] = covered[1, list(cover_right)] = True
+            assert np.all(covered[0, lefts] | covered[1, rights]), \
                 "Koenig construction left a violated pair uncovered"
+            cover = (covered[0] | covered[1]).reshape(block.shape)
 
-            source = _repair(domain, block, covers)
+            source = _repair(domain, block, cover)
             repaired = np.take_along_axis(block, source, axis=1)
-            assert np.all(_monotone_rows(domain, repaired)), \
+            assert not any(violated.any() for _, violated in
+                           violated_cover_edges(domain, repaired)), \
                 "repair produced a non-monotone function"
-            changed = np.count_nonzero(repaired != block, axis=1).tolist()
-            for i, cover, count, s in zip(todo[rows].tolist(), covers, changed,
-                                          source.tolist()):
-                assert count == len(cover), \
-                    f"repair changed {count} points, cover has {len(cover)}"
+            changed = np.count_nonzero(repaired != block, axis=1)
+            sizes = np.count_nonzero(cover, axis=1)
+            bad = np.flatnonzero(changed != sizes)
+            assert not len(bad), (f"repair changed {changed[bad[0]]} points of row "
+                                  f"{todo[rows][bad[0]]}, its cover has {sizes[bad[0]]}")
+            for i, covered_row, s in zip(todo[rows].tolist(), cover, source.tolist()):
                 f = fs[i]
+                vertex_cover = frozenset(np.flatnonzero(covered_row).tolist())
                 g = ValuedFunction(domain, tuple(map(f.values.__getitem__, s)))
-                certs[i] = cls(Fraction(len(cover), n), cover, g)
+                certs[i] = cls(Fraction(len(vertex_cover), n), vertex_cover, g)
         return certs
 
 
-def _hopcroft_karp(adj: dict[int, list[int]], rights: set[int]) -> dict[int, int]:
-    """Maximum bipartite matching; returns the right->left match map."""
+def _hopcroft_karp(adj: dict[int, list[int]]) -> tuple[int, set[int], set[int]]:
+    """Maximum bipartite matching of the left vertices ``adj``'s keys to
+    the right vertices in its lists; returns the matching size and the
+    left and right parts of the Koenig minimum vertex cover.
+
+    The phase that finds no augmenting path has reached, in ``dist``,
+    exactly the left vertices that alternating paths reach from the free
+    left vertices; the cover is the left vertices it missed and the
+    right vertices it reached.
+    """
     match_l: dict[int, int | None] = {u: None for u in adj}
-    match_r: dict[int, int | None] = {v: None for v in rights}
+    match_r: dict[int, int] = {}
     while True:
         dist = {}
         queue = [u for u in adj if match_l[u] is None]
@@ -186,18 +193,18 @@ def _hopcroft_karp(adj: dict[int, list[int]], rights: set[int]) -> dict[int, int
             u = queue[head]
             head += 1
             for v in adj[u]:
-                w = match_r[v]
+                w = match_r.get(v)
                 if w is None:
                     found = True
                 elif w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)
         if not found:
-            break
+            return (len(match_r), adj.keys() - dist.keys(),
+                    {v for u in dist for v in adj[u]})
         for u in adj:
             if match_l[u] is None:
                 _augment(u, adj, match_l, match_r, dist)
-    return {v: u for v, u in match_r.items() if u is not None}
 
 
 def _augment(root: int, adj: dict[int, list[int]], match_l: dict, match_r: dict,
@@ -215,7 +222,7 @@ def _augment(root: int, adj: dict[int, list[int]], match_l: dict, match_r: dict,
     while stack:
         u, edges = stack[-1]
         for v in edges:
-            w = match_r[v]
+            w = match_r.get(v)
             if w is None:
                 path.append(v)
                 for (x, _), y in zip(stack, path):
@@ -231,32 +238,6 @@ def _augment(root: int, adj: dict[int, list[int]], match_l: dict, match_r: dict,
             stack.pop()
             if path:
                 path.pop()
-
-
-def _koenig_cover(adj: dict[int, list[int]],
-                  match_r: dict[int, int]) -> tuple[set[int], set[int]]:
-    """Koenig construction: a minimum vertex cover (left part, right part)
-    of the bipartite graph from a maximum matching."""
-    match_l = {u: v for v, u in match_r.items()}
-    visited_l = set()
-    visited_r = set()
-    queue = [u for u in adj if u not in match_l]
-    visited_l.update(queue)
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in adj[u]:
-            if v in visited_r:
-                continue
-            visited_r.add(v)
-            w = match_r.get(v)
-            if w is not None and w not in visited_l:
-                visited_l.add(w)
-                queue.append(w)
-    cover_left = set(adj) - visited_l
-    cover_right = visited_r
-    return cover_left, cover_right
 
 
 def exact_distances(fs: Sequence[ValuedFunction]) -> list[DistanceCertificate]:
@@ -285,13 +266,12 @@ def exact_distance(f: ValuedFunction) -> DistanceCertificate:
     return f.exact_distance
 
 
-def _repair(domain: PosetDomain, ranks: np.ndarray,
-            covers: Sequence[frozenset[int]]) -> np.ndarray:
+def _repair(domain: PosetDomain, ranks: np.ndarray, cover: np.ndarray) -> np.ndarray:
     """Monotone extensions keeping each row of a ``(rows, n)`` rank stack
-    on the complement of its cover, as the vertex each point copies: row
-    r's g(z) = f(x) for the smallest kept x <= z of largest value, falling
-    back to the first kept vertex of smallest value when no kept x is
-    below z.
+    off its row of the boolean ``(rows, n)`` cover stack, as the vertex
+    each point copies: row r's g(z) = f(x) for the smallest kept x <= z of
+    largest value, falling back to the first kept vertex of smallest value
+    when no kept x is below z.
 
     One downward-max closure sweep over the key rank*n + (n-1-x) of the
     kept vertices picks that x for every row and z at once; g copies the
@@ -299,8 +279,7 @@ def _repair(domain: PosetDomain, ranks: np.ndarray,
     swapped.
     """
     n = domain.n
-    kept = np.ones(ranks.shape, dtype=bool)
-    kept.ravel()[[r * n + x for r, cover in enumerate(covers) for x in cover]] = False
+    kept = ~cover
     ranks = ranks.astype(np.int64)
     best = domain.down_max(np.where(kept, ranks * n + (n - 1 - np.arange(n)), -1))
     fallback = np.where(kept, ranks, np.iinfo(np.int64).max).argmin(axis=1)

@@ -299,10 +299,13 @@ class SweepingGraph:
     @cached_property
     def vertex_array(self) -> np.ndarray:
         """The vertex set as a boolean array over the domain's vertices."""
-        n = self.domain.n
-        packed = np.frombuffer(self.vertex_mask.to_bytes((n + 7) // 8, "little"),
-                               dtype=np.uint8)
-        return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+        return mask_array(self.vertex_mask, self.domain.n)
+
+
+def mask_array(mask: int, n: int) -> np.ndarray:
+    """Bits 0..n-1 of a vertex bitmask as a boolean array."""
+    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
 
 
 def row_chunks(rows: int, width: int) -> Iterator[slice]:

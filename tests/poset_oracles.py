@@ -5,8 +5,8 @@ Each helper answers from a domain's per-vertex up-set / down-set bitmasks
 library only relies on: the comparable-pair walk that
 `PosetDomain.pair_arrays` replaced, the induced edges of a sweeping
 graph, the sources and sinks a vertex sees, where a vertex sits
-relative to a sweeping graph, and whether two pairs' sweeping graphs
-conflict.
+relative to a sweeping graph, whether two pairs' sweeping graphs
+conflict, and a block's Boolean part one vertex at a time.
 """
 
 from __future__ import annotations
@@ -85,3 +85,19 @@ def conflict(domain, pair_a, pair_b) -> bool:
     ha = domain.sweeping_graph(sets[0], sets[1]).vertex_mask
     hb = domain.sweeping_graph(sets[2], sets[3]).vertex_mask
     return bool(ha & hb)
+
+
+def component_values(f, graph) -> tuple[int, ...]:
+    """A block's Boolean part by the per-vertex rule: inside H a vertex is
+    1 iff its value beats every block sink it can still reach; outside, 1
+    iff some vertex of H is strictly below it."""
+    domain, mask = f.domain, graph.vertex_mask
+    down, up = domain._down_masks(), domain._up_masks()
+    values = []
+    for z in range(domain.n):
+        if mask >> z & 1:
+            best = max(f.values[t] for t in graph.sink_set if up[z] >> t & 1)
+            values.append(1 if f.values[z] > best else 0)
+        else:
+            values.append(1 if mask & down[z] & ~(1 << z) else 0)
+    return tuple(values)

@@ -31,6 +31,17 @@ def test_pipeline_gen_exact_decompose(tmp_path):
     assert dec_doc["meta"]["tool"] == "monocube"
 
 
+def test_gen_function_report_echoes_its_config(tmp_path):
+    fn, report = tmp_path / "g.json", tmp_path / "r.json"
+    assert run(["gen-function", "--d", "2", "--out", str(fn),
+                "--report", str(report)]) == 0
+    meta = json.load(open(report))["meta"]
+    assert meta["command"] == "gen-function" and meta["seed"] == 0
+    assert meta["config"] == {"d": 2, "domain": None, "r": 4, "seed": 0,
+                              "monotone": False, "out": str(fn)}
+    assert json.load(open(fn))["values"]
+
+
 def test_monotone_function_pipeline(tmp_path):
     fn = tmp_path / "m.json"
     dec = tmp_path / "dec.json"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from monocube.decomposition import (Matching, decompose,
+from monocube.decomposition import (Matching, build_components, decompose,
                                     decomposition_dump, edge_bound_check,
                                     max_weight_min_card_matching, merge_pairs,
                                     robust_chain_check, verify_decomposition)
@@ -13,8 +13,9 @@ from monocube.funcs import (ValuedFunction, anti_dictator, canonical_rank,
 from monocube.isoperimetry import EdgeColoring, robust_objective, violation_profile
 from monocube.oracles import enumerate_matchings_check, exact_distance, is_monotone
 from monocube import poset
-from monocube.poset import hypercube
-from poset_oracles import conflict, position_relative_to
+from monocube.poset import PosetDomain, hypercube
+from poset_oracles import component_values, conflict, position_relative_to
+from test_dag_domains import random_dag
 
 
 def matching_weight(f, matching):
@@ -120,6 +121,24 @@ def test_components_d1():
     fi, graph = dec.components[0]
     assert fi.values == (1, 0)
     assert graph.vertices == {0, 1}
+
+
+COMPONENT_DOMAINS = ([hypercube(d) for d in range(1, 8)]
+                     + [random_dag(n, 6 / n, random.Random(n)) for n in (2, 9, 40, 120)]
+                     + [PosetDomain("dag", n=n) for n in (1, 7)])
+
+
+@pytest.mark.parametrize("domain", COMPONENT_DOMAINS, ids=repr)
+def test_components_match_the_per_vertex_rule(domain):
+    """The bitmask unions give every block's part exactly as the
+    per-vertex rule does, with Python int values."""
+    for r, seed in ((2, 1), (4, 2), (9, 3)):
+        f = random_function(domain, r, seed)
+        partition = merge_pairs(domain, max_weight_min_card_matching(f))
+        assert len(partition) or is_monotone(f)
+        for fi, graph in build_components(f, partition):
+            assert fi.values == component_values(f, graph)
+            assert {type(v) for v in fi.values} <= {int}
 
 
 def test_components_source_sink_values():

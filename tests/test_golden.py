@@ -56,6 +56,7 @@ INPUTS = {
     "tied-d5.json": lambda: ValuedFunction(hypercube(5), _tied_values(5, 3)),
     "tied-d6.json": lambda: ValuedFunction(hypercube(6), _tied_values(6, 8)),
     "dag-n40.json": lambda: random_function(_random_dag(40, 90, 6), 3, 6),
+    "r6-d9.json": lambda: random_function(hypercube(9), 6, 9),
 }
 
 GOLDEN = [
@@ -79,7 +80,17 @@ GOLDEN = [
      "08c8013e012dc320ee0dbebd0b55fcb4b9d41a947ceed657ed4ee2850dce714a"),
     (["decompose", "--fn", "dag-n40.json"],
      "f637074b9864cc29bfd80ca0e97c046bb34abaeac81000208bf03e0ffacde59f"),
+    (["exact-distance", "--fn", "dag-n40.json"],
+     "8c9947a58d1a798efe3c439bc0cfda8f459a7bbda8b2823e470c1178d2e285e2"),
+    (["exact-distance", "--fn", "r6-d9.json"],
+     "bf948986d99f972884a81cb61104f6f7e49a3819cc3717d07165a1a89e6e1e1d"),
 ]
+
+# the command of the benchmark's sweep-d6 jobs, smaller: exact solves,
+# decompositions and chain checks of six non-Boolean functions
+VERIFY_INEQUALITIES = (
+    ["verify-inequalities", "--d", "5", "--r", "6", "--count", "6", "--seed", "11"],
+    "5f12f2fc1ffb54acf62a2a54d817753230a23c7e33615ec44dbba041c250d333")
 
 PROFILE_DUMP_D8 = "ff3959bad91fcfe3bcd33516972cf1723a49d846d399c611efc4c0bec13dacbf"
 
@@ -88,7 +99,9 @@ def report_digest(path):
     with open(path) as fh:
         report = json.load(fh)
     report["meta"].pop("elapsed_seconds")
-    report["meta"]["config"]["fn"] = os.path.basename(report["meta"]["config"]["fn"])
+    config = report["meta"]["config"]
+    if "fn" in config:
+        config["fn"] = os.path.basename(config["fn"])
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -99,6 +112,13 @@ def test_golden_report_digest(tmp_path, argv, digest):
     fn = argv[argv.index("--fn") + 1]
     write_function(INPUTS[fn](), str(tmp_path / fn))
     argv = [str(tmp_path / a) if a in INPUTS else a for a in argv]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert report_digest(out) == digest
+
+
+def test_golden_verify_inequalities_digest(tmp_path):
+    argv, digest = VERIFY_INEQUALITIES
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert report_digest(out) == digest

@@ -2,6 +2,8 @@ import random
 import sys
 from fractions import Fraction
 
+import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,7 +17,8 @@ from monocube.oracles import (DistanceCertificate, boolean_variance,
                               exact_distance, exact_distance_bruteforce,
                               exact_distances,
                               is_monotone, median_threshold, mvc_branch_bound,
-                              violated_pairs, worst_coloring, _repair)
+                              violated_pairs, worst_coloring, _hopcroft_karp,
+                              _repair)
 from monocube import poset
 from monocube.poset import DomainSizeError, PosetDomain, hypercube
 from monocube.seeds import derive_seed
@@ -205,6 +208,59 @@ def test_exact_distances_caches_each_certificate(monkeypatch):
         DistanceCertificate.of_all([fs[0], anti_dictator(3)])
 
 
+def random_bipartite(rng, lefts, rights, density):
+    """Left vertices 0..lefts-1, right vertices 0..rights-1 (the two sides
+    share labels, as the solver's cells do), each left vertex listing its
+    right neighbours ascending."""
+    return {u: [v for v in range(rights) if rng.random() < density] for u in range(lefts)}
+
+
+def disjoint_union(graphs):
+    """The graphs side by side, each shifted past the labels of the ones
+    before it, as `of_all` lays a chunk's rows out."""
+    union, offset = {}, 0
+    for adj in graphs:
+        union.update({offset + u: [offset + v for v in vs] for u, vs in adj.items()})
+        offset += 1 + max([*adj, *(v for vs in adj.values() for v in vs)], default=0)
+    return union
+
+
+def bipartite_cases():
+    rng = random.Random(2024)
+    cases = {"empty": {}, "single-edge": {0: [0]}, "edgeless-left": {0: [], 1: []}}
+    for a, b in ((1, 1), (1, 4), (4, 1), (3, 3), (5, 7)):
+        cases[f"complete-{a}x{b}"] = {u: list(range(b)) for u in range(a)}
+    for k in range(30):
+        cases[f"random-{k}"] = random_bipartite(rng, rng.randint(1, 12), rng.randint(1, 12),
+                                                rng.choice([0.1, 0.25, 0.5, 0.8]))
+    for k in range(10):
+        cases[f"union-{k}"] = disjoint_union(
+            random_bipartite(rng, rng.randint(1, 9), rng.randint(1, 9), rng.choice([0.2, 0.5]))
+            for _ in range(rng.randint(2, 6)))
+    cases["union-with-complete"] = disjoint_union([cases["complete-3x3"], {0: [0]}, {},
+                                                   cases["random-0"]])
+    return cases
+
+
+BIPARTITE_CASES = bipartite_cases()
+
+
+@pytest.mark.parametrize("name", BIPARTITE_CASES)
+def test_hopcroft_karp_cover_matches_networkx(name):
+    """The cover read off the last BFS is networkx's Koenig cover, and its
+    size is the matching size."""
+    adj = BIPARTITE_CASES[name]
+    graph = nx.Graph()
+    top = {("L", u) for u in adj}
+    graph.add_nodes_from(top)
+    graph.add_edges_from((("L", u), ("R", v)) for u, vs in adj.items() for v in vs)
+    matching = nx.bipartite.hopcroft_karp_matching(graph, top)
+    expected = nx.bipartite.to_vertex_cover(graph, matching, top)
+    size, left, right = _hopcroft_karp(adj)
+    assert {("L", u) for u in left} | {("R", v) for v in right} == expected
+    assert size == len(matching) // 2 == len(left) + len(right)
+
+
 def test_cover_certifies_violations():
     for seed in range(15):
         f = random_function(hypercube(4), 4, 500 + seed)
@@ -356,7 +412,8 @@ def function_and_cover(draw):
 def test_repair_matches_its_definition(case):
     f, cover = case
     expected = scan_repair(f, cover)
-    source = _repair(f.domain, f.ranks[None], [cover])[0]
+    covered = np.isin(np.arange(f.n), list(cover))
+    source = _repair(f.domain, f.ranks[None], covered[None])[0]
     assert [repr(f.values[x]) for x in source.tolist()] == [repr(v) for v in expected]
     cert = exact_distance(f)
     if cert.vertex_cover:
