@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .decomposition import decompose, decomposition_dump, edge_bound_check, \
@@ -286,7 +287,10 @@ def cmd_verify_inequalities(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args`
+    returns a fresh namespace on every call, so calls share nothing."""
     parser = argparse.ArgumentParser(
         prog="monocube",
         description="Monotonicity testing and isoperimetric verification "

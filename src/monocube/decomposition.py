@@ -24,8 +24,9 @@ The certificate and the chain check treat the k parts as one stack:
 `verify_decomposition` solves every unsolved part in one
 `oracles.exact_distances` call, which solves each chunk of parts as one
 bipartite graph, and checks all parts' violated edges with
-`oracles.violated_cover_edges`; `robust_chain_check` builds (k, m) masks
-over f's m violated edges (inside each part's graph, violated by each
+`oracles.violated_cover_edges`; `robust_chain_check` selects f's m
+violated edges from the decomposition's cached (k, E) cover-edge masks
+(`Decomposition.edge_masks`: inside each part's graph, violated by each
 part) and gets every chain value from `isoperimetry.colored_objectives`.
 """
 
@@ -36,6 +37,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -155,16 +157,13 @@ def build_components(f: ValuedFunction, partition: PairPartition
     down = domain._down_masks()  # noqa: SLF001
     up = domain._up_masks()  # noqa: SLF001
     ranks = f.ranks.tolist()
-    by_rank = [0] * (max(ranks) + 1)
-    for x, rank in enumerate(ranks):
-        by_rank[rank] |= 1 << x
-    at_most = list(itertools.accumulate(by_rank, operator.or_))  # rank <= k
+    below = _below_rank_masks(ranks)
     for (S, T) in partition.blocks:
         graph = domain.sweeping_graph(S, T)
         mask = graph.vertex_mask
         zeros = above = 0
         for t in T:
-            zeros |= down[t] & at_most[ranks[t]]
+            zeros |= down[t] & below[ranks[t] + 1]
         for s in S:
             if mask >> s & 1:
                 above |= up[s]
@@ -172,6 +171,14 @@ def build_components(f: ValuedFunction, partition: PairPartition
         values = tuple(mask_array(ones, domain.n).view(np.uint8).tolist())
         components.append((ValuedFunction(domain, values), graph))
     return components
+
+
+def _below_rank_masks(ranks: list[int]) -> list[int]:
+    """below[k] = bitmask of the vertices with rank < k, for k = 0..max + 1."""
+    by_rank = [0] * (max(ranks) + 1)
+    for x, rank in enumerate(ranks):
+        by_rank[rank] |= 1 << x
+    return list(itertools.accumulate(by_rank, operator.or_, initial=0))
 
 
 @dataclass(frozen=True)
@@ -205,6 +212,17 @@ class Decomposition:
     @property
     def k(self) -> int:
         return len(self.components)
+
+    @cached_property
+    def edge_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two boolean ``(k, E)`` arrays over the domain's cover edges, built
+        on first use: the edges inside each part's graph, and the edges each
+        part violates.  `robust_chain_check` reads them for every coloring."""
+        domain = self.components[0][1].domain
+        lower, upper = domain.edge_arrays
+        inside = _inside_stack(self, domain.n)
+        violated = [v for _, v in violated_cover_edges(domain, _part_ranks(self, domain.n))]
+        return inside[:, lower] & inside[:, upper], np.vstack(violated)
 
 
 def decompose(f: ValuedFunction, verify: bool = True) -> Decomposition:
@@ -300,21 +318,23 @@ def verify_decomposition(f: ValuedFunction, dec: Decomposition
             break
     checks.append(("block_matchings_violating", ok, witness))
 
+    # one bitmask per source: the block sinks above it whose rank is not
+    # below its own; the witness is the first such pair in set order
+    up = f.domain._up_masks()  # noqa: SLF001
+    ranks = f.ranks.tolist()
+    below = _below_rank_masks(ranks)
     witness = ""
-    ok = True
-    for idx, (fi, graph) in enumerate(dec.components):
-        for s in graph.source_set:
-            for t in graph.sink_set:
-                if f.domain.reaches(s, t) and not f.values[s] > f.values[t]:
-                    ok = False
-                    witness = (f"component {idx}: ordered pair ({s},{t}) has "
-                               f"f({s}) = {f.values[s]} <= f({t}) = {f.values[t]}")
-                    break
-            if not ok:
-                break
-        if not ok:
+    for idx, (_, graph) in enumerate(dec.components):
+        sinks = sum(1 << t for t in graph.sink_set)
+        unviolated = next(((s, hits) for s in graph.source_set
+                           if (hits := up[s] & sinks & ~below[ranks[s]])), None)
+        if unviolated:
+            s, hits = unviolated
+            t = next(t for t in graph.sink_set if hits >> t & 1)
+            witness = (f"component {idx}: ordered pair ({s},{t}) has "
+                       f"f({s}) = {f.values[s]} <= f({t}) = {f.values[t]}")
             break
-    checks.append(("block_pairs_violated", ok, witness))
+    checks.append(("block_pairs_violated", not witness, witness))
 
     return DecompositionCertificate(
         epsilon_f=eps_f, epsilon_parts=tuple(eps_parts),
@@ -355,21 +375,20 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
         zero = (0.0, 0.0, 0.0, 0.0)
         return ChainReport(zero, Fraction(0), Fraction(0), True, True, "monotone input")
 
-    # masks over f's violated edges, one row per part: those inside the
-    # part's graph for (2) and (3), those the part also violates for (4)
-    lower, upper = profile.lower, profile.upper
-    inside = _inside_stack(dec, f.n)
-    inside = inside[:, lower] & inside[:, upper]
-    ranks = _part_ranks(dec, f.n)
-    inherited = ranks[:, lower] > ranks[:, upper]
+    # masks over f's violated edges (profile order is cover-edge order),
+    # one row per part: those inside the part's graph for (2) and (3),
+    # those the part also violates for (4)
+    lower, upper = f.domain.edge_arrays
+    kept = f.ranks.take(lower) > f.ranks.take(upper)
+    inside, violated = dec.edge_masks
+    inside = inside.compress(kept, axis=1)
+    inherited = violated.compress(kept, axis=1)
     # an edge a part violates and f does not has no color under col
-    missing = np.array([count for _, violated in violated_cover_edges(f.domain, ranks)
-                        for count in np.count_nonzero(violated, axis=1).tolist()]) \
-        - np.count_nonzero(inherited, axis=1)
+    missing = np.count_nonzero(violated & ~kept, axis=1)
     if missing.any():
         raise ValueError(f"a part violates {missing[missing > 0][0]} edges that f does "
                          f"not violate")
-    everything = np.ones((1, len(lower)), dtype=bool)
+    everything = np.ones((1, profile.num_violated), dtype=bool)
     v1, v2, *per_part = colored_objectives(
         f, col, np.vstack((everything, inside.any(axis=0), inside, inherited)))
     v3 = math.fsum(per_part[:dec.k])

@@ -37,6 +37,7 @@ and `colored_objectives` gets the restricted objectives of a whole
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 from dataclasses import dataclass
@@ -439,14 +440,30 @@ def persistence_decomposition_check(f: ValuedFunction, tau: int,
 
 
 def profile_dump(f: ValuedFunction) -> dict:
-    """JSON-ready per-vertex counts plus the scalar objectives."""
+    """JSON-ready per-vertex counts plus the scalar objectives.
+
+    The cyclic garbage collector is paused while ``violated_edges`` is
+    built.  That list holds one small list per violated edge (about
+    230,000 at d = 16, r = 8); with the collector on, every 700 new lists
+    start a collection that walks the lists made so far, and those
+    collections cost several times the build itself.  The lists hold no
+    reference cycles, so the pause keeps no garbage alive.  The
+    collector's previous state is restored even if the build raises.
+    """
     profile = violation_profile(f)
     directed = directed_objective(f)
+    collecting = gc.isenabled()
+    gc.disable()  # the edge lists are acyclic: collections while they grow find nothing
+    try:
+        violated_edges = np.stack((profile.lower, profile.upper), axis=1).tolist()
+    finally:
+        if collecting:
+            gc.enable()
     return {
         "I_minus": profile.out.tolist(),
         "U_minus": profile.total.tolist(),
         "I_undirected": profile.undirected.tolist(),
-        "violated_edges": np.stack((profile.lower, profile.upper), axis=1).tolist(),
+        "violated_edges": violated_edges,
         "objective_directed": directed,
         # the all-red coloring counts each violated edge at its lower
         # endpoint, exactly as I_minus does, and leaves every blue count 0

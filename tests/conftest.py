@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -17,6 +18,15 @@ def suite_functions(count, dims, image_sizes, master_seed):
         r = rng.choice(image_sizes)
         out.append(random_function(hypercube(d), r, derive_seed(master_seed, idx)))
     return out
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test that leaves the cyclic garbage collector disabled."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

@@ -160,6 +160,26 @@ def test_usage_errors(tmp_path):
     assert run(["exact-distance", "--fn", str(tmp_path / "missing.json")]) == 2
 
 
+def test_calls_in_one_process_each_get_their_own_config(tmp_path):
+    fn, report = tmp_path / "g.json", tmp_path / "r.json"
+    assert run(["gen-function", "--d", "3", "--r", "2", "--seed", "5", "--monotone",
+                "--out", str(fn), "--report", str(report)]) == 0
+    assert json.load(open(report))["meta"]["config"] == {
+        "d": 3, "domain": None, "r": 2, "seed": 5, "monotone": True, "out": str(fn)}
+    out = tmp_path / "v.json"
+    assert run(["verify-inequalities", "--d", "2", "--r", "2", "--count", "1",
+                "--seed", "9", "--out", str(out)]) == 0
+    meta = json.load(open(out))["meta"]
+    assert meta["seed"] == 9 and meta["config"] == {
+        "d": 2, "r": 2, "count": 1, "colorings": 3, "mu_sets": 3, "jobs": 1}
+    with pytest.raises(SystemExit) as exc:
+        run(["gen-function", "--d", "three", "--out", str(fn)])
+    assert exc.value.code == 2
+    assert run(["gen-function", "--d", "2", "--out", str(fn), "--report", str(report)]) == 0
+    assert json.load(open(report))["meta"]["config"] == {
+        "d": 2, "domain": None, "r": 4, "seed": 0, "monotone": False, "out": str(fn)}
+
+
 def test_oversized_input_is_a_usage_error(tmp_path, capsys):
     # hypercube d=13 has 3^13 - 2^13 comparable pairs, over the pair budget
     fn = tmp_path / "f13.json"

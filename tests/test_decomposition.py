@@ -11,7 +11,8 @@ from monocube.decomposition import (Matching, build_components, decompose,
 from monocube.funcs import (ValuedFunction, anti_dictator, canonical_rank,
                             random_function, random_monotone)
 from monocube.isoperimetry import EdgeColoring, robust_objective, violation_profile
-from monocube.oracles import enumerate_matchings_check, exact_distance, is_monotone
+from monocube.oracles import (enumerate_matchings_check, exact_distance, is_monotone,
+                              violated_cover_edges)
 from monocube import poset
 from monocube.poset import PosetDomain, hypercube
 from poset_oracles import component_values, conflict, position_relative_to
@@ -214,6 +215,63 @@ def test_verify_catches_corruption():
     assert any(witness for (_, witness) in cert.failures())
 
 
+def unviolated_pair_witness(f, dec):
+    """The first ordered (source, sink) pair of a block that f does not
+    violate, scanned pair by pair: the per-pair formulation of the
+    block_pairs_violated check."""
+    for idx, (_, graph) in enumerate(dec.components):
+        for s in graph.source_set:
+            for t in graph.sink_set:
+                if f.domain.reaches(s, t) and not f.values[s] > f.values[t]:
+                    return (f"component {idx}: ordered pair ({s},{t}) has "
+                            f"f({s}) = {f.values[s]} <= f({t}) = {f.values[t]}")
+    return ""
+
+
+def block_pairs_witness(cert):
+    (ok, witness), = [(ok, w) for (name, ok, w) in cert.checks
+                      if name == "block_pairs_violated"]
+    assert ok == (not witness)
+    return witness
+
+
+def test_block_pairs_violated_names_an_ordered_unviolated_pair():
+    from monocube.decomposition import Decomposition
+    f = ValuedFunction(hypercube(2), (1, 0, 1, 1))   # violates (0, 1) only
+    dec = decompose(f)
+    assert block_pairs_witness(dec.certificate) == ""
+    part, graph = dec.components[0]
+    # sink 2 lies above source 0, and f(2) = f(0)
+    widened = f.domain.sweeping_graph(graph.source_set, graph.sink_set | {2})
+    corrupted = Decomposition(dec.matching, dec.partition, ((part, widened),), None, False)
+    assert block_pairs_witness(verify_decomposition(f, corrupted)) \
+        == "component 0: ordered pair (0,2) has f(0) = 1 <= f(2) = 1"
+
+
+def test_block_pairs_violated_matches_the_per_pair_formulation():
+    from monocube.decomposition import Decomposition
+    rng = random.Random(9)
+    domains = [hypercube(4)] + [random_dag(n, 0.3, rng) for n in (8, 12, 16)]
+    failed = 0
+    for seed in range(40):
+        domain = domains[seed % len(domains)]
+        f = random_function(domain, 4, 1200 + seed)
+        if is_monotone(f):
+            continue
+        dec = decompose(f, verify=False)
+        parts = list(dec.components)
+        for idx in rng.sample(range(dec.k), min(2, dec.k)):
+            part, graph = parts[idx]
+            extra = rng.sample(sorted(set(range(f.n)) - graph.source_set), 2)
+            parts[idx] = (part, domain.sweeping_graph(graph.source_set,
+                                                      graph.sink_set | set(extra)))
+        corrupted = Decomposition(dec.matching, dec.partition, tuple(parts), None, False)
+        witness = block_pairs_witness(verify_decomposition(f, corrupted))
+        assert witness == unviolated_pair_witness(f, corrupted)
+        failed += bool(witness)
+    assert failed > 10
+
+
 def escaped_edge_witness(f, dec):
     """The first part edge outside S_f^- cap E(H_i), scanned part by part:
     the per-part formulation of the violations_contained check."""
@@ -274,8 +332,22 @@ def test_chain_check_rejects_a_part_violating_an_edge_f_does_not():
     from monocube.decomposition import Decomposition
     corrupted = Decomposition(dec.matching, dec.partition, ((part, graph),),
                               dec.certificate, False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a part violates 1 edges that f does not violate$"):
         robust_chain_check(f, EdgeColoring.all_red(violation_profile(f)), corrupted)
+
+
+def test_chain_check_builds_its_masks_once_per_decomposition(monkeypatch):
+    from monocube import decomposition
+    f = random_function(hypercube(4), 5, 301)
+    dec = decompose(f)
+    calls = []
+    monkeypatch.setattr(decomposition, "violated_cover_edges",
+                        lambda *args: calls.append(args) or violated_cover_edges(*args))
+    rng = random.Random(2)
+    reports = [robust_chain_check(f, EdgeColoring.random(violation_profile(f), rng), dec)
+               for _ in range(3)]
+    assert len(calls) == 1
+    assert all(rep.ordering_ok and rep.distance_ok for rep in reports)
 
 
 def test_chain_check_random_suite():

@@ -1,9 +1,11 @@
+import gc
 import math
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from monocube import isoperimetry
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
                             random_monotone, threshold, weight_function)
 from monocube.isoperimetry import (EdgeColoring,
@@ -262,6 +264,30 @@ def test_profile_dump_robust_objective_is_all_red():
         f = random_function(hypercube(5), 6, seed)
         all_red = EdgeColoring.all_red(violation_profile(f))
         assert profile_dump(f)["objective_robust"] == robust_objective(f, all_red)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_profile_dump_leaves_the_collector_as_it_found_it(enabled):
+    f = random_function(hypercube(4), 4, 5)
+    expected = profile_dump(f)
+    if not enabled:
+        gc.disable()
+    try:
+        assert profile_dump(f) == expected
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def test_profile_dump_restores_the_collector_when_the_build_raises(monkeypatch):
+    def failing_stack(*args, **kwargs):
+        assert not gc.isenabled()  # the build runs with the collector paused
+        raise MemoryError("edge list")
+
+    monkeypatch.setattr(isoperimetry.np, "stack", failing_stack)
+    with pytest.raises(MemoryError, match="edge list"):
+        profile_dump(random_function(hypercube(4), 4, 5))
+    assert gc.isenabled()
 
 
 def brute_profile(f, edges):
