@@ -1,12 +1,14 @@
 """Boolean decomposition of a real-valued function on a DAG poset.
 
 Pipeline: read the values as integer ranks, find a max-weight
-min-cardinality matching of violated comparable pairs, merge conflicting
-singleton pairs into conflict-free blocks, take each block's sweeping
-graph, and threshold the function inside each graph against the sinks it
-can still reach.  The output is a family (f_i, H_i) of Boolean functions
-on pairwise disjoint induced subgraphs that jointly keep at least half
-the distance to monotonicity and only violate edges the input violates.
+min-cardinality matching of violated comparable pairs, merge the matched
+pairs in one pass into the finest partition whose blocks' sweeping
+graphs are pairwise disjoint (`merge_pairs`, which returns each block
+as its sweeping graph), and threshold the function inside each graph
+against the sinks it can still reach.  The output is a family
+(f_i, H_i) of Boolean functions on pairwise disjoint induced subgraphs
+that jointly keep at least half the distance to monotonicity and only
+violate edges the input violates.
 
 The matching objective (maximize total value gap, then minimize the pair
 count) is encoded in a single integer weight (n+1)*gap - 1 per pair; the
@@ -14,7 +16,7 @@ value gaps are >= 1 after ranking and a matching has at most n/2 pairs,
 so the exact maximum-weight matching under these weights is exactly the
 max-weight min-cardinality matching.  The general-graph maximum-weight
 matching itself is delegated to networkx (blossom algorithm, exact for
-integer weights); brute-force enumeration in `oracles` cross-checks it.
+integer weights); the tests cross-check it by brute-force enumeration.
 
 Each part is built from bitmask unions: the zeros inside its graph are
 the vertices below some block sink with rank at most the sink's, and
@@ -38,6 +40,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 import networkx as nx
 import numpy as np
@@ -66,29 +69,10 @@ class Matching:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    @property
-    def lower(self) -> frozenset[int]:
-        return frozenset(s for (s, _) in self.pairs)
-
-    @property
-    def upper(self) -> frozenset[int]:
-        return frozenset(t for (_, t) in self.pairs)
-
     def validate_order(self, domain: PosetDomain) -> None:
         for (s, t) in self.pairs:
             if not (domain.reaches(s, t) and s != t):
                 raise ValueError(f"pair ({s},{t}) is not strictly ordered")
-
-
-@dataclass(frozen=True)
-class PairPartition:
-    """Blocks (S_i, T_i) with matched sets aligned blockwise and pairwise
-    non-conflicting sweeping graphs."""
-
-    blocks: tuple[tuple[frozenset[int], frozenset[int]], ...]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
@@ -109,42 +93,42 @@ def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
     return Matching(tuple(sorted(oriented)))
 
 
-def merge_pairs(domain: PosetDomain, matching: Matching) -> PairPartition:
-    """Merge conflicting pairs until none conflict.
+def merge_pairs(domain: PosetDomain, matching: Matching) -> tuple[SweepingGraph, ...]:
+    """The finest partition of the matched pairs into blocks whose
+    sweeping graphs are pairwise disjoint, as the blocks' graphs, listed
+    by each block's first pair.
 
-    Starts from the singleton pairs of the matching.  Pair selection is
-    deterministic: scan blocks in index order, merge the first
-    conflicting pair found into the earlier slot, and rescan.  Any merge
-    order yields a valid conflict-free partition; this one is fixed for
-    reproducibility.
+    One pass adds the pairs in matching order to a list of blocks with
+    disjoint graphs: each new pair's block absorbs every block its
+    growing graph meets, until it meets none.
+
+    Any order of merging conflicting blocks gives the same blocks.  Let
+    P be any partition of the pairs whose blocks' graphs are pairwise
+    disjoint, and let every current block lie inside a block of P, as
+    the singleton pairs do.  H(S, T) = up(S) cap down(T) only grows with
+    the block, so two current blocks whose graphs meet lie inside the
+    same block of P, and merging them keeps every block inside a block
+    of P.  The merging therefore ends at a partition with disjoint graphs
+    that is finer than every such P: the unique finest one.
     """
     matching.validate_order(domain)
-    blocks: list[tuple[frozenset[int], frozenset[int], int]] = []
-    for (s, t) in matching.pairs:
-        S, T = frozenset([s]), frozenset([t])
-        blocks.append((S, T, domain.sweeping_graph(S, T).vertex_mask))
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if blocks[i][2] & blocks[j][2]:
-                    S = blocks[i][0] | blocks[j][0]
-                    T = blocks[i][1] | blocks[j][1]
-                    mask = domain.sweeping_graph(S, T).vertex_mask
-                    blocks[i] = (S, T, mask)
-                    del blocks[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return PairPartition(tuple((S, T) for (S, T, _) in blocks))
+    blocks: dict[int, SweepingGraph] = {}  # first pair index -> graph
+    for first, (s, t) in enumerate(matching.pairs):
+        graph = domain.sweeping_graph((s,), (t,))
+        while met := [i for i, g in blocks.items() if g.vertex_mask & graph.vertex_mask]:
+            absorbed = [blocks.pop(i) for i in met]
+            first = min(first, *met)
+            graph = domain.sweeping_graph(
+                graph.source_set.union(*(g.source_set for g in absorbed)),
+                graph.sink_set.union(*(g.sink_set for g in absorbed)))
+        blocks[first] = graph
+    return tuple(blocks[i] for i in sorted(blocks))
 
 
-def build_components(f: ValuedFunction, partition: PairPartition
+def build_components(f: ValuedFunction, graphs: Sequence[SweepingGraph]
                      ) -> list[tuple[ValuedFunction, SweepingGraph]]:
-    """The Boolean functions and sweeping graphs for each block, as
-    bitmask unions.
+    """Each block's Boolean function, paired with the block's sweeping
+    graph, as bitmask unions.
 
     Inside H_i a vertex is 1 iff its value beats every block sink it can
     still reach, so the zeros there are the vertices below some sink t of
@@ -158,13 +142,12 @@ def build_components(f: ValuedFunction, partition: PairPartition
     up = domain._up_masks()  # noqa: SLF001
     ranks = f.ranks.tolist()
     below = _below_rank_masks(ranks)
-    for (S, T) in partition.blocks:
-        graph = domain.sweeping_graph(S, T)
+    for graph in graphs:
         mask = graph.vertex_mask
         zeros = above = 0
-        for t in T:
+        for t in graph.sink_set:
             zeros |= down[t] & below[ranks[t] + 1]
-        for s in S:
+        for s in graph.source_set:
             if mask >> s & 1:
                 above |= up[s]
         ones = (mask & ~zeros) | (above & ~mask)
@@ -204,7 +187,6 @@ class DecompositionCertificate:
 @dataclass(frozen=True)
 class Decomposition:
     matching: Matching
-    partition: PairPartition
     components: tuple[tuple[ValuedFunction, SweepingGraph], ...]
     certificate: DecompositionCertificate | None
     monotone: bool
@@ -230,14 +212,13 @@ def decompose(f: ValuedFunction, verify: bool = True) -> Decomposition:
     decomposition with the monotone flag set.  Non-monotone inputs over
     the pair budget raise `DomainSizeError`."""
     if is_monotone(f):
-        return Decomposition(Matching(()), PairPartition(()), (), None, True)
+        return Decomposition(Matching(()), (), None, True)
     matching = max_weight_min_card_matching(f)
-    partition = merge_pairs(f.domain, matching)
-    components = tuple(build_components(f, partition))
-    dec = Decomposition(matching, partition, components, None, False)
+    components = tuple(build_components(f, merge_pairs(f.domain, matching)))
+    dec = Decomposition(matching, components, None, False)
     if verify:
         cert = verify_decomposition(f, dec)
-        dec = Decomposition(matching, partition, components, cert, False)
+        dec = Decomposition(matching, components, cert, False)
     return dec
 
 
@@ -312,9 +293,6 @@ def verify_decomposition(f: ValuedFunction, dec: Decomposition
                                       f"violated by f_{idx}")
                 break
         if not ok:
-            break
-        if len(block_pairs) != len(S):
-            ok, witness = False, f"component {idx}: |M_i| != |S_i|"
             break
     checks.append(("block_matchings_violating", ok, witness))
 
@@ -447,7 +425,8 @@ def decomposition_dump(f: ValuedFunction, dec: Decomposition) -> dict:
         "monotone": dec.monotone,
         "k": dec.k,
         "matching": [list(p) for p in dec.matching.pairs],
-        "blocks": [{"S": sorted(S), "T": sorted(T)} for (S, T) in dec.partition.blocks],
+        "blocks": [{"S": sorted(graph.source_set), "T": sorted(graph.sink_set)}
+                   for (_, graph) in dec.components],
         "components": [
             {"vertices": sorted(graph.vertices), "values": list(fi.values)}
             for (fi, graph) in dec.components

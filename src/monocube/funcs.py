@@ -70,9 +70,6 @@ class ValuedFunction:
     def n(self) -> int:
         return self.domain.n
 
-    def __call__(self, x: int) -> float:
-        return self.values[x]
-
     def is_boolean(self) -> bool:
         return set(self.values) <= {0, 1}
 

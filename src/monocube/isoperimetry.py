@@ -286,6 +286,16 @@ def free_coordinates(x: int, d: int, direction: str) -> list[int]:
     raise ValueError(f"direction must be 'right' or 'left', not {direction!r}")
 
 
+# A tau-step walk flips tau free coordinates: it sets 0-bits going right
+# and clears 1-bits going left, so either way it ends at y = x ^ bits(T).
+# The value at y persists when it stays on f(x)'s side of the walk.
+_STAYS = {"right": operator.le, "left": operator.ge}
+
+
+def _bits(coordinates: Iterable[int]) -> int:
+    return sum(1 << i for i in coordinates)
+
+
 def persistence_probability(f: ValuedFunction, x: int, tau: int,
                             direction: str = "right",
                             enumeration_cap: int = DEFAULT_ENUMERATION_CAP
@@ -310,22 +320,8 @@ def persistence_probability(f: ValuedFunction, x: int, tau: int,
     if total > enumeration_cap:
         raise DomainSizeError(
             f"exact persistence needs {total} subsets, cap is {enumeration_cap}")
-    fx = f.values[x]
-    good = 0
-    if direction == "right":
-        for T in combinations(free, tau):
-            y = x
-            for i in T:
-                y |= 1 << i
-            if f.values[y] <= fx:
-                good += 1
-    else:
-        for T in combinations(free, tau):
-            y = x
-            for i in T:
-                y &= ~(1 << i)
-            if f.values[y] >= fx:
-                good += 1
+    fx, stays = f.values[x], _STAYS[direction]
+    good = sum(stays(f.values[x ^ _bits(T)], fx) for T in combinations(free, tau))
     return Fraction(good, total)
 
 
@@ -347,14 +343,8 @@ def persistence_probability_mc(f: ValuedFunction, x: int, tau: int,
     if tau > len(free):
         return PersistenceEstimate(1.0, 0.0, samples)
     rng = random.Random(seed)
-    fx = f.values[x]
-    good = 0
-    for _ in range(samples):
-        y = x
-        for i in rng.sample(free, tau):
-            y = y | 1 << i if direction == "right" else y & ~(1 << i)
-        ok = f.values[y] <= fx if direction == "right" else f.values[y] >= fx
-        good += ok
+    fx, stays = f.values[x], _STAYS[direction]
+    good = sum(stays(f.values[x ^ _bits(rng.sample(free, tau))], fx) for _ in range(samples))
     p = good / samples
     return PersistenceEstimate(p, math.sqrt(p * (1 - p) / samples), samples)
 

@@ -10,17 +10,15 @@ read off a maximum matching in the split bipartite graph (Dilworth /
 Koenig).  That gives an exact polynomial-time `exact_distance` for
 arbitrary real values; for Boolean inputs the split graph degenerates to
 the ordinary bipartite violation graph, which is the classical Koenig
-fast path.
+fast path.  The tests cross-check it against a branch-and-bound minimum
+vertex cover on the general violation graph and a brute-force sweep
+over all vertex subsets.
 
-Two independent routes are kept for cross-checks: a branch-and-bound
-minimum vertex cover on the general violation graph, and a brute-force
-sweep over all vertex subsets.
-
-Every route starts from the violated pairs: one gather-and-compare of
-the function's ranks over the domain's cached comparable-pair arrays
+The exact solver starts from the violated pairs: one gather-and-compare
+of the function's ranks over the domain's cached comparable-pair arrays
 (`PosetDomain.pair_arrays`), which check the pair budget
-(`poset.MAX_PAIRS`) before any mask or array is built; the exponential
-oracles keep their own caps.  `exact_distance` is solved once per
+(`poset.MAX_PAIRS`) before any mask or array is built; the exhaustive
+coloring search keeps its own cap.  `exact_distance` is solved once per
 function: its certificate is cached on the function, like the ranks and
 the violation profile.
 
@@ -33,7 +31,8 @@ monotonicity test (`violated_cover_edges`, which the decomposition's
 checks share), the violated-pair compare, one Hopcroft-Karp call on the
 disjoint union of the rows' split graphs, whose last breadth-first
 search is the Koenig cover, the repair and the certificate's
-assertions.
+assertions.  A certificate keeps the repair as the vertex each point
+copies and builds the repaired function only when it is read.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ from .funcs import ValuedFunction
 from .isoperimetry import EdgeColoring, robust_objective, violation_profile
 from .poset import DomainSizeError, PosetDomain, row_chunks
 
-MATCHING_ENUM_CAP = 16
 COLORING_ENUM_CAP = 20
 
 
@@ -95,11 +94,25 @@ def _violated_rows(domain: PosetDomain, ranks: np.ndarray
 class DistanceCertificate:
     epsilon: Fraction
     vertex_cover: frozenset[int]
-    repaired: ValuedFunction
+    # f's domain and values, and the vertex each point of the repair copies
+    # (None when f is monotone).  Not f itself: f caches this certificate,
+    # and the reference cycle would keep both alive until a collection.
+    domain: PosetDomain
+    f_values: tuple
+    source: tuple[int, ...] | None = None
 
     @property
     def cover_size(self) -> int:
         return len(self.vertex_cover)
+
+    @cached_property
+    def repaired(self) -> ValuedFunction:
+        """The monotone repair of f, built on first read: the function
+        whose value at z is f's at ``source[z]``."""
+        values = self.f_values
+        if self.source is not None:
+            values = tuple(map(values.__getitem__, self.source))
+        return ValuedFunction(self.domain, values)
 
     @classmethod
     def of(cls, f: ValuedFunction) -> "DistanceCertificate":
@@ -127,7 +140,7 @@ class DistanceCertificate:
         if any(f.domain is not domain for f in fs):
             raise ValueError("a batch of exact solves must share one domain")
         n = domain.n
-        certs = [cls(Fraction(0), frozenset(), f) for f in fs]
+        certs = [cls(Fraction(0), frozenset(), domain, f.values) for f in fs]
         ranks = np.stack([f.ranks for f in fs])
         todo = np.flatnonzero(np.concatenate(
             [violated.any(axis=1) for _, violated in violated_cover_edges(domain, ranks)]))
@@ -163,10 +176,9 @@ class DistanceCertificate:
             assert not len(bad), (f"repair changed {changed[bad[0]]} points of row "
                                   f"{todo[rows][bad[0]]}, its cover has {sizes[bad[0]]}")
             for i, covered_row, s in zip(todo[rows].tolist(), cover, source.tolist()):
-                f = fs[i]
                 vertex_cover = frozenset(np.flatnonzero(covered_row).tolist())
-                g = ValuedFunction(domain, tuple(map(f.values.__getitem__, s)))
-                certs[i] = cls(Fraction(len(vertex_cover), n), vertex_cover, g)
+                certs[i] = cls(Fraction(len(vertex_cover), n), vertex_cover, domain,
+                               fs[i].values, tuple(s))
         return certs
 
 
@@ -284,118 +296,6 @@ def _repair(domain: PosetDomain, ranks: np.ndarray, cover: np.ndarray) -> np.nda
     best = domain.down_max(np.where(kept, ranks * n + (n - 1 - np.arange(n)), -1))
     fallback = np.where(kept, ranks, np.iinfo(np.int64).max).argmin(axis=1)
     return np.where(best < 0, fallback[:, None], n - 1 - best % n)
-
-
-def exact_distance_bruteforce(f: ValuedFunction, cap: int = 20) -> int:
-    """Minimum vertex cover size of the violation graph by sweeping all
-    2^n vertex subsets (kept sets).  Independent of `exact_distance`."""
-    n = f.domain.n
-    if n > cap:
-        raise DomainSizeError(f"brute force over 2^{n} subsets exceeds cap 2^{cap}")
-    bad = [0] * n
-    for (x, y) in violated_pairs(f).tolist():
-        bad[x] |= 1 << y
-        bad[y] |= 1 << x
-    best = 0
-    valid = bytearray(1 << n)
-    valid[0] = 1
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        if valid[rest] and not bad[v] & rest:
-            valid[mask] = 1
-            size = mask.bit_count()
-            if size > best:
-                best = size
-    return n - best
-
-
-def mvc_branch_bound(f: ValuedFunction) -> int:
-    """Minimum vertex cover size of the violation graph by branch and
-    bound on the general graph (include a max-degree vertex or all of its
-    neighbours; greedy-matching lower bound for pruning).  Cross-check
-    route for `exact_distance`."""
-    adj: dict[int, set[int]] = {}
-    for (x, y) in violated_pairs(f).tolist():
-        adj.setdefault(x, set()).add(y)
-        adj.setdefault(y, set()).add(x)
-
-    best = [len(adj)]  # all touched vertices always cover
-
-    def matching_lb(graph: dict[int, set[int]]) -> int:
-        used = set()
-        size = 0
-        for u in sorted(graph):
-            if u in used:
-                continue
-            for v in sorted(graph[u]):
-                if v not in used:
-                    used.add(u)
-                    used.add(v)
-                    size += 1
-                    break
-        return size
-
-    def strip(graph: dict[int, set[int]], removed: set[int]) -> dict[int, set[int]]:
-        out = {}
-        for u, nbrs in graph.items():
-            if u in removed:
-                continue
-            rest = nbrs - removed
-            if rest:
-                out[u] = rest
-        return out
-
-    def solve(graph: dict[int, set[int]], taken: int) -> None:
-        # peel degree-1 vertices: take the neighbour
-        while True:
-            if taken + matching_lb(graph) >= best[0]:
-                return
-            if not graph:
-                best[0] = min(best[0], taken)
-                return
-            deg1 = next((u for u in sorted(graph) if len(graph[u]) == 1), None)
-            if deg1 is None:
-                break
-            v = next(iter(graph[deg1]))
-            graph = strip(graph, {deg1, v})
-            taken += 1
-        u = max(sorted(graph), key=lambda w: len(graph[w]))
-        solve(strip(graph, {u}), taken + 1)
-        nbrs = set(graph[u])
-        solve(strip(graph, nbrs | {u}), taken + len(nbrs))
-
-    solve(adj, 0)
-    return best[0]
-
-
-def enumerate_matchings_check(f: ValuedFunction, cap: int = MATCHING_ENUM_CAP
-                              ) -> tuple[int, int]:
-    """Brute-force (max total rank gap, min cardinality among maximizers)
-    over all matchings of violated comparable pairs.  Validates the
-    decomposition's matching solver; weights are rank gaps, exactly as
-    the solver's."""
-    n = f.domain.n
-    if n > cap:
-        raise DomainSizeError(f"matching enumeration needs n <= {cap}, got {n}")
-    ranks = f.ranks.tolist()
-    pairs = violated_pairs(f).tolist()
-    gaps = [ranks[x] - ranks[y] for (x, y) in pairs]
-    best = (0, 0)  # (weight, -cardinality) maximized lexicographically
-
-    def rec(idx: int, used: int, weight: int, card: int) -> None:
-        nonlocal best
-        if (weight, -card) > best:
-            best = (weight, -card)
-        for k in range(idx, len(pairs)):
-            x, y = pairs[k]
-            m = 1 << x | 1 << y
-            if not used & m:
-                rec(k + 1, used | m, weight + gaps[k], card + 1)
-
-    rec(0, 0, 0, 0)
-    return best[0], -best[1]
 
 
 def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",

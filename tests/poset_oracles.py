@@ -1,15 +1,27 @@
-"""Bitmask reference implementations kept as test oracles.
+"""Reference implementations kept as test oracles.
 
-Each helper answers from a domain's per-vertex up-set / down-set bitmasks
-(Python ints) a question the library answers from arrays, or that the
-library only relies on: the comparable-pair walk that
+Most helpers answer from a domain's per-vertex up-set / down-set
+bitmasks (Python ints) a question the library answers from arrays, or
+that the library only relies on: the comparable-pair walk that
 `PosetDomain.pair_arrays` replaced, the induced edges of a sweeping
 graph, the sources and sinks a vertex sees, where a vertex sits
 relative to a sweeping graph, whether two pairs' sweeping graphs
-conflict, and a block's Boolean part one vertex at a time.
+conflict, a block's Boolean part one vertex at a time, and the block
+merge by rescanning that `decomposition.merge_pairs` replaced.
+
+The brute-force oracles cross-check the exact solvers independently:
+the minimum vertex cover of the violation graph by sweeping all vertex
+subsets and by branch and bound, and the decomposition's matching
+objective by enumerating every matching.
 """
 
 from __future__ import annotations
+
+from monocube.funcs import ValuedFunction
+from monocube.oracles import violated_pairs
+from monocube.poset import DomainSizeError
+
+MATCHING_ENUM_CAP = 16
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -101,3 +113,141 @@ def component_values(f, graph) -> tuple[int, ...]:
         else:
             values.append(1 if mask & down[z] & ~(1 << z) else 0)
     return tuple(values)
+
+
+def merge_pairs_rescan(domain, matching) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
+    """The blocks (S, T) of a matching by rescanning: scan the blocks in
+    index order, merge the first two whose sweeping graphs meet into the
+    earlier slot, and scan again until no two meet."""
+    matching.validate_order(domain)
+    blocks = []
+    for (s, t) in matching.pairs:
+        S, T = frozenset([s]), frozenset([t])
+        blocks.append((S, T, domain.sweeping_graph(S, T).vertex_mask))
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                if blocks[i][2] & blocks[j][2]:
+                    S = blocks[i][0] | blocks[j][0]
+                    T = blocks[i][1] | blocks[j][1]
+                    blocks[i] = (S, T, domain.sweeping_graph(S, T).vertex_mask)
+                    del blocks[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    return tuple((S, T) for (S, T, _) in blocks)
+
+
+def exact_distance_bruteforce(f: ValuedFunction, cap: int = 20) -> int:
+    """Minimum vertex cover size of the violation graph by sweeping all
+    2^n vertex subsets (kept sets).  Independent of `exact_distance`."""
+    n = f.domain.n
+    if n > cap:
+        raise DomainSizeError(f"brute force over 2^{n} subsets exceeds cap 2^{cap}")
+    bad = [0] * n
+    for (x, y) in violated_pairs(f).tolist():
+        bad[x] |= 1 << y
+        bad[y] |= 1 << x
+    best = 0
+    valid = bytearray(1 << n)
+    valid[0] = 1
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        if valid[rest] and not bad[v] & rest:
+            valid[mask] = 1
+            size = mask.bit_count()
+            if size > best:
+                best = size
+    return n - best
+
+
+def mvc_branch_bound(f: ValuedFunction) -> int:
+    """Minimum vertex cover size of the violation graph by branch and
+    bound on the general graph (include a max-degree vertex or all of its
+    neighbours; greedy-matching lower bound for pruning).  Cross-check
+    route for `exact_distance`."""
+    adj: dict[int, set[int]] = {}
+    for (x, y) in violated_pairs(f).tolist():
+        adj.setdefault(x, set()).add(y)
+        adj.setdefault(y, set()).add(x)
+
+    best = [len(adj)]  # all touched vertices always cover
+
+    def matching_lb(graph: dict[int, set[int]]) -> int:
+        used = set()
+        size = 0
+        for u in sorted(graph):
+            if u in used:
+                continue
+            for v in sorted(graph[u]):
+                if v not in used:
+                    used.add(u)
+                    used.add(v)
+                    size += 1
+                    break
+        return size
+
+    def strip(graph: dict[int, set[int]], removed: set[int]) -> dict[int, set[int]]:
+        out = {}
+        for u, nbrs in graph.items():
+            if u in removed:
+                continue
+            rest = nbrs - removed
+            if rest:
+                out[u] = rest
+        return out
+
+    def solve(graph: dict[int, set[int]], taken: int) -> None:
+        # peel degree-1 vertices: take the neighbour
+        while True:
+            if taken + matching_lb(graph) >= best[0]:
+                return
+            if not graph:
+                best[0] = min(best[0], taken)
+                return
+            deg1 = next((u for u in sorted(graph) if len(graph[u]) == 1), None)
+            if deg1 is None:
+                break
+            v = next(iter(graph[deg1]))
+            graph = strip(graph, {deg1, v})
+            taken += 1
+        u = max(sorted(graph), key=lambda w: len(graph[w]))
+        solve(strip(graph, {u}), taken + 1)
+        nbrs = set(graph[u])
+        solve(strip(graph, nbrs | {u}), taken + len(nbrs))
+
+    solve(adj, 0)
+    return best[0]
+
+
+def enumerate_matchings_check(f: ValuedFunction, cap: int = MATCHING_ENUM_CAP
+                              ) -> tuple[int, int]:
+    """Brute-force (max total rank gap, min cardinality among maximizers)
+    over all matchings of violated comparable pairs.  Validates the
+    decomposition's matching solver; weights are rank gaps, exactly as
+    the solver's."""
+    n = f.domain.n
+    if n > cap:
+        raise DomainSizeError(f"matching enumeration needs n <= {cap}, got {n}")
+    ranks = f.ranks.tolist()
+    pairs = violated_pairs(f).tolist()
+    gaps = [ranks[x] - ranks[y] for (x, y) in pairs]
+    best = (0, 0)  # (weight, -cardinality) maximized lexicographically
+
+    def rec(idx: int, used: int, weight: int, card: int) -> None:
+        nonlocal best
+        if (weight, -card) > best:
+            best = (weight, -card)
+        for k in range(idx, len(pairs)):
+            x, y = pairs[k]
+            m = 1 << x | 1 << y
+            if not used & m:
+                rec(k + 1, used | m, weight + gaps[k], card + 1)
+
+    rec(0, 0, 0, 0)
+    return best[0], -best[1]

@@ -3,8 +3,8 @@
 Each test implements one numbered acceptance criterion at its stated
 tolerance and prints one PASS/FAIL line (run with `pytest -s` to see the
 lines stream).  Expected values are either trivial, derived from the
-independent oracles in `monocube.oracles`, or statistical with explicit
-sigma margins.
+independent oracles in `monocube.oracles` and `poset_oracles`, or
+statistical with explicit sigma margins.
 """
 
 import math
@@ -25,12 +25,11 @@ from monocube.hard_instances import (LowerBoundSpec, cap_set,
                                      violation_witness_count, witness_matching)
 from monocube.isoperimetry import (EdgeColoring, dist_to_const_fraction,
                                    undirected_objective, violation_profile)
-from monocube.oracles import (boolean_variance, exact_distance,
-                              exact_distance_bruteforce, is_monotone,
-                              median_threshold)
+from monocube.oracles import boolean_variance, exact_distance, is_monotone, median_threshold
 from monocube.poset import hypercube
 from monocube.seeds import derive_seed
 from monocube.testers import TesterConfig, pair_draws, pair_tester
+from poset_oracles import exact_distance_bruteforce
 
 SUITE_SEED = 20240
 SUITE_SIZE = 500

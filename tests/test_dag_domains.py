@@ -7,9 +7,9 @@ import random
 from monocube.decomposition import decompose, robust_chain_check
 from monocube.funcs import ValuedFunction
 from monocube.isoperimetry import EdgeColoring, violation_profile
-from monocube.oracles import (exact_distance, exact_distance_bruteforce,
-                              is_monotone, mvc_branch_bound)
+from monocube.oracles import exact_distance, is_monotone
 from monocube.poset import PosetDomain
+from poset_oracles import exact_distance_bruteforce, mvc_branch_bound
 
 
 def random_dag(n, density, rng):

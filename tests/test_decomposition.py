@@ -11,11 +11,11 @@ from monocube.decomposition import (Matching, build_components, decompose,
 from monocube.funcs import (ValuedFunction, anti_dictator, canonical_rank,
                             random_function, random_monotone)
 from monocube.isoperimetry import EdgeColoring, robust_objective, violation_profile
-from monocube.oracles import (enumerate_matchings_check, exact_distance, is_monotone,
-                              violated_cover_edges)
+from monocube.oracles import exact_distance, is_monotone, violated_cover_edges
 from monocube import poset
 from monocube.poset import PosetDomain, hypercube
-from poset_oracles import component_values, conflict, position_relative_to
+from poset_oracles import (component_values, conflict, enumerate_matchings_check,
+                           merge_pairs_rescan, position_relative_to)
 from test_dag_domains import random_dag
 
 
@@ -85,8 +85,8 @@ def test_conflict_examples(diamond_dag):
 def test_merge_pairs_figure_case(diamond_dag):
     # pairs (a,x), (b,y) conflict at the shared midpoint; (c,z) stays alone
     m = Matching(((0, 4), (1, 5), (2, 6)))
-    part = merge_pairs(diamond_dag, m)
-    blocks = {(tuple(sorted(S)), tuple(sorted(T))) for (S, T) in part.blocks}
+    graphs = merge_pairs(diamond_dag, m)
+    blocks = {(tuple(sorted(g.source_set)), tuple(sorted(g.sink_set))) for g in graphs}
     assert blocks == {((0, 1), (4, 5)), ((2,), (6,))}
 
 
@@ -97,13 +97,85 @@ def test_merge_pairs_trivia(diamond_dag):
     assert len(disjoint) == 2
 
 
+def random_matching(domain, rng, near=False):
+    """A random matching of comparable pairs, in random order: the pairs
+    are scanned shuffled, and each one disjoint from those kept is kept
+    until a random size is reached.  With ``near``, only pairs whose ids
+    differ by less than 8 are used, which gives smaller graphs and so
+    more blocks."""
+    lower, upper = domain.pair_arrays
+    if near:
+        close = upper.astype(int) - lower < 8
+        lower, upper = lower[close], upper[close]
+    size = rng.randint(0, domain.n // 2)
+    used, pairs = set(), []
+    for k in rng.sample(range(len(lower)), len(lower)):
+        if len(pairs) == size:
+            break
+        s, t = int(lower[k]), int(upper[k])
+        if not {s, t} & used:
+            used |= {s, t}
+            pairs.append((s, t))
+    return Matching(tuple(pairs))
+
+
+def block_sets(graphs):
+    return tuple((g.source_set, g.sink_set) for g in graphs)
+
+
+MERGE_DOMAINS = ([hypercube(d) for d in range(1, 8)]
+                 + [random_dag(n, 4 / n, random.Random(n)) for n in (5, 12, 30, 60)]
+                 + [PosetDomain("dag", n=6)])
+
+
+def merge_cases(domain, rng):
+    """Random matchings of comparable pairs and the solver's matchings of
+    random functions on one domain."""
+    cases = [random_matching(domain, rng, near) for near in (False, True) for _ in range(6)]
+    cases += [max_weight_min_card_matching(random_function(domain, r, seed))
+              for r, seed in ((2, 1), (5, 2), (9, 3))]
+    return cases
+
+
+@pytest.mark.parametrize("domain", MERGE_DOMAINS, ids=repr)
+def test_merge_pairs_matches_the_rescan(domain):
+    """The one-pass merge gives the rescan's blocks in the rescan's order,
+    each with its own sweeping graph."""
+    rng = random.Random(domain.n)
+    for matching in merge_cases(domain, rng):
+        graphs = merge_pairs(domain, matching)
+        assert block_sets(graphs) == merge_pairs_rescan(domain, matching)
+        for g in graphs:
+            assert g.vertex_mask == domain.sweeping_graph(g.source_set, g.sink_set).vertex_mask
+
+
+def test_merge_pairs_matches_the_rescan_on_the_diamond(diamond_dag):
+    rng = random.Random(7)
+    for matching in merge_cases(diamond_dag, rng) + [Matching(((1, 5), (2, 6), (0, 4)))]:
+        assert block_sets(merge_pairs(diamond_dag, matching)) \
+            == merge_pairs_rescan(diamond_dag, matching)
+
+
+@pytest.mark.parametrize("domain", MERGE_DOMAINS, ids=repr)
+def test_merge_pairs_ignores_the_pair_order(domain):
+    """Shuffling the matched pairs gives the same set of blocks."""
+    rng = random.Random(domain.n + 1)
+    for matching in merge_cases(domain, rng):
+        blocks = set(block_sets(merge_pairs(domain, matching)))
+        for _ in range(3):
+            shuffled = Matching(tuple(rng.sample(matching.pairs, len(matching))))
+            assert set(block_sets(merge_pairs(domain, shuffled))) == blocks
+
+
 def test_merge_termination_and_disjointness():
     for seed in range(25):
         f = random_function(hypercube(5), 6, seed)
         m = max_weight_min_card_matching(f)
-        part = merge_pairs(f.domain, m)
-        assert 0 < len(part) <= len(m) or len(m) == 0
-        masks = [f.domain.sweeping_graph(S, T).vertex_mask for (S, T) in part.blocks]
+        graphs = merge_pairs(f.domain, m)
+        assert 0 < len(graphs) <= len(m) or len(m) == 0
+        masks = [f.domain.sweeping_graph(g.source_set, g.sink_set).vertex_mask
+                 for g in graphs]
+        assert masks == [g.vertex_mask for g in graphs]
         for i in range(len(masks)):
             for j in range(i + 1, len(masks)):
                 assert not masks[i] & masks[j]
@@ -135,9 +207,9 @@ def test_components_match_the_per_vertex_rule(domain):
     per-vertex rule does, with Python int values."""
     for r, seed in ((2, 1), (4, 2), (9, 3)):
         f = random_function(domain, r, seed)
-        partition = merge_pairs(domain, max_weight_min_card_matching(f))
-        assert len(partition) or is_monotone(f)
-        for fi, graph in build_components(f, partition):
+        graphs = merge_pairs(domain, max_weight_min_card_matching(f))
+        assert len(graphs) or is_monotone(f)
+        for fi, graph in build_components(f, graphs):
             assert fi.values == component_values(f, graph)
             assert {type(v) for v in fi.values} <= {int}
 
@@ -189,9 +261,9 @@ def test_lemma_property_of_pairs():
         if is_monotone(f):
             continue
         dec = decompose(f, verify=False)
-        for (S, T) in dec.partition.blocks:
-            for s in S:
-                for t in T:
+        for (_, graph) in dec.components:
+            for s in graph.source_set:
+                for t in graph.sink_set:
                     if f.domain.reaches(s, t):
                         assert f.values[s] > f.values[t]
 
@@ -207,7 +279,7 @@ def test_verify_catches_corruption():
     flipped[s] = 0  # a block source must carry value 1
     from monocube.decomposition import Decomposition
     corrupted = Decomposition(
-        dec.matching, dec.partition,
+        dec.matching,
         ((ValuedFunction(f.domain, tuple(flipped)), graph),) + dec.components[1:],
         None, False)
     cert = verify_decomposition(f, corrupted)
@@ -243,7 +315,7 @@ def test_block_pairs_violated_names_an_ordered_unviolated_pair():
     part, graph = dec.components[0]
     # sink 2 lies above source 0, and f(2) = f(0)
     widened = f.domain.sweeping_graph(graph.source_set, graph.sink_set | {2})
-    corrupted = Decomposition(dec.matching, dec.partition, ((part, widened),), None, False)
+    corrupted = Decomposition(dec.matching, ((part, widened),), None, False)
     assert block_pairs_witness(verify_decomposition(f, corrupted)) \
         == "component 0: ordered pair (0,2) has f(0) = 1 <= f(2) = 1"
 
@@ -265,7 +337,7 @@ def test_block_pairs_violated_matches_the_per_pair_formulation():
             extra = rng.sample(sorted(set(range(f.n)) - graph.source_set), 2)
             parts[idx] = (part, domain.sweeping_graph(graph.source_set,
                                                       graph.sink_set | set(extra)))
-        corrupted = Decomposition(dec.matching, dec.partition, tuple(parts), None, False)
+        corrupted = Decomposition(dec.matching, tuple(parts), None, False)
         witness = block_pairs_witness(verify_decomposition(f, corrupted))
         assert witness == unviolated_pair_witness(f, corrupted)
         failed += bool(witness)
@@ -298,7 +370,7 @@ def test_violations_contained_names_the_first_escaped_edge(chunk, monkeypatch):
         for idx in rng.sample(range(dec.k), min(2, dec.k)):
             values = tuple(rng.choice((0, 1)) for _ in range(f.n))
             parts[idx] = (ValuedFunction(f.domain, values), parts[idx][1])
-        corrupted = Decomposition(dec.matching, dec.partition, tuple(parts), None, False)
+        corrupted = Decomposition(dec.matching, tuple(parts), None, False)
         cert = verify_decomposition(f, corrupted)
         (ok, witness), = [(ok, w) for (name, ok, w) in cert.checks
                           if name == "violations_contained"]
@@ -330,7 +402,7 @@ def test_chain_check_rejects_a_part_violating_an_edge_f_does_not():
     graph = dec.components[0][1]
     part = ValuedFunction(f.domain, (1, 1, 0, 1))    # violates (0, 2)
     from monocube.decomposition import Decomposition
-    corrupted = Decomposition(dec.matching, dec.partition, ((part, graph),),
+    corrupted = Decomposition(dec.matching, ((part, graph),),
                               dec.certificate, False)
     with pytest.raises(ValueError, match="^a part violates 1 edges that f does not violate$"):
         robust_chain_check(f, EdgeColoring.all_red(violation_profile(f)), corrupted)

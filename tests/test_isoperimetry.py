@@ -1,6 +1,8 @@
 import gc
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -213,6 +215,40 @@ def test_persistence_enumeration_cap():
     f = random_function(hypercube(8), 3, 0)
     with pytest.raises(DomainSizeError):
         persistence_probability(f, 0, 4, "right", enumeration_cap=10)
+
+
+def walk_endpoint(x, coordinates, direction):
+    """The endpoint of a walk that sets (right) or clears (left) each
+    coordinate, one bit at a time."""
+    for i in coordinates:
+        x = x | 1 << i if direction == "right" else x & ~(1 << i)
+    return x
+
+
+def persists(f, x, y, direction):
+    return f.values[y] <= f.values[x] if direction == "right" else f.values[y] >= f.values[x]
+
+
+def test_persistence_walk_matches_the_per_direction_walk():
+    """Exact and Monte Carlo persistence equal the per-direction bit walk,
+    the Monte Carlo estimate draw for draw from the same stream."""
+    f = ValuedFunction(hypercube(5), tuple(random.Random(4).choice([0, 1, 1.0, 2, 2.5, 3])
+                                           for _ in range(32)))
+    for direction in ("right", "left"):
+        for x in range(32):
+            free = isoperimetry.free_coordinates(x, 5, direction)
+            for tau in (1, 2, 3):
+                if tau > len(free):
+                    continue
+                good = sum(persists(f, x, walk_endpoint(x, T, direction), direction)
+                           for T in itertools.combinations(free, tau))
+                assert persistence_probability(f, x, tau, direction) \
+                    == Fraction(good, math.comb(len(free), tau))
+                rng = random.Random(x)
+                good = sum(persists(f, x, walk_endpoint(x, rng.sample(free, tau), direction),
+                                    direction) for _ in range(40))
+                assert persistence_probability_mc(f, x, tau, direction, 40, x).probability \
+                    == good / 40
 
 
 def test_persistence_left_right_symmetry():

@@ -9,19 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import decreasing_chain
 from monocube.cli import _verify_instance
+from monocube.decomposition import decompose
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
                             random_monotone, threshold, weight_function)
 from monocube.isoperimetry import undirected_objective, violation_profile
-from monocube.oracles import (DistanceCertificate, boolean_variance,
-                              enumerate_matchings_check,
-                              exact_distance, exact_distance_bruteforce,
-                              exact_distances,
-                              is_monotone, median_threshold, mvc_branch_bound,
+from monocube.oracles import (DistanceCertificate, boolean_variance, exact_distance,
+                              exact_distances, is_monotone, median_threshold,
                               violated_pairs, worst_coloring, _hopcroft_karp,
                               _repair)
 from monocube import poset
 from monocube.poset import DomainSizeError, PosetDomain, hypercube
 from monocube.seeds import derive_seed
+from poset_oracles import (enumerate_matchings_check, exact_distance_bruteforce,
+                           mvc_branch_bound)
 
 
 def test_is_monotone_examples():
@@ -132,6 +132,27 @@ def test_exact_distance_is_solved_once_per_function(monkeypatch):
     g = ValuedFunction(f.domain, f.values)
     assert exact_distance(g) == cert and exact_distance(g) is not cert
     assert len(solved) == 2
+
+
+def test_repaired_function_is_built_only_when_read(monkeypatch):
+    """A Boolean decomposition solves f and every part but builds no
+    repaired function; a read builds it once, and a monotone input's
+    repair has its values."""
+    built = []
+    post_init = ValuedFunction.__post_init__
+    monkeypatch.setattr(ValuedFunction, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    f = random_function(hypercube(8), 2, 0)
+    dec = decompose(f)
+    assert dec.certificate.all_ok and len(built) == 1 + dec.k
+    assert not any("repaired" in vars(g.exact_distance)
+                   for g in [f, *(fi for (fi, _) in dec.components)])
+    cert = exact_distance(f)
+    assert cert.repaired is cert.repaired and len(built) == 2 + dec.k
+    assert is_monotone(cert.repaired)
+    assert cert.repaired.values == tuple(f.values[s] for s in cert.source)
+    mono = random_monotone(hypercube(4), 3, 2)
+    assert exact_distance(mono).repaired.values == mono.values
 
 
 def test_verify_instance_solves_f_once(monkeypatch):
