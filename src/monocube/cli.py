@@ -123,12 +123,10 @@ def cmd_decompose(args) -> int:
     started = time.perf_counter()
     f = read_function(args.fn)
     dec = decompose(f)
-    doc = decomposition_dump(f, dec)
+    doc = decomposition_dump(dec)
     doc["meta"] = _meta("decompose", {"fn": args.fn}, 0, started)
     _emit(doc, args.out)
-    if dec.monotone:
-        return 0
-    return 0 if dec.certificate.all_ok else 1
+    return 0 if dec.monotone or dec.certificate.all_ok else 1
 
 
 def cmd_test_monotone(args) -> int:

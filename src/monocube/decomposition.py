@@ -22,14 +22,13 @@ Each part is built from bitmask unions: the zeros inside its graph are
 the vertices below some block sink with rank at most the sink's, and
 the ones outside are the vertices above one of its sources.
 
-The certificate and the chain check treat the k parts as one stack:
-`verify_decomposition` solves every unsolved part in one
-`oracles.exact_distances` call, which solves each chunk of parts as one
-bipartite graph, and checks all parts' violated edges with
-`oracles.violated_cover_edges`; `robust_chain_check` selects f's m
-violated edges from the decomposition's cached (k, E) cover-edge masks
-(`Decomposition.edge_masks`: inside each part's graph, violated by each
-part) and gets every chain value from `isoperimetry.colored_objectives`.
+A decomposition's certificate is built when first read.  It and the
+chain check treat the k parts as one stack: one `oracles.exact_distances`
+call solves f and every part, and one chunked pass (`_part_edges`) gives
+each part's inside and violated cover edges.  The chain check stacks
+those chunks once (`Decomposition.edge_masks`), selects f's violated
+edges with its profile's mask and gets every chain value from
+`isoperimetry.colored_objectives`.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import networkx as nx
 import numpy as np
@@ -88,9 +87,9 @@ def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
     graph = nx.Graph()
     graph.add_weighted_edges_from(zip(lower, upper, weights.tolist()))
     matched = nx.max_weight_matching(graph, maxcardinality=False)
-    cand = set(zip(lower, upper))
-    oriented = [(a, b) if (a, b) in cand else (b, a) for (a, b) in matched]
-    return Matching(tuple(sorted(oriented)))
+    # a matched pair is violated, so its lower end has the strictly higher rank
+    return Matching(tuple(sorted((a, b) if ranks[a] > ranks[b] else (b, a)
+                                 for (a, b) in matched)))
 
 
 def merge_pairs(domain: PosetDomain, matching: Matching) -> tuple[SweepingGraph, ...]:
@@ -186,139 +185,153 @@ class DecompositionCertificate:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """f's parts (f_i, H_i) and their matching; the certificate is built when read."""
+
+    f: ValuedFunction
     matching: Matching
     components: tuple[tuple[ValuedFunction, SweepingGraph], ...]
-    certificate: DecompositionCertificate | None
-    monotone: bool
 
     @property
     def k(self) -> int:
         return len(self.components)
+
+    @property
+    def monotone(self) -> bool:
+        """Every matched pair weighs (n+1)*gap - 1 >= n > 0, so only a
+        monotone f has an empty matching."""
+        return not self.matching.pairs
+
+    @cached_property
+    def certificate(self) -> DecompositionCertificate | None:
+        """`verify_decomposition` of this decomposition, run on first read;
+        None for a monotone f."""
+        return None if self.monotone else verify_decomposition(self)
 
     @cached_property
     def edge_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """Two boolean ``(k, E)`` arrays over the domain's cover edges, built
         on first use: the edges inside each part's graph, and the edges each
         part violates.  `robust_chain_check` reads them for every coloring."""
-        domain = self.components[0][1].domain
-        lower, upper = domain.edge_arrays
-        inside = _inside_stack(self, domain.n)
-        violated = [v for _, v in violated_cover_edges(domain, _part_ranks(self, domain.n))]
-        return inside[:, lower] & inside[:, upper], np.vstack(violated)
+        _, inside, violated = zip(*_part_edges(self))
+        return np.vstack(inside), np.vstack(violated)
 
 
-def decompose(f: ValuedFunction, verify: bool = True) -> Decomposition:
-    """Run the full pipeline; monotone input yields an explicitly empty
-    decomposition with the monotone flag set.  Non-monotone inputs over
-    the pair budget raise `DomainSizeError`."""
+def _part_edges(dec: Decomposition) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """For each chunk of parts (`oracles.violated_cover_edges`): its slice,
+    and two boolean arrays over the cover edges, one row per part: the
+    edges inside the part's graph, and the edges the part violates."""
+    domain = dec.f.domain
+    lower, upper = domain.edge_arrays
+    ranks = np.array([fi.ranks for (fi, _) in dec.components]).reshape(dec.k, domain.n)
+    for rows, violated in violated_cover_edges(domain, ranks):
+        inside = np.array([graph.vertex_array for (_, graph) in dec.components[rows]])
+        yield rows, inside.take(lower, axis=1) & inside.take(upper, axis=1), violated
+
+
+def decompose(f: ValuedFunction) -> Decomposition:
+    """Run the full pipeline, leaving the certificate until it is read;
+    monotone input yields an explicitly empty decomposition.  Non-monotone
+    inputs over the pair budget raise `DomainSizeError`."""
     if is_monotone(f):
-        return Decomposition(Matching(()), (), None, True)
+        return Decomposition(f, Matching(()), ())
     matching = max_weight_min_card_matching(f)
-    components = tuple(build_components(f, merge_pairs(f.domain, matching)))
-    dec = Decomposition(matching, components, None, False)
-    if verify:
-        cert = verify_decomposition(f, dec)
-        dec = Decomposition(matching, components, cert, False)
-    return dec
+    return Decomposition(f, matching, tuple(build_components(f, merge_pairs(f.domain, matching))))
 
 
-def verify_decomposition(f: ValuedFunction, dec: Decomposition
-                         ) -> DecompositionCertificate:
-    """Re-derive and check every promised property of a decomposition.
+def verify_decomposition(dec: Decomposition) -> DecompositionCertificate:
+    """Re-derive and check every promised property of a decomposition of f.
 
     Checks: (i) twice the summed part distances covers the distance of f;
     (ii) each part only violates edges of f inside its own graph;
     (iii) the graphs are pairwise vertex-disjoint; (iv) each block's
     matched pairs form a violation matching of its Boolean function;
     (v) every ordered (source, sink) pair inside a block is violated by f.
-    Failures carry a concrete witness.
+    A check's witness is the first failure its scan finds, or "" if none.
     """
-    checks: list[tuple[str, bool, str]] = []
-    eps_f, *eps_parts = (cert.epsilon for cert in
-                         exact_distances([f, *(fi for (fi, _) in dec.components)]))
-
-    ok = 2 * sum(eps_parts, Fraction(0)) >= eps_f
-    checks.append(("distance_preserved", ok,
-                   "" if ok else f"2*sum eps_i = {2 * sum(eps_parts, Fraction(0))} "
-                                 f"< eps(f) = {eps_f}"))
+    f = dec.f
+    eps_f, eps_parts = _epsilons(dec)
+    eps_sum = sum(eps_parts, Fraction(0))
+    profile = violation_profile(f)
 
     # every part's violated cover edges, a chunk of parts at a time; the
-    # first escaped one in (part, edge) order is the witness
+    # first escaped one of a chunk in (part, edge) order is its witness
     lower, upper = f.domain.edge_arrays
-    kept = f.ranks.take(lower) > f.ranks.take(upper)
-    inside = _inside_stack(dec, f.n)
-    violated_parts, witness = [], ""
-    for rows, violated in violated_cover_edges(f.domain, _part_ranks(dec, f.n)):
+    violated_parts, escapes = [], []
+    for rows, inside, violated in _part_edges(dec):
         violated_parts += np.count_nonzero(violated, axis=1).tolist()
-        if witness:
-            continue
-        block = inside[rows]
-        escaped = violated & ~(block.take(lower, axis=1) & block.take(upper, axis=1) & kept)
+        escaped = violated & ~(inside & profile.edge_mask)
         if escaped.any():
             r, e = np.unravel_index(np.argmax(escaped), escaped.shape)
             idx = rows.start + int(r)
-            witness = (f"component {idx}: edge {(int(lower[e]), int(upper[e]))} "
-                       f"escapes S_f^- cap E(H_{idx})")
-    checks.append(("violations_contained", not witness, witness))
+            escapes.append(f"component {idx}: edge {(int(lower[e]), int(upper[e]))} "
+                           f"escapes S_f^- cap E(H_{idx})")
 
-    witness = ""
-    ok = True
-    for i in range(len(dec.components)):
-        for j in range(i + 1, len(dec.components)):
-            shared = dec.components[i][1].vertex_mask & dec.components[j][1].vertex_mask
-            if shared:
-                ok = False
-                witness = (f"H_{i} and H_{j} share vertex "
-                           f"{(shared & -shared).bit_length() - 1}")
-                break
-        if not ok:
-            break
-    checks.append(("graphs_disjoint", ok, witness))
+    witnesses = {
+        "distance_preserved": [f"2*sum eps_i = {2 * eps_sum} < eps(f) = {eps_f}"]
+                              if 2 * eps_sum < eps_f else [],
+        "violations_contained": escapes,
+        "graphs_disjoint": _shared_vertices(dec),
+        "block_matchings_violating": _unmatched_block_pairs(dec),
+        "block_pairs_violated": _unviolated_block_pairs(dec),
+    }
+    return DecompositionCertificate(
+        epsilon_f=eps_f, epsilon_parts=tuple(eps_parts),
+        violated_f=profile.num_violated,
+        violated_parts=tuple(violated_parts),
+        checks=tuple((name, not witness, witness) for name, found in witnesses.items()
+                     for witness in [next(iter(found), "")]))
 
-    witness = ""
-    ok = True
+
+def _epsilons(dec: Decomposition) -> tuple[Fraction, list[Fraction]]:
+    """eps(f) and each eps(f_i), solved as one batch and cached on first use."""
+    eps_f, *eps_parts = (cert.epsilon for cert in
+                         exact_distances([dec.f, *(fi for (fi, _) in dec.components)]))
+    return eps_f, eps_parts
+
+
+def _shared_vertices(dec: Decomposition) -> Iterator[str]:
+    """Each pair of part graphs H_i, H_j (i < j) that meet, in (i, j) order,
+    with their smallest shared vertex.  Unions of the later graphs skip each
+    i that meets none, so the first pair costs O(k) mask operations."""
+    masks = [graph.vertex_mask for (_, graph) in dec.components]
+    later = list(itertools.accumulate(reversed(masks), operator.or_, initial=0))[::-1]
+    for i, mask in enumerate(masks):
+        if mask & later[i + 1]:
+            for j in range(i + 1, len(masks)):
+                if shared := mask & masks[j]:
+                    yield f"H_{i} and H_{j} share vertex {(shared & -shared).bit_length() - 1}"
+
+
+def _unmatched_block_pairs(dec: Decomposition) -> Iterator[str]:
+    """Each block whose sources are not matched onto its sinks, and each
+    block pair (s, M(s)) that its Boolean function does not violate."""
     pair_of = dict(dec.matching.pairs)
     for idx, (fi, graph) in enumerate(dec.components):
         S = graph.source_set
         if not all(s in pair_of for s in S):
-            ok, witness = False, f"component {idx}: block sources unmatched"
-            break
-        block_pairs = [(s, pair_of[s]) for s in S]
-        if {t for (_, t) in block_pairs} != set(graph.sink_set):
-            ok, witness = False, f"component {idx}: M(S_i) != T_i"
-            break
-        for (s, t) in block_pairs:
-            if not (fi.values[s] == 1 and fi.values[t] == 0):
-                ok, witness = False, (f"component {idx}: pair ({s},{t}) is not "
-                                      f"violated by f_{idx}")
-                break
-        if not ok:
-            break
-    checks.append(("block_matchings_violating", ok, witness))
+            yield f"component {idx}: block sources unmatched"
+        elif {pair_of[s] for s in S} != graph.sink_set:
+            yield f"component {idx}: M(S_i) != T_i"
+        else:
+            yield from (f"component {idx}: pair ({s},{pair_of[s]}) is not violated by f_{idx}"
+                        for s in S if not (fi.values[s] == 1 and fi.values[pair_of[s]] == 0))
 
-    # one bitmask per source: the block sinks above it whose rank is not
-    # below its own; the witness is the first such pair in set order
+
+def _unviolated_block_pairs(dec: Decomposition) -> Iterator[str]:
+    """Each block source with a block sink above it that f does not
+    violate, and the first such sink in set order: one bitmask per
+    source, the block sinks above it whose rank is not below its own."""
+    f = dec.f
     up = f.domain._up_masks()  # noqa: SLF001
     ranks = f.ranks.tolist()
     below = _below_rank_masks(ranks)
-    witness = ""
     for idx, (_, graph) in enumerate(dec.components):
         sinks = sum(1 << t for t in graph.sink_set)
-        unviolated = next(((s, hits) for s in graph.source_set
-                           if (hits := up[s] & sinks & ~below[ranks[s]])), None)
-        if unviolated:
-            s, hits = unviolated
-            t = next(t for t in graph.sink_set if hits >> t & 1)
-            witness = (f"component {idx}: ordered pair ({s},{t}) has "
+        for s in graph.source_set:
+            if hits := up[s] & sinks & ~below[ranks[s]]:
+                t = next(t for t in graph.sink_set if hits >> t & 1)
+                yield (f"component {idx}: ordered pair ({s},{t}) has "
                        f"f({s}) = {f.values[s]} <= f({t}) = {f.values[t]}")
-            break
-    checks.append(("block_pairs_violated", not witness, witness))
-
-    return DecompositionCertificate(
-        epsilon_f=eps_f, epsilon_parts=tuple(eps_parts),
-        violated_f=violation_profile(f).num_violated,
-        violated_parts=tuple(violated_parts),
-        checks=tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -356,8 +369,7 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
     # masks over f's violated edges (profile order is cover-edge order),
     # one row per part: those inside the part's graph for (2) and (3),
     # those the part also violates for (4)
-    lower, upper = f.domain.edge_arrays
-    kept = f.ranks.take(lower) > f.ranks.take(upper)
+    kept = profile.edge_mask
     inside, violated = dec.edge_masks
     inside = inside.compress(kept, axis=1)
     inherited = violated.compress(kept, axis=1)
@@ -372,27 +384,14 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
     v3 = math.fsum(per_part[:dec.k])
     v4 = math.fsum(per_part[dec.k:])
 
-    eps_f = dec.certificate.epsilon_f if dec.certificate else exact_distance(f).epsilon
-    eps_sum = (dec.certificate.epsilon_sum if dec.certificate
-               else sum((exact_distance(fi).epsilon for (fi, _) in dec.components),
-                        Fraction(0)))
+    eps_f, eps_parts = _epsilons(dec)
+    eps_sum = sum(eps_parts, Fraction(0))
     ordering_ok = (v1 >= v2 - tol and abs(v2 - v3) <= tol and v3 >= v4 - tol)
     distance_ok = eps_sum >= eps_f / 2
     detail = "" if ordering_ok and distance_ok else \
         f"chain=({v1}, {v2}, {v3}, {v4}) eps_sum={eps_sum} eps_f={eps_f}"
     return ChainReport((v1, v2, v3, v4), eps_f, eps_sum, ordering_ok,
                        distance_ok, detail)
-
-
-def _inside_stack(dec: Decomposition, n: int) -> np.ndarray:
-    """The parts' vertex sets as one boolean ``(k, n)`` array."""
-    return np.array([graph.vertex_array for (_, graph) in dec.components],
-                    dtype=bool).reshape(dec.k, n)
-
-
-def _part_ranks(dec: Decomposition, n: int) -> np.ndarray:
-    """The parts' ranks as one ``(k, n)`` array."""
-    return np.array([fi.ranks for (fi, _) in dec.components]).reshape(dec.k, n)
 
 
 @dataclass(frozen=True)
@@ -418,7 +417,7 @@ def edge_bound_check(f: ValuedFunction) -> EdgeBoundReport:
         stronger_holds=violated >= cover)
 
 
-def decomposition_dump(f: ValuedFunction, dec: Decomposition) -> dict:
+def decomposition_dump(dec: Decomposition) -> dict:
     """JSON-ready dump: matching, blocks, part graphs, part functions,
     certificate flags and measured scalars."""
     doc: dict = {
@@ -432,7 +431,7 @@ def decomposition_dump(f: ValuedFunction, dec: Decomposition) -> dict:
             for (fi, graph) in dec.components
         ],
     }
-    if dec.certificate is not None:
+    if not dec.monotone:
         cert = dec.certificate
         doc["certificate"] = {
             "epsilon_f": str(cert.epsilon_f),

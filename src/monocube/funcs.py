@@ -94,7 +94,7 @@ class ValuedFunction:
         """This function's `oracles.exact_distance` certificate, solved once
         per function like `ranks`."""
         from .oracles import DistanceCertificate  # oracles imports funcs
-        return DistanceCertificate.of(self)
+        return DistanceCertificate.of_all([self])[0]
 
 
 def index_dtype(n: int) -> np.dtype:

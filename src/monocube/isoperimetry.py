@@ -62,6 +62,7 @@ DEFAULT_ENUMERATION_CAP = 10**6
 class ViolationProfile:
     """Violated edges and per-vertex counts of one function, as arrays."""
 
+    edge_mask: np.ndarray    # over `PosetDomain.edge_arrays`: True where f violates the edge
     lower: np.ndarray        # lower endpoints of the violated edges, in cover-edge order
     upper: np.ndarray        # their upper endpoints
     out: np.ndarray          # I_minus per vertex
@@ -81,7 +82,7 @@ class ViolationProfile:
         rising = upper.compress(rank_lower < rank_upper)
         lower, upper = lower.compress(violated), upper.compress(violated)
         out = np.bincount(lower, minlength=n)
-        return cls(lower, upper, out,
+        return cls(violated, lower, upper, out,
                    total=out + np.bincount(upper, minlength=n),
                    undirected=out + np.bincount(rising, minlength=n),
                    influential_edge_count=len(lower) + len(rising))

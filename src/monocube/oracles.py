@@ -115,12 +115,6 @@ class DistanceCertificate:
         return ValuedFunction(self.domain, values)
 
     @classmethod
-    def of(cls, f: ValuedFunction) -> "DistanceCertificate":
-        """Solve f, as a batch of one; callers use `exact_distance`, which
-        caches the certificate on f."""
-        return cls.of_all([f])[0]
-
-    @classmethod
     def of_all(cls, fs: Sequence[ValuedFunction]) -> list["DistanceCertificate"]:
         """Solve functions on one domain as one ``(rows, n)`` rank stack;
         callers use `exact_distances`, which caches each certificate on its

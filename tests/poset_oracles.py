@@ -6,8 +6,10 @@ that the library only relies on: the comparable-pair walk that
 `PosetDomain.pair_arrays` replaced, the induced edges of a sweeping
 graph, the sources and sinks a vertex sees, where a vertex sits
 relative to a sweeping graph, whether two pairs' sweeping graphs
-conflict, a block's Boolean part one vertex at a time, and the block
-merge by rescanning that `decomposition.merge_pairs` replaced.
+conflict, a block's Boolean part one vertex at a time, the block
+merge by rescanning that `decomposition.merge_pairs` replaced, and the
+scan over every pair of part graphs that the certificate's
+graphs_disjoint check replaced.
 
 The brute-force oracles cross-check the exact solvers independently:
 the minimum vertex cover of the violation graph by sweeping all vertex
@@ -139,6 +141,18 @@ def merge_pairs_rescan(domain, matching) -> tuple[tuple[frozenset[int], frozense
             if merged:
                 break
     return tuple((S, T) for (S, T, _) in blocks)
+
+
+def shared_vertex_pairwise(components) -> str:
+    """The graphs_disjoint witness of a decomposition's components: the
+    first pair of part graphs H_i, H_j (i < j) in (i, j) order whose
+    vertex masks meet, and their smallest shared vertex; "" if none do."""
+    for i in range(len(components)):
+        for j in range(i + 1, len(components)):
+            shared = components[i][1].vertex_mask & components[j][1].vertex_mask
+            if shared:
+                return f"H_{i} and H_{j} share vertex {(shared & -shared).bit_length() - 1}"
+    return ""
 
 
 def exact_distance_bruteforce(f: ValuedFunction, cap: int = 20) -> int:

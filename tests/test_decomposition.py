@@ -15,7 +15,8 @@ from monocube.oracles import exact_distance, is_monotone, violated_cover_edges
 from monocube import poset
 from monocube.poset import PosetDomain, hypercube
 from poset_oracles import (component_values, conflict, enumerate_matchings_check,
-                           merge_pairs_rescan, position_relative_to)
+                           merge_pairs_rescan, position_relative_to,
+                           shared_vertex_pairwise)
 from test_dag_domains import random_dag
 
 
@@ -219,7 +220,7 @@ def test_components_source_sink_values():
         f = random_function(hypercube(4), 5, seed)
         if is_monotone(f):
             continue
-        dec = decompose(f, verify=False)
+        dec = decompose(f)
         for (fi, graph) in dec.components:
             for s in graph.source_set:
                 assert fi.values[s] == 1
@@ -230,7 +231,7 @@ def test_components_source_sink_values():
 def test_components_above_rule():
     # a vertex strictly above a component's graph gets value 1
     f = random_function(hypercube(4), 4, 3)
-    dec = decompose(f, verify=False)
+    dec = decompose(f)
     for (fi, graph) in dec.components:
         for z in range(f.domain.n):
             pos = position_relative_to(f.domain, z, graph)
@@ -260,7 +261,7 @@ def test_lemma_property_of_pairs():
         f = random_function(hypercube(5), 6, 100 + seed)
         if is_monotone(f):
             continue
-        dec = decompose(f, verify=False)
+        dec = decompose(f)
         for (_, graph) in dec.components:
             for s in graph.source_set:
                 for t in graph.sink_set:
@@ -279,10 +280,9 @@ def test_verify_catches_corruption():
     flipped[s] = 0  # a block source must carry value 1
     from monocube.decomposition import Decomposition
     corrupted = Decomposition(
-        dec.matching,
-        ((ValuedFunction(f.domain, tuple(flipped)), graph),) + dec.components[1:],
-        None, False)
-    cert = verify_decomposition(f, corrupted)
+        f, dec.matching,
+        ((ValuedFunction(f.domain, tuple(flipped)), graph),) + dec.components[1:])
+    cert = verify_decomposition(corrupted)
     assert not cert.all_ok
     assert any(witness for (_, witness) in cert.failures())
 
@@ -315,8 +315,8 @@ def test_block_pairs_violated_names_an_ordered_unviolated_pair():
     part, graph = dec.components[0]
     # sink 2 lies above source 0, and f(2) = f(0)
     widened = f.domain.sweeping_graph(graph.source_set, graph.sink_set | {2})
-    corrupted = Decomposition(dec.matching, ((part, widened),), None, False)
-    assert block_pairs_witness(verify_decomposition(f, corrupted)) \
+    corrupted = Decomposition(f, dec.matching, ((part, widened),))
+    assert block_pairs_witness(verify_decomposition(corrupted)) \
         == "component 0: ordered pair (0,2) has f(0) = 1 <= f(2) = 1"
 
 
@@ -330,15 +330,15 @@ def test_block_pairs_violated_matches_the_per_pair_formulation():
         f = random_function(domain, 4, 1200 + seed)
         if is_monotone(f):
             continue
-        dec = decompose(f, verify=False)
+        dec = decompose(f)
         parts = list(dec.components)
         for idx in rng.sample(range(dec.k), min(2, dec.k)):
             part, graph = parts[idx]
             extra = rng.sample(sorted(set(range(f.n)) - graph.source_set), 2)
             parts[idx] = (part, domain.sweeping_graph(graph.source_set,
                                                       graph.sink_set | set(extra)))
-        corrupted = Decomposition(dec.matching, tuple(parts), None, False)
-        witness = block_pairs_witness(verify_decomposition(f, corrupted))
+        corrupted = Decomposition(f, dec.matching, tuple(parts))
+        witness = block_pairs_witness(verify_decomposition(corrupted))
         assert witness == unviolated_pair_witness(f, corrupted)
         failed += bool(witness)
     assert failed > 10
@@ -365,13 +365,13 @@ def test_violations_contained_names_the_first_escaped_edge(chunk, monkeypatch):
         f = random_function(hypercube(4), 4, 900 + seed)
         if is_monotone(f):
             continue
-        dec = decompose(f, verify=False)
+        dec = decompose(f)
         parts = list(dec.components)
         for idx in rng.sample(range(dec.k), min(2, dec.k)):
             values = tuple(rng.choice((0, 1)) for _ in range(f.n))
             parts[idx] = (ValuedFunction(f.domain, values), parts[idx][1])
-        corrupted = Decomposition(dec.matching, tuple(parts), None, False)
-        cert = verify_decomposition(f, corrupted)
+        corrupted = Decomposition(f, dec.matching, tuple(parts))
+        cert = verify_decomposition(corrupted)
         (ok, witness), = [(ok, w) for (name, ok, w) in cert.checks
                           if name == "violations_contained"]
         assert witness == escaped_edge_witness(f, corrupted) and ok == (not witness)
@@ -379,6 +379,57 @@ def test_violations_contained_names_the_first_escaped_edge(chunk, monkeypatch):
                                              for (fi, _) in parts]
         failed += not ok
     assert failed > 10
+
+
+def disjoint_witness(cert):
+    (ok, witness), = [(ok, w) for (name, ok, w) in cert.checks
+                      if name == "graphs_disjoint"]
+    assert ok == (not witness)
+    return witness
+
+
+def test_graphs_disjoint_matches_the_pairwise_scan():
+    """One part's graph widened by a source and a sink of another part's
+    block meets that part's graph, and maybe others; the witness is the
+    pair the scan over every pair of graphs names."""
+    from monocube.decomposition import Decomposition
+    rng = random.Random(12)
+    domains = ([hypercube(d) for d in range(2, 7)]
+               + [random_dag(n, 0.3, rng) for n in (8, 16, 30)])
+    failed = 0
+    for seed in range(40):
+        domain = domains[seed % len(domains)]
+        f = random_function(domain, 4, 1600 + seed)
+        if is_monotone(f):
+            continue
+        dec = decompose(f)
+        assert disjoint_witness(dec.certificate) == ""
+        parts = list(dec.components)
+        if dec.k > 1:
+            i, j = rng.sample(range(dec.k), 2)
+            (part, graph), other = parts[i], parts[j][1]
+            parts[i] = (part, domain.sweeping_graph(
+                graph.source_set | {rng.choice(sorted(other.source_set))},
+                graph.sink_set | {rng.choice(sorted(other.sink_set))}))
+        corrupted = Decomposition(f, dec.matching, tuple(parts))
+        witness = disjoint_witness(verify_decomposition(corrupted))
+        assert witness == shared_vertex_pairwise(corrupted.components)
+        failed += bool(witness)
+    assert failed > 10
+
+
+def test_graphs_disjoint_names_the_first_graph_then_its_first_partner():
+    """H_0 meets H_3 and H_1 meets H_2.  The pairwise scan names (0, 3); a
+    scan for the first graph meeting an earlier one would name (1, 2)."""
+    from monocube.decomposition import Decomposition
+    domain = PosetDomain("dag", n=6, edges=[(0, 1), (1, 5), (2, 3), (3, 4)])
+    f = ValuedFunction(domain, (0,) * 6)
+    graphs = [domain.sweeping_graph(*st) for st in (({0}, {1}), ({2}, {3}),
+                                                    ({3}, {4}), ({1}, {5}))]
+    assert [sorted(g.vertices) for g in graphs] == [[0, 1], [2, 3], [3, 4], [1, 5]]
+    dec = Decomposition(f, Matching(()), tuple((f, graph) for graph in graphs))
+    assert disjoint_witness(verify_decomposition(dec)) == "H_0 and H_3 share vertex 1"
+    assert shared_vertex_pairwise(dec.components) == "H_0 and H_3 share vertex 1"
 
 
 def test_chain_check_single_edge():
@@ -402,8 +453,7 @@ def test_chain_check_rejects_a_part_violating_an_edge_f_does_not():
     graph = dec.components[0][1]
     part = ValuedFunction(f.domain, (1, 1, 0, 1))    # violates (0, 2)
     from monocube.decomposition import Decomposition
-    corrupted = Decomposition(dec.matching, ((part, graph),),
-                              dec.certificate, False)
+    corrupted = Decomposition(f, dec.matching, ((part, graph),))
     with pytest.raises(ValueError, match="^a part violates 1 edges that f does not violate$"):
         robust_chain_check(f, EdgeColoring.all_red(violation_profile(f)), corrupted)
 
@@ -513,7 +563,7 @@ def test_edge_bound_random_suite():
 def test_dump_shape():
     f = random_function(hypercube(3), 4, 17)
     dec = decompose(f)
-    doc = decomposition_dump(f, dec)
+    doc = decomposition_dump(dec)
     assert doc["k"] == dec.k
     assert doc["certificate"]["all_ok"]
     assert len(doc["components"]) == dec.k

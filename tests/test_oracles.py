@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import decreasing_chain
 from monocube.cli import _verify_instance
-from monocube.decomposition import decompose
+from monocube.decomposition import decompose, robust_chain_check
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
                             random_monotone, threshold, weight_function)
-from monocube.isoperimetry import undirected_objective, violation_profile
+from monocube.isoperimetry import EdgeColoring, undirected_objective, violation_profile
 from monocube.oracles import (DistanceCertificate, boolean_variance, exact_distance,
                               exact_distances, is_monotone, median_threshold,
                               violated_pairs, worst_coloring, _hopcroft_karp,
@@ -109,8 +109,7 @@ def test_exact_distance_pair_budget():
 
 
 def counting_solves(monkeypatch):
-    """Record every function `DistanceCertificate.of_all` solves; `of` is
-    its batch of one."""
+    """Record every function `DistanceCertificate.of_all` solves."""
     solved = []
     solve = DistanceCertificate.of_all.__func__
 
@@ -169,6 +168,30 @@ def test_verify_instance_solves_f_once(monkeypatch):
     assert len({id(g) for g in parts}) == len(parts)
 
 
+def test_decomposition_certificate_is_solved_when_read(monkeypatch):
+    """`decompose` solves nothing; reading the certificate solves f and
+    every part in one batch, which the chain check then reads; a
+    decomposition whose certificate was never read gives the same chain,
+    bit for bit."""
+    solved = counting_solves(monkeypatch)
+    f = random_function(hypercube(5), 4, 11)
+    dec = decompose(f)
+    assert solved == [] and "certificate" not in vars(dec)
+    assert dec.certificate.all_ok
+    assert solved == [f, *(fi for (fi, _) in dec.components)]
+    col = EdgeColoring.random(violation_profile(f), random.Random(3))
+    chain = robust_chain_check(f, col, dec)
+    assert len(solved) == 1 + dec.k
+    g = ValuedFunction(f.domain, f.values)
+    unread = decompose(g)
+    fresh = robust_chain_check(g, EdgeColoring(violation_profile(g), col.red), unread)
+    assert "certificate" not in vars(unread)
+    assert [v.hex() for v in fresh.values] == [v.hex() for v in chain.values]
+    assert (fresh.epsilon_f, fresh.epsilon_sum) == (chain.epsilon_f, chain.epsilon_sum)
+    assert (fresh.ordering_ok, fresh.distance_ok, fresh.detail) \
+        == (chain.ordering_ok, chain.distance_ok, chain.detail)
+
+
 def batch_domain(spec):
     kind, size, seed = spec
     if kind == "cube":
@@ -199,7 +222,7 @@ def test_batch_solve_matches_single_solves(spec, chunk, monkeypatch):
     for _ in range(6):
         values.append(tuple(rng.choice([0, 1, 1.0, 2, 2.5, 3]) for _ in range(n)))
         values.append(tuple(rng.choice([0, 1]) for _ in range(n)))
-    singles = [DistanceCertificate.of(ValuedFunction(domain, v)) for v in values]
+    singles = [DistanceCertificate.of_all([ValuedFunction(domain, v)])[0] for v in values]
     if chunk is not None:
         monkeypatch.setattr(poset, "PAIR_CHUNK", chunk)
     batch = DistanceCertificate.of_all([ValuedFunction(domain, v) for v in values])
