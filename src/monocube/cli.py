@@ -23,7 +23,7 @@ from functools import cache
 from . import __version__
 from .decomposition import decompose, decomposition_dump, edge_bound_check, \
     robust_chain_check
-from .dist_approx import CaptureConfig, approx_distance, mu_exact
+from .dist_approx import approx_distance, mu_exact
 from .funcs import CountingOracle, image_size, random_function, \
     random_monotone, read_function, write_function
 from .hard_instances import LowerBoundSpec, lower_bound_function
@@ -136,8 +136,8 @@ def cmd_test_monotone(args) -> int:
         print("test-monotone needs a hypercube-domain function", file=sys.stderr)
         return 2
     from functools import partial
-    run = partial(run_pair_tester, epsilon=args.eps, d=f.domain.d,
-                  r=image_size(f), budget_constant=args.budget)
+    run = partial(run_pair_tester, epsilon=args.eps, r=image_size(f),
+                  budget_constant=args.budget)
     measurement = measure_rejection(f, run, args.trials, args.seed, jobs=args.jobs)
     report = {
         "result": {
@@ -161,9 +161,7 @@ def cmd_test_monotone(args) -> int:
 def cmd_approx_distance(args) -> int:
     started = time.perf_counter()
     f = read_function(args.fn)
-    oracle = CountingOracle(f)
-    config = CaptureConfig(epsilon=0.25, c_prime=args.cprime, seed=args.seed)
-    result = approx_distance(oracle, args.alpha, config)
+    result = approx_distance(CountingOracle(f), args.alpha, args.cprime, args.seed)
 
     def _tester_call(rep):
         return {
@@ -226,7 +224,7 @@ def _verify_instance(params: tuple) -> dict:
         rng = random.Random(derive_seed(seed, 1))
         for c in range(colorings):
             col = EdgeColoring.random(profile, rng)
-            chain = robust_chain_check(f, col, dec)
+            chain = robust_chain_check(dec, col)
             if not (chain.ordering_ok and chain.distance_ok):
                 failures.append(f"chain:coloring{c}:{chain.detail}")
     bound = edge_bound_check(f)

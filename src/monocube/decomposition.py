@@ -87,6 +87,9 @@ def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
     graph = nx.Graph()
     graph.add_weighted_edges_from(zip(lower, upper, weights.tolist()))
     matched = nx.max_weight_matching(graph, maxcardinality=False)
+    # the graph caches views that point back at it, so only the cyclic
+    # collector frees it; emptying it now frees its edges at once
+    graph.clear()
     # a matched pair is violated, so its lower end has the strictly higher rank
     return Matching(tuple(sorted((a, b) if ranks[a] > ranks[b] else (b, a)
                                  for (a, b) in matched)))
@@ -334,6 +337,9 @@ def _unviolated_block_pairs(dec: Decomposition) -> Iterator[str]:
                        f"f({s}) = {f.values[s]} <= f({t}) = {f.values[t]}")
 
 
+CHAIN_TOL = 1e-12  # float slack of the chain's comparisons
+
+
 @dataclass(frozen=True)
 class ChainReport:
     values: tuple[float, float, float, float]
@@ -344,22 +350,19 @@ class ChainReport:
     detail: str
 
 
-def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
-                       dec: Decomposition | None = None,
-                       tol: float = 1e-12) -> ChainReport:
-    """Evaluate the four-step chain relating the robust objective of f to
-    the robust objectives of its Boolean parts, as concrete numbers.
+def robust_chain_check(dec: Decomposition, col: EdgeColoring) -> ChainReport:
+    """Evaluate the four-step chain relating the robust objective of f =
+    ``dec.f`` to the robust objectives of its Boolean parts, as concrete
+    numbers.
 
     value(1): the robust objective of f under col;
     value(2): the same, counting only violated edges inside the union of
     the part graphs; value(3): the per-part restricted objectives summed;
     value(4): the parts' own robust objectives under the inherited
-    coloring.  Requires value(1) >= value(2) = value(3) >= value(4), and,
-    exactly in rationals, sum eps(f_i) >= eps(f)/2.
+    coloring.  Requires value(1) >= value(2) = value(3) >= value(4) up to
+    `CHAIN_TOL`, and, exactly in rationals, sum eps(f_i) >= eps(f)/2.
     """
-    if dec is None:
-        dec = decompose(f)
-    profile = violation_profile(f)
+    profile = violation_profile(dec.f)
     col.validate_for(profile)
 
     if dec.monotone:
@@ -380,13 +383,14 @@ def robust_chain_check(f: ValuedFunction, col: EdgeColoring,
                          f"not violate")
     everything = np.ones((1, profile.num_violated), dtype=bool)
     v1, v2, *per_part = colored_objectives(
-        f, col, np.vstack((everything, inside.any(axis=0), inside, inherited)))
+        col, np.vstack((everything, inside.any(axis=0), inside, inherited)))
     v3 = math.fsum(per_part[:dec.k])
     v4 = math.fsum(per_part[dec.k:])
 
     eps_f, eps_parts = _epsilons(dec)
     eps_sum = sum(eps_parts, Fraction(0))
-    ordering_ok = (v1 >= v2 - tol and abs(v2 - v3) <= tol and v3 >= v4 - tol)
+    ordering_ok = (v1 >= v2 - CHAIN_TOL and abs(v2 - v3) <= CHAIN_TOL
+                   and v3 >= v4 - CHAIN_TOL)
     distance_ok = eps_sum >= eps_f / 2
     detail = "" if ordering_ok and distance_ok else \
         f"chain=({v1}, {v2}, {v3}, {v4}) eps_sum={eps_sum} eps_f={eps_f}"

@@ -10,10 +10,12 @@ two facts into a close/far verdict.
 
 Estimates are two-sided Hoeffding: n = ceil(ln(2/delta) / (2 err^2))
 samples give additive error err with failure probability delta, and the
-run's failure budget is split evenly across the edge estimate and the
-per-rate mu estimates.  Every estimator issues its full query pattern
-regardless of observed values, so runs with equal seeds and
-configurations query identical multisets on any two functions.
+run's failure budget, `FAILURE_BUDGET` = 1/3, is split evenly across the
+edge estimate and the per-rate mu estimates.  The only tunable constant
+is c' (``c_prime``), which scales the mu estimates' error and threshold;
+the edge estimate's constant is 1.  Every estimator issues its full
+query pattern regardless of observed values, so runs with equal seeds
+and configurations query identical multisets on any two functions.
 
 One array evaluator, `_capture_hits`, decides the capture event for a
 block of vertices at once; `capture`, `mu_exact` and `mu_estimate` all
@@ -37,18 +39,18 @@ from itertools import combinations
 import numpy as np
 
 from .funcs import CountingOracle, ValuedFunction, index_dtype
-from .isoperimetry import BLUE, RED, EdgeColoring, colored_counts, \
-    violation_profile
 from .seeds import derive_seed
 from .testers import edge_draws
+
+
+# The run's failure probability, split evenly across its estimates.
+FAILURE_BUDGET = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
 class CaptureConfig:
     epsilon: float
     c_prime: float = 1.0
-    c_edge: float = 1.0
-    failure_budget: float = 1.0 / 3.0
     seed: int = 0
 
     def __post_init__(self):
@@ -56,10 +58,8 @@ class CaptureConfig:
         # search level runs the tolerant tester at epsilon = 1/2.
         if not 0 < self.epsilon <= 0.5:
             raise ValueError("epsilon must lie in (0, 1/2]")
-        if self.c_prime <= 0 or self.c_edge <= 0:
-            raise ValueError("constants must be positive")
-        if not 0 < self.failure_budget <= 1.0 / 3.0:
-            raise ValueError("failure_budget must lie in (0, 1/3]")
+        if self.c_prime <= 0:
+            raise ValueError("c_prime must be positive")
 
 
 # Vertices evaluated per array step.  A step's temporaries have BLOCK rows,
@@ -207,9 +207,9 @@ def approx_mono(oracle: CountingOracle, config: CaptureConfig) -> ApproxMonoRepo
     """The tolerant tester: far when the violated-edge fraction estimate
     or any capture-probability estimate crosses its threshold.
 
-    The edge estimate targets additive error c_edge*eps/(4 sqrt(d log d))
-    with threshold at three times that; each mu estimate uses c_prime in
-    place of c_edge.  All sampling happens in a fixed order first, so the
+    The edge estimate targets additive error eps/(4 sqrt(d log d)) with
+    threshold at three times that; each mu estimate scales both by
+    c_prime.  All sampling happens in a fixed order first, so the
     queried multiset depends only on (seed, config, d); the verdict is
     then read off in algorithm order (edge test, then increasing rates).
     """
@@ -221,10 +221,10 @@ def approx_mono(oracle: CountingOracle, config: CaptureConfig) -> ApproxMonoRepo
     eps = config.epsilon
     rates = rate_schedule(d)
     n_estimates = 1 + len(rates)
-    delta_each = config.failure_budget / n_estimates
+    delta_each = FAILURE_BUDGET / n_estimates
 
-    edge_err = config.c_edge * eps / (4.0 * L)
-    edge_thr = 3.0 * config.c_edge * eps / (4.0 * L)
+    edge_err = eps / (4.0 * L)
+    edge_thr = 3.0 * eps / (4.0 * L)
     mu_err = config.c_prime * eps / (4.0 * L)
     mu_thr = 3.0 * config.c_prime * eps / (4.0 * L)
 
@@ -272,8 +272,8 @@ class DistanceApproxReport:
     seed: int = 0
 
 
-def approx_distance(oracle: CountingOracle, alpha: float,
-                    config: CaptureConfig) -> DistanceApproxReport:
+def approx_distance(oracle: CountingOracle, alpha: float, c_prime: float = 1.0,
+                    seed: int = 0) -> DistanceApproxReport:
     """Geometric search over epsilon in {1/2, 1/4, ...} down to alpha,
     with a majority of three tolerant-tester calls per level; returns the
     first level declared far.
@@ -284,24 +284,18 @@ def approx_distance(oracle: CountingOracle, alpha: float,
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0,1)")
     start = oracle.query_count
-    levels = []
-    eps = 0.5
-    while eps >= alpha:
-        levels.append(eps)
-        eps /= 2
-    if not levels:
-        # alpha above the tolerant tester's ceiling: one level at 1/2
-        levels.append(0.5)
+    # 1/2, the tolerant tester's ceiling, is searched even when alpha is above it
+    levels = [0.5]
+    while levels[-1] / 2 >= alpha:
+        levels.append(levels[-1] / 2)
     results = []
     chosen = None
     for li, eps in enumerate(levels):
         votes = 0
         reports = []
         for rep in range(3):
-            sub = CaptureConfig(epsilon=eps, c_prime=config.c_prime,
-                                c_edge=config.c_edge,
-                                failure_budget=config.failure_budget,
-                                seed=derive_seed(config.seed, li, rep))
+            sub = CaptureConfig(epsilon=eps, c_prime=c_prime,
+                                seed=derive_seed(seed, li, rep))
             report = approx_mono(oracle, sub)
             reports.append(report)
             votes += report.verdict == "far"
@@ -314,64 +308,4 @@ def approx_distance(oracle: CountingOracle, alpha: float,
         epsilon_hat=chosen if chosen is not None else alpha,
         promise_violation=chosen is None,
         queries=oracle.query_count - start,
-        levels=tuple(results), seed=config.seed)
-
-
-# -- diagnostics from the generalized bucketing argument ------------------------
-
-
-def u_degree_coloring(f: ValuedFunction) -> EdgeColoring:
-    """Color each violated edge toward the endpoint incident on more
-    violated edges: red (lower endpoint) when U(x) >= U(y), blue otherwise."""
-    profile = violation_profile(f)
-    U = profile.total
-    return EdgeColoring(profile, U[profile.lower] >= U[profile.upper])
-
-
-@dataclass(frozen=True)
-class BucketProfile:
-    side: tuple[str, str]             # (parity, color) chosen
-    blocks: dict                      # (t, s) -> vertex count
-    side_sums: dict                   # (parity, color) -> objective sum
-    bucketed_vertices: int
-
-    @property
-    def selected_sum(self) -> float:
-        return self.side_sums[self.side]
-
-
-def bucket_profile(f: ValuedFunction) -> BucketProfile:
-    """Dyadic (t, s) bucketing of the parity class and color maximizing
-    the colored square-root mass under the U-degree coloring.
-
-    Every bucketed vertex x satisfies t <= U(x) < 2t and s <= I_b(x) < 2s
-    with t, s powers of two (t >= s always, since U dominates any colored
-    count)."""
-    profile = violation_profile(f)
-    col = u_degree_coloring(f)
-    U = profile.total_degree
-    n = f.domain.n
-    red, blue = colored_counts(f, col)
-
-    def parity_ok(x: int, parity: str) -> bool:
-        even = x.bit_count() % 2 == 0
-        return even if parity == "even" else not even
-
-    side_sums = {}
-    for parity in ("even", "odd"):
-        for color, counts in ((RED, red), (BLUE, blue)):
-            side_sums[(parity, color)] = math.fsum(
-                math.sqrt(counts[x]) for x in range(n) if parity_ok(x, parity))
-    side = max(side_sums, key=lambda k: (side_sums[k], k))
-    counts = red if side[1] == RED else blue
-    blocks: dict[tuple[int, int], int] = {}
-    bucketed = 0
-    for x in range(n):
-        if not parity_ok(x, side[0]) or counts[x] < 1:
-            continue
-        t = 1 << (U[x].bit_length() - 1)
-        s = 1 << (counts[x].bit_length() - 1)
-        blocks[(t, s)] = blocks.get((t, s), 0) + 1
-        bucketed += 1
-    return BucketProfile(side=side, blocks=blocks, side_sums=side_sums,
-                         bucketed_vertices=bucketed)
+        levels=tuple(results), seed=seed)

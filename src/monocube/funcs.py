@@ -169,6 +169,7 @@ def random_function(domain: PosetDomain, r: int, seed: int) -> ValuedFunction:
     """i.i.d. uniform values in 1..r, deterministic given the seed."""
     if r < 1:
         raise ValueError("image bound r must be >= 1")
+    domain.check_table_budget()
     rng = np.random.default_rng(seed)
     values = rng.integers(1, r + 1, size=domain.n)
     return ValuedFunction(domain, tuple(int(v) for v in values))
@@ -179,6 +180,7 @@ def random_monotone(domain: PosetDomain, r: int, seed: int) -> ValuedFunction:
     then the monotone closure g(x) = max over y <= x of base(y)."""
     if r < 1:
         raise ValueError("image bound r must be >= 1")
+    domain.check_table_budget()
     rng = np.random.default_rng(seed)
     base = rng.integers(1, r + 1, size=domain.n)
     return ValuedFunction(domain, tuple(domain.down_max(base).tolist()))
@@ -188,12 +190,14 @@ def anti_dictator(d: int) -> ValuedFunction:
     """f(x) = 1 - x_1 on hypercube(d): the canonical hard instance for the
     edge tester."""
     dom = hypercube(d)
+    dom.check_table_budget()
     return ValuedFunction(dom, tuple(1 - (x & 1) for x in range(dom.n)))
 
 
 def weight_function(d: int) -> ValuedFunction:
     """f(x) = |x| (Hamming weight), a monotone function with image size d+1."""
     dom = hypercube(d)
+    dom.check_table_budget()
     return ValuedFunction(dom, tuple(x.bit_count() for x in range(dom.n)))
 
 

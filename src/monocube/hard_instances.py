@@ -88,6 +88,7 @@ class LowerBoundSpec:
 
 def lower_bound_function(spec: LowerBoundSpec) -> ValuedFunction:
     dom = hypercube(spec.d)
+    dom.check_table_budget()
     return ValuedFunction(dom, tuple(spec.value_at(x) for x in range(dom.n)))
 
 

@@ -2,9 +2,8 @@
 
 Everything here is computed exactly from the full function table: the
 violated edge set, per-vertex influence counts (directed, colored,
-undirected), the square-root objectives, distance to constant, the
-good-graph degree check, and tau-step persistence.  Sampling-based
-estimation lives in `testers` and `dist_approx`.
+undirected), the square-root objectives and the distance to constant.
+Sampling-based estimation lives in `testers` and `dist_approx`.
 
 Counting conventions:
 
@@ -29,7 +28,8 @@ its tuple fields (``violated_edges``, ``out_counts``, ``total_degree``,
 
 A red/blue coloring of the violated edges (`EdgeColoring`) is a boolean
 vector aligned with one profile: ``red[k]`` colors the edge
-``(lower[k], upper[k])``.  A subset of the violated edges is a boolean
+``(lower[k], upper[k])``, and the vertex count is read off that
+profile.  A subset of the violated edges is a boolean
 mask over the same positions.  A colored count is one ``np.bincount``,
 and `colored_objectives` gets the restricted objectives of a whole
 ``(rows, m)`` mask stack from one bincount per chunk of rows.
@@ -43,19 +43,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Literal
 
 import numpy as np
 
-from .funcs import ValuedFunction, image_values, threshold
-from .poset import DomainSizeError, row_chunks
-
-RED = "red"
-BLUE = "blue"
-
-PERSISTENCE_THRESHOLD = Fraction(9, 10)
-DEFAULT_ENUMERATION_CAP = 10**6
+from .funcs import ValuedFunction
+from .poset import row_chunks
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +99,11 @@ class ViolationProfile:
     def num_violated(self) -> int:
         return len(self.lower)
 
+    @property
+    def n(self) -> int:
+        """The domain's vertex count."""
+        return len(self.out)
+
 
 def violation_profile(f: ValuedFunction) -> ViolationProfile:
     """The violation profile of f, computed on first use and cached on f."""
@@ -153,39 +150,32 @@ class EdgeColoring:
                                         dtype=bool, count=m))
 
 
-def colored_counts(f: ValuedFunction, col: EdgeColoring) -> tuple[list[int], list[int]]:
+def colored_counts(col: EdgeColoring) -> tuple[list[int], list[int]]:
     """(red counts at lower endpoints, blue counts at upper endpoints)."""
-    n = f.domain.n
-    counts = np.bincount(_colored_slots(col, n), minlength=2 * n).tolist()
+    n = col.profile.n
+    counts = np.bincount(_colored_slots(col), minlength=2 * n).tolist()
     return counts[:n], counts[n:]
 
 
-def _colored_slots(col: EdgeColoring, n: int) -> np.ndarray:
+def _colored_slots(col: EdgeColoring) -> np.ndarray:
     """Each violated edge's count slot: a red edge lands in slot x, a blue
     one in slot n + y, widened so that n + y cannot wrap the uint32
     endpoints."""
     p = col.profile
-    return np.where(col.red, p.lower, p.upper.astype(np.intp) + n)
+    return np.where(col.red, p.lower, p.upper.astype(np.intp) + p.n)
 
 
 def _mean_sqrt(counts, n: int) -> float:
     return math.fsum(np.sqrt(counts).tolist()) / n
 
 
-def colored_objective(f: ValuedFunction, col: EdgeColoring) -> float:
-    """E_x[sqrt(red count at x)] + E_y[sqrt(blue count at y)]."""
-    n = f.domain.n
-    return _objectives(np.bincount(_colored_slots(col, n), minlength=2 * n), n)[0]
-
-
-def colored_objectives(f: ValuedFunction, col: EdgeColoring,
-                       masks: np.ndarray) -> list[float]:
-    """`colored_objective` counting only the violated edges selected by
+def colored_objectives(col: EdgeColoring, masks: np.ndarray) -> list[float]:
+    """`robust_objective` counting only the violated edges selected by
     each row of a boolean ``(rows, m)`` mask stack, from one
     ``np.bincount`` over row * 2n + slot per chunk of rows (at most
     `poset.PAIR_CHUNK` counts)."""
-    n = f.domain.n
-    slots = _colored_slots(col, n)
+    n = col.profile.n
+    slots = _colored_slots(col)
     out = []
     for rows in row_chunks(len(masks), 2 * n):
         block = masks[rows]
@@ -209,14 +199,12 @@ def directed_objective(f: ValuedFunction) -> float:
     return _mean_sqrt(violation_profile(f).out, f.domain.n)
 
 
-def robust_objective(f: ValuedFunction, col: EdgeColoring,
-                     profile: ViolationProfile | None = None) -> float:
+def robust_objective(f: ValuedFunction, col: EdgeColoring) -> float:
     """E_x[sqrt(red count at x)] + E_y[sqrt(blue count at y)] for a total
     2-coloring of the violated edges."""
-    if profile is None:
-        profile = violation_profile(f)
-    col.validate_for(profile)
-    return colored_objective(f, col)
+    col.validate_for(violation_profile(f))
+    n = f.domain.n
+    return _objectives(np.bincount(_colored_slots(col), minlength=2 * n), n)[0]
 
 
 def undirected_objective(f: ValuedFunction) -> float:
@@ -232,202 +220,6 @@ def dist_to_const_fraction(f: ValuedFunction) -> Fraction:
 def dist_to_const(f: ValuedFunction) -> float:
     """1 - (largest value frequency): the distance to the nearest constant."""
     return float(dist_to_const_fraction(f))
-
-
-# -- (K, Delta)-good graphs ----------------------------------------------------
-
-GoodGraphStatus = Literal["left-good", "right-good", "both", "neither"]
-
-
-def check_good_graph(A: Iterable[int], B: Iterable[int],
-                     edges: Iterable[tuple[int, int]], K: int, delta: int
-                     ) -> GoodGraphStatus:
-    """Degree check for a directed bipartite graph with edges from A to B.
-
-    For a side X (with Y the other side) the graph is good when |X| = K,
-    every X-vertex has degree exactly delta, and every Y-vertex has degree
-    at most 2*delta.  Returns which of the two orientations qualify.
-    """
-    A = set(A)
-    B = set(B)
-    deg_a: dict[int, int] = {a: 0 for a in A}
-    deg_b: dict[int, int] = {b: 0 for b in B}
-    for (a, b) in edges:
-        if a not in A or b not in B:
-            raise ValueError(f"edge ({a},{b}) has an endpoint outside A x B")
-        deg_a[a] += 1
-        deg_b[b] += 1
-
-    def good(x_deg: dict[int, int], y_deg: dict[int, int]) -> bool:
-        return (len(x_deg) == K
-                and all(v == delta for v in x_deg.values())
-                and all(v <= 2 * delta for v in y_deg.values()))
-
-    left = good(deg_a, deg_b)
-    right = good(deg_b, deg_a)
-    if left and right:
-        return "both"
-    if left:
-        return "left-good"
-    if right:
-        return "right-good"
-    return "neither"
-
-
-# -- persistence ----------------------------------------------------------------
-
-
-def free_coordinates(x: int, d: int, direction: str) -> list[int]:
-    """Coordinates available to a tau-step walk from x: the 0-coordinates
-    for a rightward (upward) walk, the 1-coordinates for a leftward one."""
-    if direction == "right":
-        return [i for i in range(d) if not x >> i & 1]
-    if direction == "left":
-        return [i for i in range(d) if x >> i & 1]
-    raise ValueError(f"direction must be 'right' or 'left', not {direction!r}")
-
-
-# A tau-step walk flips tau free coordinates: it sets 0-bits going right
-# and clears 1-bits going left, so either way it ends at y = x ^ bits(T).
-# The value at y persists when it stays on f(x)'s side of the walk.
-_STAYS = {"right": operator.le, "left": operator.ge}
-
-
-def _bits(coordinates: Iterable[int]) -> int:
-    return sum(1 << i for i in coordinates)
-
-
-def persistence_probability(f: ValuedFunction, x: int, tau: int,
-                            direction: str = "right",
-                            enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-                            ) -> Fraction:
-    """Exact probability that a uniformly random tau-subset flip keeps the
-    value on the persistent side (<= f(x) going right, >= f(x) going left).
-
-    When tau exceeds the number of free coordinates the walk degenerates
-    to y = x and the probability is 1.  Enumeration is guarded by a cap
-    on the number of subsets.
-    """
-    domain = f.domain
-    if domain.kind != "hypercube":
-        raise ValueError("persistence is defined on hypercube domains")
-    domain.check_vertex(x)
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    free = free_coordinates(x, domain.d, direction)
-    if tau > len(free):
-        return Fraction(1)
-    total = math.comb(len(free), tau)
-    if total > enumeration_cap:
-        raise DomainSizeError(
-            f"exact persistence needs {total} subsets, cap is {enumeration_cap}")
-    fx, stays = f.values[x], _STAYS[direction]
-    good = sum(stays(f.values[x ^ _bits(T)], fx) for T in combinations(free, tau))
-    return Fraction(good, total)
-
-
-@dataclass(frozen=True)
-class PersistenceEstimate:
-    probability: float
-    std_error: float
-    samples: int
-
-
-def persistence_probability_mc(f: ValuedFunction, x: int, tau: int,
-                               direction: str, samples: int, seed: int
-                               ) -> PersistenceEstimate:
-    """Monte Carlo persistence probability with its binomial standard error."""
-    import random
-
-    domain = f.domain
-    free = free_coordinates(x, domain.d, direction)
-    if tau > len(free):
-        return PersistenceEstimate(1.0, 0.0, samples)
-    rng = random.Random(seed)
-    fx, stays = f.values[x], _STAYS[direction]
-    good = sum(stays(f.values[x ^ _bits(rng.sample(free, tau))], fx) for _ in range(samples))
-    p = good / samples
-    return PersistenceEstimate(p, math.sqrt(p * (1 - p) / samples), samples)
-
-
-def is_persistent(f: ValuedFunction, x: int, tau: int,
-                  direction: str = "right",
-                  enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    """Persistent means the exact walk probability exceeds 9/10."""
-    return persistence_probability(f, x, tau, direction, enumeration_cap) \
-        > PERSISTENCE_THRESHOLD
-
-
-def weight_band(d: int, band_constant: float = 2.0) -> tuple[float, float]:
-    """The middle-weight band d/2 +- band_constant * sqrt(d log d) inside
-    which persistence statements are meant to be applied.  The constant is
-    a free parameter; 2 is the default used by the reports."""
-    half_width = band_constant * math.sqrt(d * max(math.log2(d), 1.0))
-    return (d / 2 - half_width, d / 2 + half_width)
-
-
-@dataclass(frozen=True)
-class PersistenceDecompositionReport:
-    tau: int
-    direction: str
-    pointwise_match: bool
-    mismatches: tuple[int, ...]
-    nonpersistent_f: int
-    nonpersistent_thresholds: tuple[int, ...]
-    union_bound_holds: bool
-
-
-def persistence_decomposition_check(f: ValuedFunction, tau: int,
-                                    direction: str = "right",
-                                    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-                                    ) -> PersistenceDecompositionReport:
-    """Check the threshold-function structure of persistence, exactly.
-
-    Pointwise: x is right-persistent for f iff it is right-persistent for
-    the Boolean indicator of {f > f(x)} (which is 0 at x, and 0 at y
-    exactly when f(y) <= f(x)).  Mirrored for left-persistence, the
-    matching indicator thresholds just below f(x): it is 1 at x and 1 at
-    y exactly when f(y) >= f(x).  Globally: the number of non-persistent
-    vertices for f is at most the sum over the r-1 proper thresholds of
-    the non-persistent counts of the thresholded functions.
-    """
-    values = image_values(f)
-    n = f.domain.n
-    thresholds = [threshold(f, t) for t in values[:-1]]
-    if direction == "right":
-        # value v pairs with the cut {f > v}; the top value has no cut
-        # above it and pairs with the all-zero function
-        by_value = {v: h for v, h in zip(values[:-1], thresholds)}
-        fallback = ValuedFunction(f.domain, tuple(0 for _ in range(n)))
-    else:
-        # value v pairs with the cut just below it, {f > predecessor(v)};
-        # the bottom value pairs with the all-one function
-        by_value = {v: h for v, h in zip(values[1:], thresholds)}
-        fallback = ValuedFunction(f.domain, tuple(1 for _ in range(n)))
-
-    mismatches = []
-    nonpersistent_f = 0
-    for x in range(n):
-        pf = persistence_probability(f, x, tau, direction, enumeration_cap)
-        h = by_value.get(f.values[x], fallback)
-        ph = persistence_probability(h, x, tau, direction, enumeration_cap)
-        if pf != ph:
-            mismatches.append(x)
-        if pf <= PERSISTENCE_THRESHOLD:
-            nonpersistent_f += 1
-    per_threshold = []
-    for h in thresholds:
-        count = sum(
-            persistence_probability(h, x, tau, direction, enumeration_cap)
-            <= PERSISTENCE_THRESHOLD
-            for x in range(n))
-        per_threshold.append(count)
-    return PersistenceDecompositionReport(
-        tau=tau, direction=direction,
-        pointwise_match=not mismatches, mismatches=tuple(mismatches),
-        nonpersistent_f=nonpersistent_f,
-        nonpersistent_thresholds=tuple(per_threshold),
-        union_bound_holds=nonpersistent_f <= sum(per_threshold))
 
 
 def profile_dump(f: ValuedFunction) -> dict:

@@ -304,7 +304,7 @@ def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
     m = profile.num_violated
     if m == 0:
         col = EdgeColoring.all_red(profile)
-        return col, robust_objective(f, col, profile)
+        return col, robust_objective(f, col)
     if mode == "exhaustive":
         if m > cap:
             raise DomainSizeError(f"2^{m} colorings exceeds cap 2^{cap}")
@@ -314,7 +314,7 @@ def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
         def value(bits: int) -> float:
             # coloring number `bits` makes edge k red iff bit k is set
             col.red[:] = bits >> shifts & 1
-            return robust_objective(f, col, profile)
+            return robust_objective(f, col)
 
         # min keeps the first of equal values, as a strict < scan does
         return col, value(min(range(1 << m), key=value))
@@ -329,13 +329,13 @@ def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
         col = (EdgeColoring.all_red(profile) if restart == 0
                else EdgeColoring.random(profile, rng))
         red = col.red
-        val = robust_objective(f, col, profile)
+        val = robust_objective(f, col)
         improved = True
         while improved:
             improved = False
             for k in range(m):
                 red[k] = not red[k]
-                cand_val = robust_objective(f, col, profile)
+                cand_val = robust_objective(f, col)
                 if cand_val < val - 1e-15:
                     val = cand_val
                     improved = True
@@ -344,49 +344,3 @@ def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
         if best_val is None or val < best_val:
             best_val, best_col = val, col
     return best_col, best_val
-
-
-@dataclass(frozen=True)
-class MedianThresholdResult:
-    median: float
-    case: int
-    h: ValuedFunction
-
-
-def median_threshold(f: ValuedFunction) -> MedianThresholdResult:
-    """Boolean reduction for the undirected inequality.
-
-    m is the smallest value with cumulative mass >= 1/2.  Case 1 takes
-    h = [f > m] when the mass strictly below m is under (1 - p_m)/2,
-    otherwise case 2 takes h = [f >= m].  Either way h keeps at least
-    half of f's distance to constant and never adds influential edges.
-    """
-    n = f.domain.n
-    counts: dict = {}
-    for v in f.values:
-        counts[v] = counts.get(v, 0) + 1
-    total = 0
-    median = None
-    for v in sorted(counts):
-        total += counts[v]
-        if Fraction(total, n) >= Fraction(1, 2):
-            median = v
-            break
-    below = sum(c for v, c in counts.items() if v < median)
-    pm = counts[median]
-    if Fraction(below, n) < Fraction(n - pm, 2 * n):
-        case = 1
-        h = ValuedFunction(f.domain, tuple(1 if v > median else 0 for v in f.values))
-    else:
-        case = 2
-        h = ValuedFunction(f.domain, tuple(1 if v >= median else 0 for v in f.values))
-    return MedianThresholdResult(median=median, case=case, h=h)
-
-
-def boolean_variance(h: ValuedFunction) -> Fraction:
-    """p0 * (1 - p0) for a Boolean function."""
-    if not h.is_boolean():
-        raise ValueError("variance is defined here for Boolean functions only")
-    n = h.domain.n
-    p0 = Fraction(sum(1 for v in h.values if v == 0), n)
-    return p0 * (1 - p0)

@@ -24,6 +24,9 @@ last axis of one value array or a stack of them: one pass per coordinate
 on the hypercube, one reduction per topological level on a DAG.
 `row_chunks` splits a stack into chunks of at most `PAIR_CHUNK` cells.
 
+The function generators call `PosetDomain.check_table_budget` before they
+allocate a value table: at most `MAX_TABLE` vertices.
+
 Domains are immutable after construction and safe to share across
 workers.
 """
@@ -50,6 +53,8 @@ class DomainSizeError(RuntimeError):
 MAX_PAIRS = 1 << 20
 # Cells of a row-by-column temporary (`row_chunks`) held at once.
 PAIR_CHUNK = 1 << 20
+# Most vertices a generated value table may have: hypercube d <= 20.
+MAX_TABLE = 1 << 20
 
 
 class PosetDomain:
@@ -235,7 +240,7 @@ class PosetDomain:
                 masks[x] |= masks[v]
         return masks
 
-    # -- transitive closure ----------------------------------------------------
+    # -- size budgets ----------------------------------------------------------
 
     def check_pair_budget(self) -> None:
         """Raise `DomainSizeError` above `MAX_PAIRS` comparable pairs, counted
@@ -246,11 +251,12 @@ class PosetDomain:
             raise DomainSizeError(f"{self!r} has up to {pairs} comparable pairs, "
                                   f"over the budget of {MAX_PAIRS}")
 
-    def transitive_closure(self) -> list[tuple[int, int]]:
-        """All strict-order pairs (x, y) with x < y in the partial order,
-        in `pair_arrays` order, within the pair budget."""
-        lower, upper = self.pair_arrays
-        return list(zip(lower.tolist(), upper.tolist()))
+    def check_table_budget(self) -> None:
+        """Raise `DomainSizeError` above `MAX_TABLE` vertices: each generator
+        calls it before it allocates a value table."""
+        if self.n > MAX_TABLE:
+            raise DomainSizeError(f"{self!r} has {self.n} vertices, over the "
+                                  f"value-table budget of {MAX_TABLE}")
 
     # -- sweeping graphs ---------------------------------------------------------
 

@@ -38,7 +38,6 @@ DEFAULT_BUDGET_CONSTANT = 4.0
 @dataclass(frozen=True)
 class TesterConfig:
     epsilon: float
-    d: int
     r: int
     budget_constant: float = DEFAULT_BUDGET_CONSTANT
     seed: int = 0
@@ -80,10 +79,10 @@ def tau_schedule(d: int) -> list[int]:
     return taus
 
 
-def repetitions(config: TesterConfig) -> int:
-    """Draws per (b, tau) setting: budget * min(r sqrt(d)/eps^2, d/eps)
-    times an explicit (log2 d + 1) factor."""
-    d, r, eps = config.d, config.r, config.epsilon
+def repetitions(config: TesterConfig, d: int) -> int:
+    """Draws per (b, tau) setting on the d-cube: budget * min(r sqrt(d)/eps^2,
+    d/eps) times an explicit (log2 d + 1) factor."""
+    r, eps = config.r, config.epsilon
     base = min(r * math.sqrt(d) / eps**2, d / eps)
     return max(1, math.ceil(config.budget_constant * base * (math.log2(d) + 1 if d > 1 else 1)))
 
@@ -152,28 +151,32 @@ def _evaluate_schedule(oracle: CountingOracle, settings: list, pairs: np.ndarray
         witness=witness, per_setting=per_setting, seed=seed)
 
 
+def _dimension(oracle: CountingOracle) -> int:
+    """The dimension of the oracle's hypercube domain."""
+    if oracle.domain.kind != "hypercube":
+        raise ValueError(f"the testers run on hypercube domains, not {oracle.domain!r}")
+    return oracle.domain.d
+
+
 def pair_tester(oracle: CountingOracle, config: TesterConfig) -> TesterReport:
     """The pair tester.  Accepts every monotone function with certainty:
     each drawn pair is comparable in the direction checked, so a
     violation is a genuine witness of non-monotonicity."""
-    if oracle.domain.d != config.d:
-        raise ValueError(f"config.d={config.d} but the oracle's domain is "
-                         f"{oracle.domain!r}")
-    settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(config.d)]
-    pairs = pair_draws(np.random.default_rng(config.seed), config.d, settings,
-                       repetitions(config))
+    d = _dimension(oracle)
+    settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(d)]
+    pairs = pair_draws(np.random.default_rng(config.seed), d, settings,
+                       repetitions(config, d))
     return _evaluate_schedule(oracle, settings, pairs, config.seed)
 
 
-def edge_tester(oracle: CountingOracle, epsilon: float, d: int,
+def edge_tester(oracle: CountingOracle, epsilon: float,
                 budget_constant: float = DEFAULT_BUDGET_CONSTANT,
                 seed: int = 0) -> TesterReport:
     """Uniformly random directed edges; rejects on a violated edge.  The
     per-draw rejection probability is exactly |S_f^-| / (d 2^(d-1))."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0,1)")
-    if oracle.domain.d != d:
-        raise ValueError(f"d={d} but the oracle's domain is {oracle.domain!r}")
+    d = _dimension(oracle)
     reps = max(1, math.ceil(budget_constant * d / epsilon))
     edges = edge_draws(np.random.default_rng(seed), d, reps)
     return _evaluate_schedule(oracle, [(0, 1)], edges[None], seed)
@@ -232,10 +235,9 @@ def _one_trial(f: ValuedFunction, run, trial_seed: int) -> TesterReport:
     return run(CountingOracle(f), trial_seed)
 
 
-def run_pair_tester(oracle: CountingOracle, seed: int, *, epsilon: float,
-                    d: int, r: int,
+def run_pair_tester(oracle: CountingOracle, seed: int, *, epsilon: float, r: int,
                     budget_constant: float = DEFAULT_BUDGET_CONSTANT) -> TesterReport:
     """Picklable adapter for measure_rejection / CLI."""
-    return pair_tester(oracle, TesterConfig(epsilon=epsilon, d=d, r=r,
+    return pair_tester(oracle, TesterConfig(epsilon=epsilon, r=r,
                                             budget_constant=budget_constant,
                                             seed=seed))

@@ -1,8 +1,11 @@
 """Reference implementations kept as test oracles.
 
-Most helpers answer from a domain's per-vertex up-set / down-set
-bitmasks (Python ints) a question the library answers from arrays, or
-that the library only relies on: the comparable-pair walk that
+Most helpers answer from per-vertex up-set / down-set bitmasks (Python
+ints) a question the library answers from arrays, or that the library
+only relies on.  The masks come from `reach_masks`, a depth-first walk
+from every vertex over `cover_edges()`, not from the library's own
+closure pass, so the library's masks can be checked against them.  The
+questions are: the comparable-pair walk that
 `PosetDomain.pair_arrays` replaced, the induced edges of a sweeping
 graph, the sources and sinks a vertex sees, where a vertex sits
 relative to a sweeping graph, whether two pairs' sweeping graphs
@@ -18,6 +21,8 @@ objective by enumerating every matching.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from monocube.funcs import ValuedFunction
 from monocube.oracles import violated_pairs
@@ -36,11 +41,33 @@ def mask_bits(mask: int) -> list[int]:
     return bits
 
 
+@cache
+def reach_masks(domain, upward: bool = True) -> tuple[int, ...]:
+    """Per vertex x, the bitmask of {y : x <= y} (upward) or of {y : y <= x},
+    x included, by a depth-first walk from x along the cover edges."""
+    nbrs: list[list[int]] = [[] for _ in range(domain.n)]
+    for (x, y) in domain.cover_edges():
+        if upward:
+            nbrs[x].append(y)
+        else:
+            nbrs[y].append(x)
+    masks = []
+    for x in range(domain.n):
+        seen, stack = 1 << x, [x]
+        while stack:
+            for v in nbrs[stack.pop()]:
+                if not seen >> v & 1:
+                    seen |= 1 << v
+                    stack.append(v)
+        masks.append(seen)
+    return tuple(masks)
+
+
 def comparable_pairs_walk(domain) -> list[tuple[int, int]]:
     """Every strict comparable pair (x, y), x ascending and then y
     ascending, by walking each vertex's up-set bitmask."""
     domain.check_pair_budget()
-    return [(x, y) for x, mask in enumerate(domain._up_masks())
+    return [(x, y) for x, mask in enumerate(reach_masks(domain))
             for y in mask_bits(mask & ~(1 << x))]
 
 
@@ -53,13 +80,13 @@ def sweeping_edges(graph) -> list[tuple[int, int]]:
 
 def sources_below(graph, z: int) -> frozenset[int]:
     """S(z) = {s in S : s <= z}; nonempty for every z in the graph."""
-    down = graph.domain._down_masks()[z]
+    down = reach_masks(graph.domain, upward=False)[z]
     return frozenset(s for s in graph.source_set if down >> s & 1)
 
 
 def sinks_above(graph, z: int) -> frozenset[int]:
     """T(z) = {t in T : z <= t}; nonempty for every z in the graph."""
-    up = graph.domain._up_masks()[z]
+    up = reach_masks(graph.domain)[z]
     return frozenset(t for t in graph.sink_set if up >> t & 1)
 
 
@@ -74,8 +101,8 @@ def position_relative_to(domain, z: int, graph) -> str:
     if graph.vertex_mask >> z & 1:
         return "inside"
     zbit = 1 << z
-    above = bool(graph.vertex_mask & domain._down_masks()[z] & ~zbit)
-    below = bool(graph.vertex_mask & domain._up_masks()[z] & ~zbit)
+    above = bool(graph.vertex_mask & reach_masks(domain, upward=False)[z] & ~zbit)
+    below = bool(graph.vertex_mask & reach_masks(domain)[z] & ~zbit)
     if above and below:
         raise AssertionError(
             f"vertex {z} is both above and below the sweeping graph; "
@@ -106,7 +133,7 @@ def component_values(f, graph) -> tuple[int, ...]:
     1 iff its value beats every block sink it can still reach; outside, 1
     iff some vertex of H is strictly below it."""
     domain, mask = f.domain, graph.vertex_mask
-    down, up = domain._down_masks(), domain._up_masks()
+    down, up = reach_masks(domain, upward=False), reach_masks(domain)
     values = []
     for z in range(domain.n):
         if mask >> z & 1:

@@ -25,11 +25,12 @@ from monocube.hard_instances import (LowerBoundSpec, cap_set,
                                      violation_witness_count, witness_matching)
 from monocube.isoperimetry import (EdgeColoring, dist_to_const_fraction,
                                    undirected_objective, violation_profile)
-from monocube.oracles import boolean_variance, exact_distance, is_monotone, median_threshold
+from monocube.oracles import exact_distance, is_monotone
 from monocube.poset import hypercube
 from monocube.seeds import derive_seed
 from monocube.testers import TesterConfig, pair_draws, pair_tester
 from poset_oracles import exact_distance_bruteforce
+from proof_checks import boolean_variance, median_threshold
 
 SUITE_SEED = 20240
 SUITE_SIZE = 500
@@ -94,7 +95,7 @@ def test_criterion_03_robust_chain(suite):
             if done >= 100 or f.domain.d > 5 or is_monotone(f):
                 continue
             col = EdgeColoring.random(violation_profile(f), rng)
-            rep = robust_chain_check(f, col, tol=1e-12)
+            rep = robust_chain_check(decompose(f), col)
             assert rep.ordering_ok, rep.detail
             assert rep.epsilon_sum >= rep.epsilon_f / 2  # exact rationals
             done += 1
@@ -119,7 +120,7 @@ def test_criterion_05_one_sided_error():
             f = random_monotone(hypercube(d), r, derive_seed(SUITE_SEED, 50, run_idx))
             rep = pair_tester(
                 CountingOracle(f),
-                TesterConfig(epsilon=0.5, d=d, r=r,
+                TesterConfig(epsilon=0.5, r=r,
                              seed=derive_seed(SUITE_SEED, 51, run_idx)))
             rejections += rep.rejected
         assert rejections == 0
@@ -132,7 +133,7 @@ def test_criterion_06_tester_power():
         for trial in range(100):
             rep = pair_tester(
                 CountingOracle(f),
-                TesterConfig(epsilon=0.5, d=16, r=2, budget_constant=4.0,
+                TesterConfig(epsilon=0.5, r=2, budget_constant=4.0,
                              seed=derive_seed(SUITE_SEED, 6, trial)))
             rejected += rep.rejected
         assert rejected >= 60
@@ -276,7 +277,7 @@ def test_criterion_11_nonadaptive_replay():
         g = random_monotone(hypercube(d), 3, 2)
         of = CountingOracle(f, record=True)
         og = CountingOracle(g, record=True)
-        cfg = dict(epsilon=0.4, d=d, r=5, seed=12345)
+        cfg = dict(epsilon=0.4, r=5, seed=12345)
         pair_tester(of, TesterConfig(**cfg))
         pair_tester(og, TesterConfig(**cfg))
         assert of.log == og.log

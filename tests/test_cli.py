@@ -194,6 +194,19 @@ def test_oversized_input_is_a_usage_error(tmp_path, capsys):
     assert hypercube(13)._up is None  # refused before any mask was built
 
 
+@pytest.mark.parametrize("argv", [["gen-function", "--d", "40"],
+                                  ["gen-lowerbound", "--d", "49", "--r", "5", "--i", "1"]],
+                         ids=["gen-function", "gen-lowerbound"])
+def test_generators_refuse_a_table_over_the_budget(tmp_path, capsys, argv):
+    # 2^40 and 2^49 values: refused before any table is allocated
+    fn = tmp_path / "big.json"
+    assert run([*argv, "--out", str(fn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "value-table budget" in err
+    assert not fn.exists()
+
+
 def test_verify_inequalities_non_boolean_d7(tmp_path):
     # every exact solve of the suite, the certificate's included, fits the pair budget
     assert run(["verify-inequalities", "--d", "7", "--r", "8", "--count", "2",

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from monocube.decomposition import robust_chain_check
+from monocube.decomposition import decompose, robust_chain_check
 from monocube.funcs import ValuedFunction, random_function
 from monocube.isoperimetry import EdgeColoring, violation_profile
 from monocube.oracles import is_monotone, worst_coloring
@@ -265,6 +265,6 @@ def test_worst_coloring_and_chain_values_are_pinned(case):
         rng = random.Random(seed)
         colorings = (EdgeColoring.all_red(p), EdgeColoring.all_blue(p),
                      EdgeColoring.random(p, rng))
-        got = [tuple(v.hex() for v in robust_chain_check(f, col).values)
+        got = [tuple(v.hex() for v in robust_chain_check(decompose(f), col).values)
                for col in colorings]
         assert got == list(chains)

@@ -44,7 +44,7 @@ def test_decompose_on_random_dags():
         dec = decompose(f)
         assert dec.certificate.all_ok, dec.certificate.failures()
         col = EdgeColoring.random(violation_profile(f), rng)
-        chain = robust_chain_check(f, col, dec)
+        chain = robust_chain_check(dec, col)
         assert chain.ordering_ok and chain.distance_ok, chain.detail
         checked += 1
     assert checked >= 10

@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from monocube.decomposition import (Matching, build_components, decompose,
@@ -63,6 +65,24 @@ def test_matching_maximal_bound():
         m = max_weight_min_card_matching(f)
         eps = exact_distance(f).epsilon
         assert Fraction(len(m)) >= eps * f.domain.n / 2
+
+
+def test_matching_leaves_no_graph_with_edges_behind():
+    """networkx's graph caches views that point back at it, so it outlives
+    the call until a collection; with the collector paused, every graph
+    made by the call must already be empty."""
+    f = random_function(hypercube(6), 8, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        before = {id(g) for g in gc.get_objects() if isinstance(g, nx.Graph)}
+        matching = max_weight_min_card_matching(f)
+        left = [g for g in gc.get_objects()
+                if isinstance(g, nx.Graph) and id(g) not in before and g.number_of_edges()]
+    finally:
+        gc.enable()
+    assert len(matching) > 0
+    assert left == []
 
 
 def test_matching_validation():
@@ -435,14 +455,14 @@ def test_graphs_disjoint_names_the_first_graph_then_its_first_partner():
 def test_chain_check_single_edge():
     f = ValuedFunction(hypercube(1), (2, 1))
     col = EdgeColoring.all_red(violation_profile(f))
-    rep = robust_chain_check(f, col)
+    rep = robust_chain_check(decompose(f), col)
     assert rep.values == (0.5, 0.5, 0.5, 0.5)
     assert rep.ordering_ok and rep.distance_ok
 
 
 def test_chain_check_monotone():
     f = random_monotone(hypercube(3), 3, 0)
-    rep = robust_chain_check(f, EdgeColoring.all_red(violation_profile(f)))
+    rep = robust_chain_check(decompose(f), EdgeColoring.all_red(violation_profile(f)))
     assert rep.values == (0.0, 0.0, 0.0, 0.0)
     assert rep.ordering_ok and rep.distance_ok
 
@@ -455,7 +475,7 @@ def test_chain_check_rejects_a_part_violating_an_edge_f_does_not():
     from monocube.decomposition import Decomposition
     corrupted = Decomposition(f, dec.matching, ((part, graph),))
     with pytest.raises(ValueError, match="^a part violates 1 edges that f does not violate$"):
-        robust_chain_check(f, EdgeColoring.all_red(violation_profile(f)), corrupted)
+        robust_chain_check(corrupted, EdgeColoring.all_red(violation_profile(f)))
 
 
 def test_chain_check_builds_its_masks_once_per_decomposition(monkeypatch):
@@ -466,7 +486,7 @@ def test_chain_check_builds_its_masks_once_per_decomposition(monkeypatch):
     monkeypatch.setattr(decomposition, "violated_cover_edges",
                         lambda *args: calls.append(args) or violated_cover_edges(*args))
     rng = random.Random(2)
-    reports = [robust_chain_check(f, EdgeColoring.random(violation_profile(f), rng), dec)
+    reports = [robust_chain_check(dec, EdgeColoring.random(violation_profile(f), rng))
                for _ in range(3)]
     assert len(calls) == 1
     assert all(rep.ordering_ok and rep.distance_ok for rep in reports)
@@ -479,7 +499,7 @@ def test_chain_check_random_suite():
         if is_monotone(f):
             continue
         col = EdgeColoring.random(violation_profile(f), rng)
-        rep = robust_chain_check(f, col)
+        rep = robust_chain_check(decompose(f), col)
         assert rep.ordering_ok and rep.distance_ok, rep.detail
 
 
@@ -534,7 +554,7 @@ def test_chain_values_match_the_per_part_formulation(chunk, monkeypatch, diamond
         profile = violation_profile(f)
         for col in (EdgeColoring.random(profile, rng), EdgeColoring.all_red(profile),
                     EdgeColoring.all_blue(profile)):
-            rep = robust_chain_check(f, col, dec)
+            rep = robust_chain_check(dec, col)
             expected = chain_values_per_part(f, col, dec)
             assert [v.hex() for v in rep.values] == [v.hex() for v in expected]
             assert robust_objective(f, col).hex() == expected[0].hex()

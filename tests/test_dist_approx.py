@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocube.dist_approx import (BLOCK, RED, CaptureConfig, approx_distance,
-                                  approx_mono, bucket_profile, capture,
+from monocube.dist_approx import (BLOCK, CaptureConfig, approx_distance,
+                                  approx_mono, capture,
                                   hoeffding_samples, mu_estimate, mu_exact,
-                                  rate_schedule, sqrt_d_log_d, u_degree_coloring,
+                                  rate_schedule, sqrt_d_log_d,
                                   violated_fraction_estimate, _violated)
 from monocube.funcs import (CountingOracle, ValuedFunction, anti_dictator,
                             index_dtype, random_function, random_monotone)
@@ -17,6 +17,7 @@ from monocube.isoperimetry import violation_profile
 from monocube.oracles import exact_distance
 from monocube.poset import hypercube
 from monocube.seeds import derive_seed
+from proof_checks import RED, bucket_profile, u_degree_coloring
 
 
 def all_subsets(d):
@@ -202,23 +203,19 @@ def test_approx_mono_replay_identical_queries():
 def test_approx_mono_config_validation():
     with pytest.raises(ValueError):
         CaptureConfig(epsilon=0.6)
-    with pytest.raises(ValueError):
-        CaptureConfig(epsilon=0.3, failure_budget=0.5)
     CaptureConfig(epsilon=0.5)  # top search level is admitted
 
 
 def test_approx_distance_single_edge():
     f = ValuedFunction(hypercube(1), (1, 0))
-    rep = approx_distance(CountingOracle(f), alpha=0.25,
-                          config=CaptureConfig(epsilon=0.25, seed=4))
+    rep = approx_distance(CountingOracle(f), alpha=0.25, seed=4)
     assert rep.epsilon_hat == 0.5
     assert not rep.promise_violation
 
 
 def test_approx_distance_monotone_promise_violation():
     f = random_monotone(hypercube(4), 4, 6)
-    rep = approx_distance(CountingOracle(f), alpha=0.2,
-                          config=CaptureConfig(epsilon=0.2, seed=0))
+    rep = approx_distance(CountingOracle(f), alpha=0.2, seed=0)
     assert rep.promise_violation
     assert rep.epsilon_hat == 0.2
 
@@ -226,16 +223,14 @@ def test_approx_distance_monotone_promise_violation():
 def test_approx_distance_alpha_above_half():
     # the tolerant tester caps at 1/2; a higher promise still gets one level
     f = ValuedFunction(hypercube(1), (1, 0))
-    rep = approx_distance(CountingOracle(f), alpha=0.8,
-                          config=CaptureConfig(epsilon=0.25, seed=1))
+    rep = approx_distance(CountingOracle(f), alpha=0.8, seed=1)
     assert rep.epsilon_hat == 0.5
     assert len(rep.levels) == 1
 
 
 def test_approx_distance_anti_dictator():
     f = anti_dictator(9)
-    rep = approx_distance(CountingOracle(f), alpha=0.1,
-                          config=CaptureConfig(epsilon=0.1, seed=8))
+    rep = approx_distance(CountingOracle(f), alpha=0.1, seed=8)
     assert rep.epsilon_hat in (0.5, 0.25)
     assert not rep.promise_violation
 
@@ -283,7 +278,7 @@ def test_bucket_profile_ranges_and_average():
         profile = violation_profile(f)
         col = u_degree_coloring(f)
         from monocube.isoperimetry import colored_counts
-        red, blue = colored_counts(f, col)
+        red, blue = colored_counts(col)
         counts = red if prof.side[1] == RED else blue
         for (t, s), cnt in prof.blocks.items():
             assert t >= s >= 1

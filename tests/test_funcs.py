@@ -12,7 +12,7 @@ from monocube.funcs import (CountingOracle, FunctionFormatError, ValuedFunction,
                             threshold, weight_function, write_function)
 from monocube.isoperimetry import violation_profile
 from monocube.oracles import is_monotone
-from monocube.poset import PosetDomain, hypercube
+from monocube.poset import DomainSizeError, PosetDomain, hypercube
 
 
 def test_length_and_finiteness_checked():
@@ -123,6 +123,17 @@ def test_random_monotone_on_dag():
     dom = PosetDomain("dag", n=5, edges=[(0, 1), (1, 2), (0, 3), (3, 4)])
     for seed in range(20):
         assert is_monotone(random_monotone(dom, 5, seed))
+
+
+@pytest.mark.parametrize("generate", [lambda: random_function(hypercube(21), 2, 0),
+                                      lambda: random_monotone(hypercube(21), 2, 0),
+                                      lambda: anti_dictator(21),
+                                      lambda: weight_function(21)],
+                         ids=["random_function", "random_monotone", "anti_dictator",
+                              "weight_function"])
+def test_generators_refuse_a_table_over_the_budget(generate):
+    with pytest.raises(DomainSizeError, match="value-table budget"):
+        generate()
 
 
 def test_roundtrip_hypercube(tmp_path):

@@ -10,17 +10,17 @@ from hypothesis import example, given, settings, strategies as st
 from monocube import isoperimetry
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
                             random_monotone, threshold, weight_function)
-from monocube.isoperimetry import (EdgeColoring,
-                                   PersistenceDecompositionReport,
-                                   check_good_graph, directed_objective,
-                                   dist_to_const, is_persistent,
-                                   persistence_decomposition_check,
-                                   persistence_probability,
-                                   persistence_probability_mc, profile_dump,
+from monocube.isoperimetry import (EdgeColoring, directed_objective,
+                                   dist_to_const, profile_dump,
                                    robust_objective, undirected_objective,
-                                   violation_profile, weight_band)
-from monocube.oracles import boolean_variance
+                                   violation_profile)
 from monocube.poset import DomainSizeError, PosetDomain, hypercube
+import proof_checks
+from proof_checks import (PersistenceDecompositionReport, boolean_variance,
+                          check_good_graph, is_persistent,
+                          persistence_decomposition_check,
+                          persistence_probability, persistence_probability_mc,
+                          weight_band)
 
 TWO_SQRT_TWO = 2 * math.sqrt(2)
 
@@ -89,7 +89,7 @@ def test_coloring_conservation():
         red = int(col.red.sum())
         blue = len(col.red) - red
         from monocube.isoperimetry import colored_counts
-        rc, bc = colored_counts(f, col)
+        rc, bc = colored_counts(col)
         assert sum(rc) == red and sum(bc) == blue
         assert sum(rc) + sum(bc) == p.num_violated
 
@@ -236,7 +236,7 @@ def test_persistence_walk_matches_the_per_direction_walk():
                                            for _ in range(32)))
     for direction in ("right", "left"):
         for x in range(32):
-            free = isoperimetry.free_coordinates(x, 5, direction)
+            free = proof_checks.free_coordinates(x, 5, direction)
             for tau in (1, 2, 3):
                 if tau > len(free):
                     continue

@@ -13,8 +13,8 @@ from monocube.decomposition import decompose, robust_chain_check
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
                             random_monotone, threshold, weight_function)
 from monocube.isoperimetry import EdgeColoring, undirected_objective, violation_profile
-from monocube.oracles import (DistanceCertificate, boolean_variance, exact_distance,
-                              exact_distances, is_monotone, median_threshold,
+from monocube.oracles import (DistanceCertificate, exact_distance,
+                              exact_distances, is_monotone,
                               violated_pairs, worst_coloring, _hopcroft_karp,
                               _repair)
 from monocube import poset
@@ -22,6 +22,7 @@ from monocube.poset import DomainSizeError, PosetDomain, hypercube
 from monocube.seeds import derive_seed
 from poset_oracles import (enumerate_matchings_check, exact_distance_bruteforce,
                            mvc_branch_bound)
+from proof_checks import boolean_variance, median_threshold
 
 
 def test_is_monotone_examples():
@@ -180,11 +181,11 @@ def test_decomposition_certificate_is_solved_when_read(monkeypatch):
     assert dec.certificate.all_ok
     assert solved == [f, *(fi for (fi, _) in dec.components)]
     col = EdgeColoring.random(violation_profile(f), random.Random(3))
-    chain = robust_chain_check(f, col, dec)
+    chain = robust_chain_check(dec, col)
     assert len(solved) == 1 + dec.k
     g = ValuedFunction(f.domain, f.values)
     unread = decompose(g)
-    fresh = robust_chain_check(g, EdgeColoring(violation_profile(g), col.red), unread)
+    fresh = robust_chain_check(unread, EdgeColoring(violation_profile(g), col.red))
     assert "certificate" not in vars(unread)
     assert [v.hex() for v in fresh.values] == [v.hex() for v in chain.values]
     assert (fresh.epsilon_f, fresh.epsilon_sum) == (chain.epsilon_f, chain.epsilon_sum)

@@ -6,7 +6,7 @@ import pytest
 from monocube import poset
 from monocube.poset import (CycleError, DomainSizeError, PosetDomain,
                             build_domain, hypercube)
-from poset_oracles import (comparable_pairs_walk, position_relative_to,
+from poset_oracles import (comparable_pairs_walk, position_relative_to, reach_masks,
                            sinks_above, sources_below, sweeping_edges)
 
 
@@ -77,17 +77,21 @@ def test_reaches_trivia(chain3):
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_reaches_agrees_with_edge_built_dag(d):
-    """Bitmask containment vs reachability derived purely from the edge
-    list, compared exhaustively via the up-set masks."""
+    """The up- and down-set masks of the hypercube and of the DAG built
+    from its edge list, each against a depth-first walk over the edges."""
     hc = hypercube(d)
     dag = PosetDomain("dag", n=hc.n, edges=hc.cover_edges())
-    assert hc._up_masks() == dag._up_masks()
+    for domain in (hc, dag):
+        assert domain._up_masks() == list(reach_masks(domain))
+        assert domain._down_masks() == list(reach_masks(domain, upward=False))
 
 
 def test_reaches_agrees_at_d10():
     hc = hypercube(10)
     dag = PosetDomain("dag", n=hc.n, edges=hc.cover_edges())
-    assert hc._up_masks() == dag._up_masks()
+    walk = list(reach_masks(hc))
+    assert hc._up_masks() == walk
+    assert dag._up_masks() == walk
 
 
 def random_dag(n, seed):
@@ -160,16 +164,22 @@ def test_pair_arrays_refused_before_any_mask_is_built():
         assert not {"pair_arrays", "edge_arrays"} & set(vars(dom))
 
 
+def closure_pairs(domain):
+    """The strict comparable pairs (x, y) of ``domain.pair_arrays``."""
+    lower, upper = domain.pair_arrays
+    return list(zip(lower.tolist(), upper.tolist()))
+
+
 def test_transitive_closure_examples(chain3):
-    assert sorted(chain3.transitive_closure()) == [(0, 1), (0, 2), (1, 2)]
-    assert sorted(hypercube(1).transitive_closure()) == [(0, 1)]
-    assert len(hypercube(2).transitive_closure()) == 5
+    assert sorted(closure_pairs(chain3)) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(closure_pairs(hypercube(1))) == [(0, 1)]
+    assert len(closure_pairs(hypercube(2))) == 5
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_transitive_closure_count(d):
     # strict subset pairs: 3^d - 2^d, counted independently
-    pairs = hypercube(d).transitive_closure()
+    pairs = closure_pairs(hypercube(d))
     expected = {(x, y) for x in range(2 ** d) for y in range(2 ** d)
                 if x != y and (x & y) == x}
     assert set(pairs) == expected
@@ -178,12 +188,19 @@ def test_transitive_closure_count(d):
 
 def test_transitive_closure_cap():
     with pytest.raises(DomainSizeError):
-        hypercube(13).transitive_closure()
+        closure_pairs(hypercube(13))
 
 
 def test_transitive_closure_at_the_pair_budget():
     # the largest closure the budget admits: 3^12 - 2^12 pairs
-    assert len(hypercube(12).transitive_closure()) == 527345
+    assert len(closure_pairs(hypercube(12))) == 527345
+
+
+def test_table_budget_admits_d20_and_refuses_d21():
+    hypercube(16).check_table_budget()
+    hypercube(20).check_table_budget()
+    with pytest.raises(DomainSizeError, match="value-table budget"):
+        hypercube(21).check_table_budget()
 
 
 def test_sweeping_graph_examples(chain3):

@@ -25,19 +25,19 @@ def test_tau_schedule():
 
 
 def test_repetitions_scale():
-    base = repetitions(TesterConfig(epsilon=0.5, d=16, r=2))
+    base = repetitions(TesterConfig(epsilon=0.5, r=2), 16)
     assert base == math.ceil(4 * min(2 * 4 / 0.25, 32) * 5)
-    doubled = repetitions(TesterConfig(epsilon=0.5, d=16, r=2, budget_constant=8))
+    doubled = repetitions(TesterConfig(epsilon=0.5, r=2, budget_constant=8), 16)
     assert doubled == 2 * base
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TesterConfig(epsilon=0.0, d=4, r=2)
+        TesterConfig(epsilon=0.0, r=2)
     with pytest.raises(ValueError):
-        TesterConfig(epsilon=0.5, d=4, r=0)
+        TesterConfig(epsilon=0.5, r=0)
     with pytest.raises(ValueError):
-        TesterConfig(epsilon=0.5, d=4, r=2, budget_constant=0)
+        TesterConfig(epsilon=0.5, r=2, budget_constant=0)
 
 
 def draw_table(pairs, settings):
@@ -125,14 +125,14 @@ def test_pair_tester_accepts_monotone():
     for seed in range(25):
         f = random_monotone(hypercube(6), 5, seed)
         rep = pair_tester(CountingOracle(f),
-                          TesterConfig(epsilon=0.4, d=6, r=5, seed=seed))
+                          TesterConfig(epsilon=0.4, r=5, seed=seed))
         assert rep.verdict == "accept"
         assert rep.witness is None
 
 
 def test_pair_tester_witness_is_genuine():
     f = anti_dictator(6)
-    rep = pair_tester(CountingOracle(f), TesterConfig(epsilon=0.5, d=6, r=2, seed=3))
+    rep = pair_tester(CountingOracle(f), TesterConfig(epsilon=0.5, r=2, seed=3))
     assert rep.verdict == "reject"
     x, y, fx, fy = rep.witness
     assert f.values[x] == fx and f.values[y] == fy
@@ -143,15 +143,15 @@ def test_pair_tester_witness_is_genuine():
 
 def test_pair_tester_query_accounting():
     f = random_function(hypercube(5), 4, 2)
-    cfg = TesterConfig(epsilon=0.3, d=5, r=4, seed=11)
+    cfg = TesterConfig(epsilon=0.3, r=4, seed=11)
     oracle = CountingOracle(f, record=True)
     rep = pair_tester(oracle, cfg)
     draws = sum(s["draws"] for s in rep.per_setting.values())
     assert rep.queries == oracle.query_count == len(oracle.log)
     # regenerate the schedule to count degenerate draws: 2 queries per
     # distinct pair, 1 per y = x draw
-    settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(cfg.d)]
-    pairs = pair_draws(np.random.default_rng(cfg.seed), cfg.d, settings, repetitions(cfg))
+    settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(5)]
+    pairs = pair_draws(np.random.default_rng(cfg.seed), 5, settings, repetitions(cfg, 5))
     degenerate = int(np.count_nonzero(pairs[..., 0] == pairs[..., 1]))
     total = pairs[..., 0].size
     assert total == draws
@@ -181,10 +181,10 @@ def reference_report(f, schedule):
 def test_pair_tester_matches_pairwise_reference(d, seed):
     values = [(x * 7 % 5) + (0.5 if x % 4 == 1 else 0) for x in range(1 << d)]
     f = ValuedFunction(hypercube(d), tuple(values))
-    cfg = TesterConfig(epsilon=0.3, d=d, r=4, budget_constant=0.5, seed=seed)
+    cfg = TesterConfig(epsilon=0.3, r=4, budget_constant=0.5, seed=seed)
     settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(d)]
     schedule = draw_table(
-        pair_draws(np.random.default_rng(seed), d, settings, repetitions(cfg)), settings)
+        pair_draws(np.random.default_rng(seed), d, settings, repetitions(cfg, d)), settings)
     oracle = CountingOracle(f, record=True)
     rep = pair_tester(oracle, cfg)
     verdict, witness, per_setting, log = reference_report(f, schedule)
@@ -194,7 +194,7 @@ def test_pair_tester_matches_pairwise_reference(d, seed):
 
 
 def test_pair_tester_replay_identical_queries():
-    cfg = dict(epsilon=0.4, d=7, r=3, seed=99)
+    cfg = dict(epsilon=0.4, r=3, seed=99)
     f = random_function(hypercube(7), 3, 0)
     g = random_monotone(hypercube(7), 3, 1)
     of = CountingOracle(f, record=True)
@@ -216,15 +216,15 @@ def test_pair_tester_d1_per_draw_rate():
 
 def test_edge_tester_examples():
     mono = random_monotone(hypercube(5), 4, 8)
-    assert edge_tester(CountingOracle(mono), 0.5, 5, seed=0).verdict == "accept"
+    assert edge_tester(CountingOracle(mono), 0.5, seed=0).verdict == "accept"
 
     single = ValuedFunction(hypercube(1), (1, 0))
-    rep = edge_tester(CountingOracle(single), 0.5, 1, seed=1)
+    rep = edge_tester(CountingOracle(single), 0.5, seed=1)
     stats = rep.per_setting[(0, 1)]
     assert stats["violations"] == stats["draws"]  # the only edge is violated
 
     f = anti_dictator(8)
-    rep = edge_tester(CountingOracle(f), 0.1, 8, budget_constant=20, seed=2)
+    rep = edge_tester(CountingOracle(f), 0.1, budget_constant=20, seed=2)
     stats = rep.per_setting[(0, 1)]
     rate = stats["violations"] / stats["draws"]
     sigma = math.sqrt((1 / 8) * (7 / 8) / stats["draws"])
@@ -233,14 +233,14 @@ def test_edge_tester_examples():
 
 def test_measure_rejection_monotone_zero():
     f = random_monotone(hypercube(5), 6, 4)
-    m = measure_rejection(f, partial(run_pair_tester, epsilon=0.5, d=5, r=6),
+    m = measure_rejection(f, partial(run_pair_tester, epsilon=0.5, r=6),
                           trials=50, seed=13)
     assert m.rejections == 0 and m.rate == 0.0
 
 
 def test_measure_rejection_parallel_matches_serial():
     f = anti_dictator(6)
-    run = partial(run_pair_tester, epsilon=0.5, d=6, r=2, budget_constant=0.5)
+    run = partial(run_pair_tester, epsilon=0.5, r=2, budget_constant=0.5)
     serial = measure_rejection(f, run, trials=20, seed=3, jobs=1)
     parallel = measure_rejection(f, run, trials=20, seed=3, jobs=2)
     assert serial == parallel
