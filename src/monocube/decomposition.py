@@ -17,6 +17,11 @@ so the exact maximum-weight matching under these weights is exactly the
 max-weight min-cardinality matching.  The general-graph maximum-weight
 matching itself is delegated to networkx (blossom algorithm, exact for
 integer weights); the tests cross-check it by brute-force enumeration.
+The blossom reads each edge weight as ``graph[v][w]``, so the graph is
+a private `nx.Graph` subclass whose ``graph[v]`` is the stored neighbour
+dict rather than a new view of it per read.  The dicts and their order
+are a plain graph's, so the matching is the one networkx finds on a
+plain `nx.Graph`; a property test compares the two.
 
 Each part is built from bitmask unions: the zeros inside its graph are
 the vertices below some block sink with rank at most the sink's, and
@@ -74,6 +79,17 @@ class Matching:
                 raise ValueError(f"pair ({s},{t}) is not strictly ordered")
 
 
+class _PlainAdjGraph(nx.Graph):
+    """An `nx.Graph` whose ``graph[v]`` is v's stored neighbour dict, not a
+    fresh read-only view of it.  networkx's blossom reads every edge
+    weight as ``graph[v][w]``, and building that view cost more than the
+    read.  The dicts and their order are the same, so the blossom takes
+    the same steps and returns the same matching."""
+
+    def __getitem__(self, n):
+        return self._adj[n]
+
+
 def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
     """Matching of violated comparable pairs maximizing the total rank
     gap, tie-broken by fewest pairs.  Empty for monotone input."""
@@ -84,7 +100,7 @@ def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
     ranks = f.ranks.astype(np.int64)  # (n + 1) * gap must not wrap
     weights = (n + 1) * (ranks[pairs[:, 0]] - ranks[pairs[:, 1]]) - 1
     lower, upper = pairs.T.tolist()
-    graph = nx.Graph()
+    graph = _PlainAdjGraph()
     graph.add_weighted_edges_from(zip(lower, upper, weights.tolist()))
     matched = nx.max_weight_matching(graph, maxcardinality=False)
     # the graph caches views that point back at it, so only the cyclic

@@ -159,12 +159,6 @@ def canonical_rank(f: ValuedFunction) -> ValuedFunction:
     return ValuedFunction(f.domain, tuple(ranks[v] for v in f.values))
 
 
-def threshold(f: ValuedFunction, t: float) -> ValuedFunction:
-    """Boolean indicator of f(x) > t.  Its violated edges are a subset of
-    the violated edges of f."""
-    return ValuedFunction(f.domain, tuple(1 if v > t else 0 for v in f.values))
-
-
 def random_function(domain: PosetDomain, r: int, seed: int) -> ValuedFunction:
     """i.i.d. uniform values in 1..r, deterministic given the seed."""
     if r < 1:

@@ -22,9 +22,7 @@ Each function's profile is one array computation: the function's ranks
 (`ValuedFunction.ranks`) are compared across the domain's cover-edge
 arrays (`PosetDomain.edge_arrays`) and the per-vertex counts come from
 ``np.bincount``.  It runs once per function; `violation_profile` returns
-the copy cached on the function.  `ViolationProfile` stores arrays, and
-its tuple fields (``violated_edges``, ``out_counts``, ``total_degree``,
-``undirected_counts``) are read-only views built on first access.
+the copy cached on the function.  `ViolationProfile` stores only arrays.
 
 A red/blue coloring of the violated edges (`EdgeColoring`) is a boolean
 vector aligned with one profile: ``red[k]`` colors the edge
@@ -42,7 +40,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -78,22 +75,6 @@ class ViolationProfile:
                    total=out + np.bincount(upper, minlength=n),
                    undirected=out + np.bincount(rising, minlength=n),
                    influential_edge_count=len(lower) + len(rising))
-
-    @cached_property
-    def violated_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.lower.tolist(), self.upper.tolist()))
-
-    @cached_property
-    def out_counts(self) -> tuple[int, ...]:
-        return tuple(self.out.tolist())
-
-    @cached_property
-    def total_degree(self) -> tuple[int, ...]:
-        return tuple(self.total.tolist())
-
-    @cached_property
-    def undirected_counts(self) -> tuple[int, ...]:
-        return tuple(self.undirected.tolist())
 
     @property
     def num_violated(self) -> int:

