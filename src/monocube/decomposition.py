@@ -14,14 +14,30 @@ The matching objective (maximize total value gap, then minimize the pair
 count) is encoded in a single integer weight (n+1)*gap - 1 per pair; the
 value gaps are >= 1 after ranking and a matching has at most n/2 pairs,
 so the exact maximum-weight matching under these weights is exactly the
-max-weight min-cardinality matching.  The general-graph maximum-weight
-matching itself is delegated to networkx (blossom algorithm, exact for
-integer weights); the tests cross-check it by brute-force enumeration.
-The blossom reads each edge weight as ``graph[v][w]``, so the graph is
-a private `nx.Graph` subclass whose ``graph[v]`` is the stored neighbour
-dict rather than a new view of it per read.  The dicts and their order
-are a plain graph's, so the matching is the one networkx finds on a
-plain `nx.Graph`; a property test compares the two.
+max-weight min-cardinality matching.
+
+An input with more than two values is matched on the bipartite split
+graph: a left copy of each pair's lower end, a right copy of each upper
+end.  Its optimum never uses a vertex v on both sides: pairs (u, v) and
+(v, w) give u < v < w and g(u) > g(v) > g(w), so (u, w) is violated too
+and replacing the two pairs by it gains exactly 1.  So a maximum-weight
+split matching is a matching of the violation graph, and it is optimal
+there, since every matching of the violation graph is a split matching.
+The weight splits as a(x) - b(y), so an augmenting path gains a value
+fixed by its two free ends, and successive shortest paths
+(`_split_graph_matching`) need only one alternating search per matched
+pair.  The tests cross-check it against networkx and by brute-force
+enumeration.
+
+A Boolean input gives every pair the same weight, so any maximum
+matching is optimal, and different ones give different part counts k.
+It keeps networkx's blossom (exact for integer weights), whose k the
+benchmark's reference results record.  The blossom reads each edge
+weight as ``graph[v][w]``, so the graph is a private `nx.Graph` subclass
+whose ``graph[v]`` is the stored neighbour dict rather than a new view of
+it per read.  The dicts and their order are a plain graph's, so the
+matching is the one networkx finds on a plain `nx.Graph`; a property
+test compares the two.
 
 Each part is built from bitmask unions: the zeros inside its graph are
 the vertices below some block sink with rank at most the sink's, and
@@ -92,16 +108,24 @@ class _PlainAdjGraph(nx.Graph):
 
 def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
     """Matching of violated comparable pairs maximizing the total rank
-    gap, tie-broken by fewest pairs.  Empty for monotone input."""
-    n = f.domain.n
+    gap, tie-broken by fewest pairs.  Empty for monotone input.
+
+    Each pair (x, y) weighs (n+1)(g(x) - g(y)) - 1 for the rank g.  An
+    input with more than two values is solved on the split graph
+    (`_split_graph_matching`), whose optimum reuses no vertex (module
+    docstring).  A Boolean input weighs every pair n, so any maximum
+    matching is optimal; it keeps networkx's blossom, because which
+    maximum matching it picks fixes the part counts k that recorded
+    Boolean reports hold."""
     pairs = violated_pairs(f)
     if not len(pairs):
         return Matching(())
-    ranks = f.ranks.astype(np.int64)  # (n + 1) * gap must not wrap
-    weights = (n + 1) * (ranks[pairs[:, 0]] - ranks[pairs[:, 1]]) - 1
+    ranks = f.ranks.tolist()
     lower, upper = pairs.T.tolist()
+    if max(ranks) > 1:
+        return Matching(tuple(sorted(_split_graph_matching(ranks, lower, upper))))
     graph = _PlainAdjGraph()
-    graph.add_weighted_edges_from(zip(lower, upper, weights.tolist()))
+    graph.add_edges_from(zip(lower, upper), weight=f.domain.n)
     matched = nx.max_weight_matching(graph, maxcardinality=False)
     # the graph caches views that point back at it, so only the cyclic
     # collector frees it; emptying it now frees its edges at once
@@ -109,6 +133,63 @@ def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
     # a matched pair is violated, so its lower end has the strictly higher rank
     return Matching(tuple(sorted((a, b) if ranks[a] > ranks[b] else (b, a)
                                  for (a, b) in matched)))
+
+
+def _split_graph_matching(ranks: list[int], lower: list[int], upper: list[int]
+                          ) -> list[tuple[int, int]]:
+    """A maximum-weight matching of the split graph of the violated pairs
+    (x, y) given as ``lower`` and ``upper``, as (x, y) tuples.  The split
+    graph has a left copy of each x, a right copy of each y, and the
+    weight (n+1)(g(x) - g(y)) - 1 on each pair.
+
+    The weight is a(x) - b(y) with a(x) = (n+1)g(x) - 1 and
+    b(y) = (n+1)g(y), so an augmenting path from a free left x to a free
+    right y gains a(x) - b(y), whatever it passes through.  Each round
+    runs one reverse alternating search from the free right vertices in
+    (rank, vertex) order, so each left vertex is first reached from the
+    lowest-rank free right vertex that reaches it.  The round augments at
+    the first free left x reached with the largest gap g(x) - g(root),
+    and its search stops once no root left can reach a larger gap.
+    These are successive shortest paths: each matching is a
+    maximum-weight one of its size and the gains only fall, so the first
+    round with no positive gap (a gain is never 0) ends at a
+    maximum-weight matching.  A round costs O(pairs), and there is one
+    per matched pair and one more.
+    """
+    n = len(ranks)
+    below: dict[int, list[int]] = {}  # right y -> its left neighbours, in pair order
+    for x, y in zip(lower, upper):
+        below.setdefault(y, []).append(x)
+    roots = sorted(below, key=lambda y: (ranks[y], y))
+    lefts = set(lower)
+    mate_l, mate_r = [-1] * n, [-1] * n
+    while True:
+        top = max((ranks[x] for x in lefts if mate_l[x] < 0), default=0)
+        via = [-1] * n  # left x -> the right vertex the search reached it from
+        gap, chosen = 0, -1
+        for start in roots:
+            reach = top - ranks[start]  # no later root can label a larger gap
+            if reach <= gap:
+                break
+            if mate_r[start] >= 0:
+                continue
+            queue = [start]
+            for y in queue:
+                if gap == reach:
+                    break
+                for x in below[y]:
+                    if via[x] < 0:
+                        via[x] = y
+                        if mate_l[x] >= 0:
+                            queue.append(mate_l[x])
+                        elif ranks[x] - ranks[start] > gap:
+                            gap, chosen = ranks[x] - ranks[start], x
+        if not gap:
+            return [(x, y) for (y, x) in enumerate(mate_r) if x >= 0]
+        x = chosen
+        while x >= 0:  # flip the path back to its root
+            y = via[x]
+            mate_l[x], mate_r[y], x = y, x, mate_r[y]
 
 
 def merge_pairs(domain: PosetDomain, matching: Matching) -> tuple[SweepingGraph, ...]:

@@ -62,12 +62,12 @@ PINS = [
      None,
      ('111111111111111', '0x1.46f4629ea766fp-1'),
      (
-         ('0x1.46f4629ea766fp-1', '0x1.3cc8a99af5453p-1',
-          '0x1.3cc8a99af5454p-1', '0x1.0f876ccdf6cdap-1'),
-         ('0x1.695c653b5e21ep-1', '0x1.495c653b5e21ep-1',
-          '0x1.495c653b5e21ep-1', '0x1.095c653b5e21ep-1'),
-         ('0x1.a7c3b666fb66dp-1', '0x1.87c3b666fb66dp-1',
-          '0x1.87c3b666fb66dp-1', '0x1.47c3b666fb66dp-1'),
+         ('0x1.46f4629ea766fp-1', '0x1.ea09e667f3bcdp-2',
+          '0x1.ea09e667f3bcdp-2', '0x1.8f876ccdf6cdap-2'),
+         ('0x1.695c653b5e21ep-1', '0x1.07c3b666fb66dp-1',
+          '0x1.07c3b666fb66dp-1', '0x1.8f876ccdf6cdap-2'),
+         ('0x1.a7c3b666fb66dp-1', '0x1.1a827999fcef3p-1',
+          '0x1.1a827999fcef3p-1', '0x1.b504f333f9de6p-2'),
      )),
     (('cube', 4, 5, 905),
      None,
@@ -121,23 +121,23 @@ PINS = [
      ('111000011100', '0x1.095c653b5e21ep-1'),
      ('111001011100', '0x1.095c653b5e21ep-1'),
      (
-         ('0x1.2ed9eba16132ap-1', '0x1.da827999fcef3p-2',
-          '0x1.da827999fcef3p-2', '0x1.8000000000000p-2'),
-         ('0x1.47c3b666fb66dp-1', '0x1.da827999fcef3p-2',
-          '0x1.da827999fcef3p-2', '0x1.5a827999fcef3p-2'),
-         ('0x1.576cf5d0b0995p-1', '0x1.da827999fcef3p-2',
-          '0x1.da827999fcef3p-2', '0x1.8000000000000p-2'),
+         ('0x1.2ed9eba16132ap-1', '0x1.4000000000000p-2',
+          '0x1.4000000000000p-2', '0x1.4000000000000p-2'),
+         ('0x1.47c3b666fb66dp-1', '0x1.4000000000000p-2',
+          '0x1.4000000000000p-2', '0x1.4000000000000p-2'),
+         ('0x1.576cf5d0b0995p-1', '0x1.4000000000000p-2',
+          '0x1.4000000000000p-2', '0x1.4000000000000p-2'),
      )),
     (('cube', 4, 5, 911),
      None,
      ('111111100000000', '0x1.3db3d742c2655p-1'),
      (
-         ('0x1.7c1b286e5faa4p-1', '0x1.0d413cccfe77ap-1',
-          '0x1.0d413cccfe77ap-1', '0x1.c000000000000p-2'),
-         ('0x1.8ed9eba16132ap-1', '0x1.0d413cccfe77ap-1',
-          '0x1.0d413cccfe77ap-1', '0x1.9a827999fcef3p-2'),
-         ('0x1.a7c3b666fb66cp-1', '0x1.0d413cccfe77ap-1',
-          '0x1.0d413cccfe77ap-1', '0x1.c000000000000p-2'),
+         ('0x1.7c1b286e5faa4p-1', '0x1.8000000000000p-2',
+          '0x1.8000000000000p-2', '0x1.8000000000000p-2'),
+         ('0x1.8ed9eba16132ap-1', '0x1.8000000000000p-2',
+          '0x1.8000000000000p-2', '0x1.8000000000000p-2'),
+         ('0x1.a7c3b666fb66cp-1', '0x1.8000000000000p-2',
+          '0x1.8000000000000p-2', '0x1.8000000000000p-2'),
      )),
     (('dag', 4, 2, 950),
      ('', '0x0.0p+0'),
@@ -151,12 +151,12 @@ PINS = [
      ('111', '0x1.279a74590331cp-2'),
      ('111', '0x1.279a74590331cp-2'),
      (
-         ('0x1.279a74590331cp-2', '0x1.e2b7dddfefa67p-3',
-          '0x1.e2b7dddfefa67p-3', '0x1.e2b7dddfefa67p-3'),
-         ('0x1.0000000000000p-1', '0x1.5555555555555p-2',
-          '0x1.5555555555555p-2', '0x1.5555555555555p-2'),
-         ('0x1.279a74590331cp-2', '0x1.e2b7dddfefa67p-3',
-          '0x1.e2b7dddfefa67p-3', '0x1.e2b7dddfefa67p-3'),
+         ('0x1.279a74590331cp-2', '0x1.5555555555555p-3',
+          '0x1.5555555555555p-3', '0x1.5555555555555p-3'),
+         ('0x1.0000000000000p-1', '0x1.5555555555555p-3',
+          '0x1.5555555555555p-3', '0x1.5555555555555p-3'),
+         ('0x1.279a74590331cp-2', '0x1.5555555555555p-3',
+          '0x1.5555555555555p-3', '0x1.5555555555555p-3'),
      )),
     (('dag', 7, 2, 953),
      ('00', '0x1.9dc22be484458p-3'),

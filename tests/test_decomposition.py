@@ -43,11 +43,25 @@ def test_matching_spec_example():
     assert matching_weight(f, m) == 2
 
 
+LEVELS = (0, 1, 1.0, 1.5, 2, 3.25, 4)  # ints and floats, 1 and 1.0 tied
+
+
+def small_matching_input(seed):
+    """A hypercube function at d <= 4, or a function with mixed int and
+    float values on a random or edgeless DAG with n <= 16."""
+    rng = random.Random(seed)
+    kind = rng.choice(["hypercube", "dag", "edgeless"])
+    if kind == "hypercube":
+        return random_function(hypercube(rng.choice([2, 3, 4])), rng.choice([2, 3, 4, 6]), seed)
+    n = rng.randint(1, 16)
+    domain = random_dag(n, rng.choice([0.1, 0.25, 0.5]) if kind == "dag" else 0, rng)
+    levels = rng.sample(LEVELS, rng.randint(2, len(LEVELS)))
+    return ValuedFunction(domain, tuple(rng.choice(levels) for _ in range(n)))
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_matching_optimality_small(seed):
-    rng = random.Random(seed)
-    d = rng.choice([2, 3])
-    f = random_function(hypercube(d), rng.choice([2, 3, 4, 6]), seed)
+    f = small_matching_input(seed)
     m = max_weight_min_card_matching(f)
     best_w, best_c = enumerate_matchings_check(f)
     assert (matching_weight(f, m), len(m)) == (best_w, best_c)
@@ -73,8 +87,9 @@ def test_matching_maximal_bound():
 def test_matching_leaves_no_graph_with_edges_behind():
     """networkx's graph caches views that point back at it, so it outlives
     the call until a collection; with the collector paused, every graph
-    made by the call must already be empty."""
-    f = random_function(hypercube(6), 8, 3)
+    made by the call must already be empty.  Only a Boolean input builds
+    one."""
+    f = random_function(hypercube(6), 2, 3)
     gc.collect()
     gc.disable()
     try:
@@ -86,6 +101,16 @@ def test_matching_leaves_no_graph_with_edges_behind():
         gc.enable()
     assert len(matching) > 0
     assert left == []
+
+
+def test_non_boolean_matching_does_not_call_networkx(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("networkx's blossom was called")
+
+    monkeypatch.setattr(nx, "max_weight_matching", refuse)
+    for f in (random_function(hypercube(6), 3, 3), random_function(hypercube(5), 8, 1),
+              small_matching_input(11)):
+        assert f.ranks.max() > 1 and len(max_weight_min_card_matching(f)) > 0
 
 
 def plain_graph_matching(f):
@@ -102,13 +127,13 @@ def plain_graph_matching(f):
 
 @st.composite
 def matching_inputs(draw):
-    """Hypercube functions at d <= 6 with r in {2, 8}, and functions on
+    """Hypercube functions at d <= 6 with r in {2, 3, 8}, and functions on
     random and edgeless DAGs."""
     seed = draw(st.integers(0, 10**6))
     kind = draw(st.sampled_from(["hypercube", "dag", "edgeless"]))
     if kind == "hypercube":
         return random_function(hypercube(draw(st.integers(1, 6))),
-                               draw(st.sampled_from([2, 8])), seed)
+                               draw(st.sampled_from([2, 3, 8])), seed)
     n = draw(st.integers(1, 40))
     density = draw(st.sampled_from([0.05, 0.2, 0.5])) if kind == "dag" else 0
     return random_function(random_dag(n, density, random.Random(seed)),
@@ -118,7 +143,17 @@ def matching_inputs(draw):
 @given(matching_inputs())
 @settings(max_examples=120, deadline=None)
 def test_matching_is_networkx_on_a_plain_graph(f):
-    assert max_weight_min_card_matching(f).pairs == plain_graph_matching(f)
+    """A Boolean input's matching is networkx's own; any other input's is
+    an optimum of the same (weight, cardinality), of violated pairs."""
+    matching = max_weight_min_card_matching(f)
+    reference = plain_graph_matching(f)
+    if f.ranks.max() <= 1:
+        assert matching.pairs == reference
+    else:
+        assert (matching_weight(f, matching), len(matching)) \
+            == (matching_weight(f, Matching(reference)), len(reference))
+        assert all(f.domain.reaches(s, t) and f.values[s] > f.values[t]
+                   for (s, t) in matching.pairs)
 
 
 def test_matching_validation():

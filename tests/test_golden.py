@@ -78,11 +78,11 @@ GOLDEN = [
     (["exact-distance", "--fn", "tied-d5.json"],
      "b1ca16815dcf36618b102688b66ff24594a47dfbbd5cb9a3088368a5f30432fa"),
     (["decompose", "--fn", "tied-d6.json"],
-     "08c8013e012dc320ee0dbebd0b55fcb4b9d41a947ceed657ed4ee2850dce714a"),
+     "b18f313a26dc7d3f0790cc993e5e621504c6a2c8b3aa5a0fa648ba5e0c9ffbda"),
     (["decompose", "--fn", "bool-d8.json"],
      "b7df756f132ed63c4d54fcbb6543f88c9fab73fcb7d4dfe7aff1de0972723ceb"),
     (["decompose", "--fn", "dag-n40.json"],
-     "f637074b9864cc29bfd80ca0e97c046bb34abaeac81000208bf03e0ffacde59f"),
+     "3f413b8e6c3ffeb9b1f5c08fd9c0410e76e24f2e787b3db0e639f1c0235f9ab1"),
     (["exact-distance", "--fn", "dag-n40.json"],
      "8c9947a58d1a798efe3c439bc0cfda8f459a7bbda8b2823e470c1178d2e285e2"),
     (["exact-distance", "--fn", "r6-d9.json"],
