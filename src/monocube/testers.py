@@ -19,6 +19,12 @@ and read with a single counted rank lookup; the verdict and the
 reported witness are derived afterwards, taking the first violating
 pair in schedule order.  Draws with y = x cost one lookup; all others
 cost two.
+
+A pair draw gives every coordinate a random key, below 1 exactly on x's
+b-coordinates, and flips the tau coordinates with the smallest keys,
+found by tau rounds of a row-wise argmin.  The tau-th smallest key also
+decides the degenerate case: when it is not below 1, x has fewer than
+tau b-coordinates and y = x.
 """
 
 from __future__ import annotations
@@ -90,27 +96,40 @@ def repetitions(config: TesterConfig, d: int) -> int:
 def pair_draws(rng: np.random.Generator, d: int, settings: list, reps: int) -> np.ndarray:
     """``reps`` draws from D_pair(b, tau) for each (b, tau) in ``settings``,
     as an array of shape (len(settings), reps, 2) holding (x, y) in the
-    vertex dtype `index_dtype(2^d)`.
+    vertex dtype `index_dtype(2^d)`.  Every tau must lie in 1..d; this is
+    checked before anything is drawn.
 
     x is uniform on the d-cube.  Each coordinate gets a uniform key in
     [0, 1), and the coordinates where x does not have bit b get 1 added,
-    which puts them after every b-coordinate; the tau smallest keys then
-    pick a uniform tau-subset of x's b-coordinates, which y flips.  y = x
-    exactly when x has fewer than tau b-coordinates.
+    which puts them after every b-coordinate.  tau rounds of a row-wise
+    argmin, each retiring its pick to +inf, take the tau smallest keys;
+    when the last of them is below 1 they are a uniform tau-subset of x's
+    b-coordinates, which y flips.  Otherwise x has fewer than tau
+    b-coordinates and y = x.  Two b-coordinates tie only on equal 53-bit
+    keys; argmin then takes the lower coordinate.
     """
+    for _, tau in settings:
+        if not 1 <= tau <= d:
+            raise ValueError(f"tau={tau} must lie in 1..d={d}")
     dtype = index_dtype(1 << d)
     x = rng.integers(0, 1 << d, size=(len(settings), reps), dtype=dtype)
     keys = rng.random((len(settings), reps, d))
     b_col = np.array([b for b, _ in settings], dtype=dtype)[:, None, None]
-    other = (x[..., None] >> np.arange(d, dtype=dtype) & 1) ^ b_col  # 1 where x's bit is not b
-    keys += other
+    keys += (x[..., None] >> np.arange(d, dtype=dtype) & 1) ^ b_col  # +1 where x's bit is not b
     pairs = np.stack([x, x], axis=-1)
+    row_start = np.arange(0, reps * d, d)  # each draw's first key in a flat setting
+    one = dtype.type(1)
     for s, (_, tau) in enumerate(settings):
-        if not 1 <= tau <= d:
-            raise ValueError(f"tau={tau} must lie in 1..d={d}")
-        chosen = np.argpartition(keys[s], tau - 1, axis=1)[:, :tau]
-        enough = d - other[s].sum(axis=1) >= tau
-        pairs[s, enough, 1] ^= (1 << chosen[enough]).sum(axis=1).astype(dtype)
+        flat = keys[s].reshape(-1)
+        flip = np.zeros(reps, dtype=dtype)
+        for _ in range(tau):
+            coord = keys[s].argmin(axis=1)
+            picked = row_start + coord
+            last = flat[picked]
+            flat[picked] = np.inf
+            flip |= one << coord.astype(dtype)
+        flip[last >= 1] = 0
+        pairs[s, :, 1] ^= flip
     return pairs
 
 

@@ -346,6 +346,19 @@ def test_decompose_anti_dictator_d2():
     assert 2 * dec.certificate.epsilon_sum >= Fraction(1, 2)
 
 
+def test_halving_bound_holds_with_equality_on_the_2_cube():
+    # [2, 1, 1, 0] is 1/2 from monotone; its one part, 1 below the top
+    # vertex and 0 on it, is 1/4 from monotone: sum eps_i = eps / 2 exactly
+    dec = decompose(ValuedFunction(hypercube(2), (2, 1, 1, 0)))
+    cert = dec.certificate
+    assert dec.k == 1 and dec.matching.pairs == ((0, 3),)
+    assert dec.components[0][1].vertices == {0, 1, 2, 3}
+    assert cert.epsilon_f == Fraction(1, 2)
+    assert cert.epsilon_parts == (Fraction(1, 4),)
+    assert 2 * cert.epsilon_sum == cert.epsilon_f
+    assert cert.all_ok
+
+
 def test_lemma_property_of_pairs():
     # every ordered (source, sink) pair within a block is violated by f
     for seed in range(30):
