@@ -48,6 +48,15 @@ def _meta(command: str, config: dict, seed: int, started: float) -> dict:
     }
 
 
+def _check_at_least(args, **least: int) -> None:
+    """Raise ValueError naming the first option below its least value: a
+    negative count or no worker would check nothing and still pass."""
+    for name, low in least.items():
+        if getattr(args, name) < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, "
+                             f"not {getattr(args, name)}")
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2)
     if out:
@@ -131,6 +140,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_test_monotone(args) -> int:
     started = time.perf_counter()
+    _check_at_least(args, jobs=1)
     f = read_function(args.fn)
     if f.domain.kind != "hypercube":
         print("test-monotone needs a hypercube-domain function", file=sys.stderr)
@@ -208,16 +218,15 @@ def _verify_instance(params: tuple) -> dict:
     row: dict = {"index": index, "d": d, "r": r, "seed": seed}
     failures: list[str] = []
 
-    cert = exact_distance(f)
-    eps = cert.epsilon
+    # f is solved in its parts' stack; the edge bound reads the same solve
+    dec = decompose(f)
+    eps = dec.epsilons[0]
     profile = violation_profile(f)
     row["epsilon"] = str(eps)
     row["violated_edges"] = profile.num_violated
-    monotone = cert.cover_size == 0
-    row["monotone"] = monotone
+    row["monotone"] = dec.monotone
 
-    if not monotone:
-        dec = decompose(f)
+    if not dec.monotone:
         if not dec.certificate.all_ok:
             failures.extend(f"decomposition:{name}:{w}"
                             for (name, w) in dec.certificate.failures())
@@ -254,6 +263,7 @@ def _verify_instance(params: tuple) -> dict:
 
 def cmd_verify_inequalities(args) -> int:
     started = time.perf_counter()
+    _check_at_least(args, count=0, colorings=0, mu_sets=0, jobs=1)
     params = [(args.d, args.r, args.seed, idx, args.colorings, args.mu_sets)
               for idx in range(args.count)]
     rows = parallel_map(_verify_instance, params, args.jobs)

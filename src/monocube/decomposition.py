@@ -44,12 +44,15 @@ the vertices below some block sink with rank at most the sink's, and
 the ones outside are the vertices above one of its sources.
 
 A decomposition's certificate is built when first read.  It and the
-chain check treat the k parts as one stack: one `oracles.exact_distances`
-call solves f and every part, and one chunked pass (`_part_edges`) gives
-each part's inside and violated cover edges.  The chain check stacks
-those chunks once (`Decomposition.edge_masks`), selects f's violated
-edges with its profile's mask and gets every chain value from
-`isoperimetry.colored_objectives`.
+chain check treat f and its k parts as one stack: one
+`oracles.exact_distances` call solves f and every part
+(`Decomposition.epsilons`, which also keeps the parts' distance sum as
+one integer cover count over n), and one chunked pass (`_part_edges`)
+gives each part's inside and violated cover edges.  The chain's masks
+over f's violated edges do not depend on the coloring, so their
+`isoperimetry.colored_cells` are built once per decomposition
+(`Decomposition.chain_cells`); each coloring is then one slot gather and
+one bincount per chunk in `isoperimetry.colored_objectives`.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ import networkx as nx
 import numpy as np
 
 from .funcs import ValuedFunction
-from .isoperimetry import EdgeColoring, colored_objectives, violation_profile
+from .isoperimetry import EdgeColoring, colored_cells, colored_objectives, \
+    violation_profile
 from .oracles import (exact_distance, exact_distances, is_monotone, violated_cover_edges,
                       violated_pairs)
 from .poset import PosetDomain, SweepingGraph, mask_array
@@ -267,6 +271,7 @@ def _below_rank_masks(ranks: list[int]) -> list[int]:
 class DecompositionCertificate:
     epsilon_f: Fraction
     epsilon_parts: tuple[Fraction, ...]
+    epsilon_sum: Fraction
     violated_f: int
     violated_parts: tuple[int, ...]
     checks: tuple[tuple[str, bool, str], ...]  # (name, ok, witness-or-empty)
@@ -274,10 +279,6 @@ class DecompositionCertificate:
     @property
     def all_ok(self) -> bool:
         return all(ok for (_, ok, _) in self.checks)
-
-    @property
-    def epsilon_sum(self) -> Fraction:
-        return sum(self.epsilon_parts, Fraction(0))
 
     def failures(self) -> list[tuple[str, str]]:
         return [(name, witness) for (name, ok, witness) in self.checks if not ok]
@@ -308,12 +309,38 @@ class Decomposition:
         return None if self.monotone else verify_decomposition(self)
 
     @cached_property
-    def edge_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two boolean ``(k, E)`` arrays over the domain's cover edges, built
-        on first use: the edges inside each part's graph, and the edges each
-        part violates.  `robust_chain_check` reads them for every coloring."""
-        _, inside, violated = zip(*_part_edges(self))
-        return np.vstack(inside), np.vstack(violated)
+    def epsilons(self) -> tuple[Fraction, tuple[Fraction, ...], Fraction]:
+        """eps(f), each eps(f_i) and their sum, from one `exact_distances`
+        stack of f and its parts, solved on first read.  The parts share
+        f's domain, so the sum is one integer cover count over n."""
+        cert, *parts = exact_distances([self.f, *(fi for (fi, _) in self.components)])
+        return (cert.epsilon, tuple(c.epsilon for c in parts),
+                Fraction(sum(c.cover_size for c in parts), self.f.domain.n))
+
+    @cached_property
+    def chain_cells(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """`isoperimetry.colored_cells` of the chain's masks over f's
+        violated edges (profile order is cover-edge order), built on first
+        use: every edge for value (1), the edges inside the union of the
+        part graphs for (2), then one row per part: the edges inside its
+        graph for (3), and those it also violates for (4).
+        `robust_chain_check` counts every coloring on them.
+
+        Raises ValueError, on every read, when a part violates an edge
+        that f does not: such an edge has no color."""
+        kept = violation_profile(self.f).edge_mask
+        inside, inherited = [], []
+        for _, within, violated in _part_edges(self):
+            missing = np.count_nonzero(violated & ~kept, axis=1)
+            if missing.any():
+                raise ValueError(f"a part violates {missing[missing > 0][0]} edges that "
+                                 f"f does not violate")
+            inside.append(within.compress(kept, axis=1))
+            inherited.append(violated.compress(kept, axis=1))
+        inside = np.vstack(inside)
+        everything = np.ones((1, inside.shape[1]), dtype=bool)
+        return colored_cells(np.vstack((everything, inside.any(axis=0), inside, *inherited)),
+                             self.f.domain.n)
 
 
 def _part_edges(dec: Decomposition) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
@@ -349,8 +376,7 @@ def verify_decomposition(dec: Decomposition) -> DecompositionCertificate:
     A check's witness is the first failure its scan finds, or "" if none.
     """
     f = dec.f
-    eps_f, eps_parts = _epsilons(dec)
-    eps_sum = sum(eps_parts, Fraction(0))
+    eps_f, eps_parts, eps_sum = dec.epsilons
     profile = violation_profile(f)
 
     # every part's violated cover edges, a chunk of parts at a time; the
@@ -375,18 +401,11 @@ def verify_decomposition(dec: Decomposition) -> DecompositionCertificate:
         "block_pairs_violated": _unviolated_block_pairs(dec),
     }
     return DecompositionCertificate(
-        epsilon_f=eps_f, epsilon_parts=tuple(eps_parts),
+        epsilon_f=eps_f, epsilon_parts=eps_parts, epsilon_sum=eps_sum,
         violated_f=profile.num_violated,
         violated_parts=tuple(violated_parts),
         checks=tuple((name, not witness, witness) for name, found in witnesses.items()
                      for witness in [next(iter(found), "")]))
-
-
-def _epsilons(dec: Decomposition) -> tuple[Fraction, list[Fraction]]:
-    """eps(f) and each eps(f_i), solved as one batch and cached on first use."""
-    eps_f, *eps_parts = (cert.epsilon for cert in
-                         exact_distances([dec.f, *(fi for (fi, _) in dec.components)]))
-    return eps_f, eps_parts
 
 
 def _shared_vertices(dec: Decomposition) -> Iterator[str]:
@@ -466,26 +485,11 @@ def robust_chain_check(dec: Decomposition, col: EdgeColoring) -> ChainReport:
         zero = (0.0, 0.0, 0.0, 0.0)
         return ChainReport(zero, Fraction(0), Fraction(0), True, True, "monotone input")
 
-    # masks over f's violated edges (profile order is cover-edge order),
-    # one row per part: those inside the part's graph for (2) and (3),
-    # those the part also violates for (4)
-    kept = profile.edge_mask
-    inside, violated = dec.edge_masks
-    inside = inside.compress(kept, axis=1)
-    inherited = violated.compress(kept, axis=1)
-    # an edge a part violates and f does not has no color under col
-    missing = np.count_nonzero(violated & ~kept, axis=1)
-    if missing.any():
-        raise ValueError(f"a part violates {missing[missing > 0][0]} edges that f does "
-                         f"not violate")
-    everything = np.ones((1, profile.num_violated), dtype=bool)
-    v1, v2, *per_part = colored_objectives(
-        col, np.vstack((everything, inside.any(axis=0), inside, inherited)))
+    v1, v2, *per_part = colored_objectives(col, dec.chain_cells)
     v3 = math.fsum(per_part[:dec.k])
     v4 = math.fsum(per_part[dec.k:])
 
-    eps_f, eps_parts = _epsilons(dec)
-    eps_sum = sum(eps_parts, Fraction(0))
+    eps_f, _, eps_sum = dec.epsilons
     ordering_ok = (v1 >= v2 - CHAIN_TOL and abs(v2 - v3) <= CHAIN_TOL
                    and v3 >= v4 - CHAIN_TOL)
     distance_ok = eps_sum >= eps_f / 2

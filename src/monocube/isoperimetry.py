@@ -28,9 +28,10 @@ A red/blue coloring of the violated edges (`EdgeColoring`) is a boolean
 vector aligned with one profile: ``red[k]`` colors the edge
 ``(lower[k], upper[k])``, and the vertex count is read off that
 profile.  A subset of the violated edges is a boolean
-mask over the same positions.  A colored count is one ``np.bincount``,
-and `colored_objectives` gets the restricted objectives of a whole
-``(rows, m)`` mask stack from one bincount per chunk of rows.
+mask over the same positions.  A colored count is one ``np.bincount``.
+A whole ``(rows, m)`` mask stack is read once into its `colored_cells`,
+which no coloring enters, and `colored_objectives` gets each coloring's
+restricted objectives from them with one bincount per chunk of rows.
 """
 
 from __future__ import annotations
@@ -150,28 +151,44 @@ def _mean_sqrt(counts, n: int) -> float:
     return math.fsum(np.sqrt(counts).tolist()) / n
 
 
-def colored_objectives(col: EdgeColoring, masks: np.ndarray) -> list[float]:
+def colored_cells(masks: np.ndarray, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The selected cells of a boolean ``(rows, m)`` mask stack over one
+    profile's violated edges, on a domain of n vertices, for
+    `colored_objectives`.  Per chunk of rows (at most `poset.PAIR_CHUNK`
+    counts, 2n per row): its row count, and each selected (row, edge)
+    cell's first count slot row * 2n and its edge.  No coloring enters,
+    so a caller counting many colorings builds them once."""
+    cells = []
+    for rows in row_chunks(len(masks), 2 * n):
+        block = masks[rows]
+        row, edge = np.divmod(np.flatnonzero(block), max(block.shape[1], 1))
+        cells.append((len(block), row * (2 * n), edge))
+    return cells
+
+
+def colored_objectives(col: EdgeColoring,
+                       cells: list[tuple[int, np.ndarray, np.ndarray]]) -> list[float]:
     """`robust_objective` counting only the violated edges selected by
-    each row of a boolean ``(rows, m)`` mask stack, from one
-    ``np.bincount`` over row * 2n + slot per chunk of rows (at most
-    `poset.PAIR_CHUNK` counts)."""
+    each row of a mask stack, given as its `colored_cells`: one
+    ``np.bincount`` of row * 2n + slot per chunk of rows."""
     n = col.profile.n
     slots = _colored_slots(col)
     out = []
-    for rows in row_chunks(len(masks), 2 * n):
-        block = masks[rows]
-        row, edge = np.divmod(np.flatnonzero(block), max(len(slots), 1))
-        out += _objectives(np.bincount(row * (2 * n) + slots.take(edge),
-                                       minlength=len(block) * 2 * n), n)
+    for rows, first, edge in cells:
+        out += _objectives(np.bincount(first + slots.take(edge), minlength=rows * 2 * n), n)
     return out
 
 
 def _objectives(counts: np.ndarray, n: int) -> list[float]:
     """The colored objective of each run of 2n slot counts (red at x, then
-    blue at y): one ``np.sqrt`` over all counts, then ``math.fsum`` over
-    each half, so every value is bit-identical to `_mean_sqrt` of the red
-    and of the blue counts, added."""
-    halves = [math.fsum(h) / n for h in np.sqrt(counts).reshape(-1, n).tolist()]
+    blue at y): one ``np.sqrt`` over the nonzero counts, then ``math.fsum``
+    over each half's roots.  A zero adds nothing to an exactly rounded
+    sum, so every value is bit-identical to `_mean_sqrt` of the red and
+    of the blue counts, added."""
+    nonzero = np.flatnonzero(counts)
+    roots = np.sqrt(counts.take(nonzero)).tolist()
+    cuts = np.searchsorted(nonzero, np.arange(0, len(counts) + 1, n)).tolist()
+    halves = [math.fsum(roots[a:b]) / n for a, b in zip(cuts, cuts[1:])]
     return list(map(operator.add, halves[0::2], halves[1::2]))
 
 

@@ -24,18 +24,20 @@ the violation profile.
 
 The exact solver works on a stack: `DistanceCertificate.of_all` takes
 functions on one domain as one ``(rows, n)`` rank array, and a single
-function is the batch of one.  `exact_distances` solves a
-decomposition's parts in one call.  Every step runs once per chunk of
-rows (at most `poset.PAIR_CHUNK` cells, see `poset.row_chunks`): the
-monotonicity test (`violated_cover_edges`, which the decomposition's
+function is the batch of one.  `exact_distances` solves a function and
+its decomposition's parts in one call, so the verification suite solves
+each instance once.  Every step runs once per chunk of rows (at most
+`poset.PAIR_CHUNK` cells, see `poset.row_chunks`): the monotonicity test (`violated_cover_edges`, which the decomposition's
 checks share), the violated-pair compare, one Hopcroft-Karp call on the
 disjoint union of the rows' split graphs, whose last breadth-first
 search is the Koenig cover, the repair and the certificate's
 assertions.  Hopcroft-Karp starts from a greedy matching; the cover is
 the same for every maximum matching it could end at (`_hopcroft_karp`),
-so the warm start changes no certificate.  A certificate keeps the
-repair as the vertex each point copies and builds the repaired function
-only when it is read.
+so the warm start changes no certificate, and neither does the stack a
+function is solved in.  Only monotone rows get the zero certificate;
+the others' covers are cut from one scan of their chunk's cover stack.
+A certificate keeps the repair as the vertex each point copies and
+builds the repaired function only when it is read.
 """
 
 from __future__ import annotations
@@ -137,13 +139,13 @@ class DistanceCertificate:
         if any(f.domain is not domain for f in fs):
             raise ValueError("a batch of exact solves must share one domain")
         n = domain.n
-        certs = [cls(Fraction(0), frozenset(), domain, f.values) for f in fs]
         ranks = np.stack([f.ranks for f in fs])
         todo = np.flatnonzero(np.concatenate(
             [violated.any(axis=1) for _, violated in violated_cover_edges(domain, ranks)]))
-        if not len(todo):
-            return certs
-        for rows in row_chunks(len(todo), max(len(domain.pair_arrays[0]), n)):
+        solved = {}
+        # a stack of monotone rows reads no pair arrays, so it fits at any size
+        width = max(len(domain.pair_arrays[0]), n) if len(todo) else n
+        for rows in row_chunks(len(todo), width):
             block = ranks[todo[rows]]
             row, xs, ys = _violated_rows(domain, block)
             # adjacency in pair order: left cells ascending, each one's
@@ -172,11 +174,15 @@ class DistanceCertificate:
             bad = np.flatnonzero(changed != sizes)
             assert not len(bad), (f"repair changed {changed[bad[0]]} points of row "
                                   f"{todo[rows][bad[0]]}, its cover has {sizes[bad[0]]}")
-            for i, covered_row, s in zip(todo[rows].tolist(), cover, source.tolist()):
-                vertex_cover = frozenset(np.flatnonzero(covered_row).tolist())
-                certs[i] = cls(Fraction(len(vertex_cover), n), vertex_cover, domain,
-                               fs[i].values, tuple(s))
-        return certs
+            # each row's cover, cut from one scan of the whole stack
+            points = (np.flatnonzero(cover) % n).tolist()
+            ends = np.cumsum(sizes).tolist()
+            for i, start, end, s in zip(todo[rows].tolist(), [0, *ends], ends,
+                                        source.tolist()):
+                solved[i] = cls(Fraction(end - start, n), frozenset(points[start:end]),
+                                domain, fs[i].values, tuple(s))
+        return [solved[i] if i in solved else cls(Fraction(0), frozenset(), domain, f.values)
+                for i, f in enumerate(fs)]
 
 
 def _hopcroft_karp(adj: dict[int, list[int]]) -> tuple[int, set[int], set[int]]:

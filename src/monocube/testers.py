@@ -114,11 +114,12 @@ def pair_draws(rng: np.random.Generator, d: int, settings: list, reps: int) -> n
     dtype = index_dtype(1 << d)
     x = rng.integers(0, 1 << d, size=(len(settings), reps), dtype=dtype)
     keys = rng.random((len(settings), reps, d))
-    b_col = np.array([b for b, _ in settings], dtype=dtype)[:, None, None]
-    keys += (x[..., None] >> np.arange(d, dtype=dtype) & 1) ^ b_col  # +1 where x's bit is not b
+    one = dtype.type(1)
+    b_col = np.array([b for b, _ in settings], dtype=bool)[:, None, None]
+    bits = one << np.arange(d, dtype=dtype)
+    keys += ((x[..., None] & bits) != 0) ^ b_col  # +1 where x's bit is not b
     pairs = np.stack([x, x], axis=-1)
     row_start = np.arange(0, reps * d, d)  # each draw's first key in a flat setting
-    one = dtype.type(1)
     for s, (_, tau) in enumerate(settings):
         flat = keys[s].reshape(-1)
         flip = np.zeros(reps, dtype=dtype)

@@ -209,7 +209,32 @@ def test_oversized_input_is_a_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+    # the suite decomposes before it solves, and is refused by the same budget
+    assert run(["verify-inequalities", "--d", "13", "--r", "3", "--count", "1"]) == 2
+    assert capsys.readouterr().err == err
     assert hypercube(13)._up is None  # refused before any mask was built
+
+
+CHECKS_NOTHING = [("verify-inequalities", option) for option in
+                  (["--count", "-2"], ["--colorings", "-1"], ["--mu-sets", "-1"],
+                   ["--jobs", "0"], ["--jobs", "-3"])]
+CHECKS_NOTHING += [("test-monotone", ["--jobs", "0"]), ("test-monotone", ["--jobs", "-3"])]
+
+
+@pytest.mark.parametrize("command, option", CHECKS_NOTHING,
+                         ids=[f"{c}{''.join(o)}" for c, o in CHECKS_NOTHING])
+def test_a_count_that_checks_nothing_is_a_usage_error(tmp_path, capsys, command, option):
+    # each would check nothing and still report a pass, e.g. "-2/-2 passed"
+    fn, out = tmp_path / "f.json", tmp_path / "o.json"
+    assert run(["gen-function", "--d", "3", "--out", str(fn)]) == 0
+    capsys.readouterr()
+    argv = (["verify-inequalities", "--d", "3", "--count", "2"] if command == "verify-inequalities"
+            else ["test-monotone", "--fn", str(fn), "--eps", "0.5", "--trials", "2"])
+    assert run([*argv, *option, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {option[0]} must be at least " \
+                           f"{1 if option[0] == '--jobs' else 0}, not {option[1]}\n"
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["gen-function", "--d", "40"],

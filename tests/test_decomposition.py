@@ -551,28 +551,46 @@ def test_chain_check_monotone():
     assert rep.ordering_ok and rep.distance_ok
 
 
-def test_chain_check_rejects_a_part_violating_an_edge_f_does_not():
+def test_chain_check_rejects_a_part_violating_an_edge_f_does_not(monkeypatch):
     f = ValuedFunction(hypercube(2), (1, 0, 1, 1))   # violates (0, 1) only
     dec = decompose(f)
     graph = dec.components[0][1]
     part = ValuedFunction(f.domain, (1, 1, 0, 1))    # violates (0, 2)
     from monocube.decomposition import Decomposition
     corrupted = Decomposition(f, dec.matching, ((part, graph),))
-    with pytest.raises(ValueError, match="^a part violates 1 edges that f does not violate$"):
-        robust_chain_check(corrupted, EdgeColoring.all_red(violation_profile(f)))
+    built = recording_cells(monkeypatch)
+    for _ in range(2):  # nothing is cached, so every call raises
+        with pytest.raises(ValueError,
+                           match="^a part violates 1 edges that f does not violate$"):
+            robust_chain_check(corrupted, EdgeColoring.all_red(violation_profile(f)))
+    assert built == []
+
+
+def recording_cells(monkeypatch):
+    """Record each mask stack the chain check hands `colored_cells`."""
+    from monocube import decomposition, isoperimetry
+    built = []
+    monkeypatch.setattr(decomposition, "colored_cells", lambda masks, n: built.append(masks)
+                        or isoperimetry.colored_cells(masks, n))
+    return built
 
 
 def test_chain_check_builds_its_masks_once_per_decomposition(monkeypatch):
+    """The chain's cells do not depend on the coloring: three colorings
+    build them, and the part masks under them, once."""
     from monocube import decomposition
     f = random_function(hypercube(4), 5, 301)
     dec = decompose(f)
     calls = []
     monkeypatch.setattr(decomposition, "violated_cover_edges",
                         lambda *args: calls.append(args) or violated_cover_edges(*args))
+    built = recording_cells(monkeypatch)
     rng = random.Random(2)
     reports = [robust_chain_check(dec, EdgeColoring.random(violation_profile(f), rng))
                for _ in range(3)]
     assert len(calls) == 1
+    assert len(built) == 1 and built[0].shape == (2 + 2 * dec.k,
+                                                  violation_profile(f).num_violated)
     assert all(rep.ordering_ok and rep.distance_ok for rep in reports)
 
 
@@ -583,8 +601,13 @@ def test_chain_check_random_suite():
         if is_monotone(f):
             continue
         col = EdgeColoring.random(violation_profile(f), rng)
-        rep = robust_chain_check(decompose(f), col)
+        dec = decompose(f)
+        rep = robust_chain_check(dec, col)
         assert rep.ordering_ok and rep.distance_ok, rep.detail
+        # the one integer sum is the sum of the parts' own distances
+        cert = dec.certificate
+        assert rep.epsilon_sum == cert.epsilon_sum == sum(cert.epsilon_parts, Fraction(0))
+        assert rep.epsilon_f == cert.epsilon_f == exact_distance(f).epsilon
 
 
 def chain_values_per_part(f, col, dec):

@@ -157,17 +157,36 @@ def test_repaired_function_is_built_only_when_read(monkeypatch):
 
 
 def test_verify_instance_solves_f_once(monkeypatch):
-    """The instance, its decomposition certificate and its edge bound all
-    read one solve of f; each Boolean part is solved once as well."""
-    solved = counting_solves(monkeypatch)
+    """f and every Boolean part arrive in one `DistanceCertificate.of_all`
+    stack, which the row's epsilon, the decomposition certificate, the
+    chain checks and the edge bound all read."""
+    batches = []
+    solve = DistanceCertificate.of_all.__func__
+    monkeypatch.setattr(DistanceCertificate, "of_all",
+                        classmethod(lambda cls, fs: batches.append(list(fs)) or solve(cls, fs)))
     d, r, master, index = 5, 4, 3, 0
     row = _verify_instance((d, r, master, index, 2, 2))
     assert row["ok"] and not row["monotone"]
     f = random_function(hypercube(d), r, derive_seed(master, index))
-    assert [g.values for g in solved].count(f.values) == 1
-    parts = solved[1:]
-    assert parts and all(g.is_boolean() for g in parts)
-    assert len({id(g) for g in parts}) == len(parts)
+    parts = [fi.values for (fi, _) in decompose(f).components]
+    assert len(batches) == 1
+    [batch] = batches
+    assert [g.values for g in batch] == [f.values, *parts]
+    assert parts and all(g.is_boolean() for g in batch[1:])
+    assert row["epsilon"] == str(exact_distance(f).epsilon)
+
+
+def test_verify_instance_solves_a_monotone_f_from_its_cover_edges(monkeypatch):
+    d, r, master = 3, 2, 0
+    index = next(i for i in range(100) if is_monotone(
+        random_function(hypercube(d), r, derive_seed(master, i))))
+    solved = counting_solves(monkeypatch)
+    compared = []
+    monkeypatch.setattr(poset.PosetDomain, "pair_arrays",
+                        property(lambda domain: compared.append(domain)))
+    row = _verify_instance((d, r, master, index, 3, 3))
+    assert row["monotone"] and row["ok"] and row["epsilon"] == "0"
+    assert len(solved) == 1 and not compared
 
 
 def test_decomposition_certificate_is_solved_when_read(monkeypatch):
