@@ -143,8 +143,7 @@ def cmd_test_monotone(args) -> int:
     _check_at_least(args, jobs=1)
     f = read_function(args.fn)
     if f.domain.kind != "hypercube":
-        print("test-monotone needs a hypercube-domain function", file=sys.stderr)
-        return 2
+        raise ValueError("test-monotone needs a hypercube-domain function")
     from functools import partial
     run = partial(run_pair_tester, epsilon=args.eps, r=image_size(f),
                   budget_constant=args.budget)
@@ -264,6 +263,8 @@ def _verify_instance(params: tuple) -> dict:
 def cmd_verify_inequalities(args) -> int:
     started = time.perf_counter()
     _check_at_least(args, count=0, colorings=0, mu_sets=0, jobs=1)
+    if args.format == "csv" and not args.out:
+        raise ValueError("--format csv needs --out: the CSV is written next to the JSON report")
     params = [(args.d, args.r, args.seed, idx, args.colorings, args.mu_sets)
               for idx in range(args.count)]
     rows = parallel_map(_verify_instance, params, args.jobs)
@@ -282,7 +283,7 @@ def cmd_verify_inequalities(args) -> int:
                       args.seed, started),
     }
     _emit(report, args.out)
-    if args.format == "csv" and args.out:
+    if args.format == "csv":
         flat = [{k: (";".join(v) if isinstance(v, list) else v)
                  for k, v in row.items()} for row in rows]
         _emit_csv(flat, args.out.rsplit(".", 1)[0] + ".csv")

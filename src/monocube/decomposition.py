@@ -23,11 +23,13 @@ end.  Its optimum never uses a vertex v on both sides: pairs (u, v) and
 and replacing the two pairs by it gains exactly 1.  So a maximum-weight
 split matching is a matching of the violation graph, and it is optimal
 there, since every matching of the violation graph is a split matching.
-The weight splits as a(x) - b(y), so an augmenting path gains a value
-fixed by its two free ends, and successive shortest paths
-(`_split_graph_matching`) need only one alternating search per matched
-pair.  The tests cross-check it against networkx and by brute-force
-enumeration.
+The weight is a(x) - b(y) with a(x) = (n+1)g(x) - 1 and
+b(y) = (n+1)g(y), so an augmenting path gains (n+1) times the rank gap
+of its free ends, less 1.  The exact solve's engine
+(`oracles.max_gain_matching`), keyed by rank on both sides, orders
+paths by that gap, augments them in phases of largest-gap paths with
+an explicit stack, and stops once no gap is positive.  The tests
+cross-check it against networkx and by brute-force enumeration.
 
 A Boolean input gives every pair the same weight, so any maximum
 matching is optimal, and different ones give different part counts k.
@@ -71,8 +73,8 @@ import numpy as np
 from .funcs import ValuedFunction
 from .isoperimetry import EdgeColoring, colored_cells, colored_objectives, \
     violation_profile
-from .oracles import (exact_distance, exact_distances, is_monotone, violated_cover_edges,
-                      violated_pairs)
+from .oracles import (exact_distance, exact_distances, is_monotone, max_gain_matching,
+                      violated_cover_edges, violated_pairs)
 from .poset import PosetDomain, SweepingGraph, mask_array
 
 
@@ -116,18 +118,18 @@ def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
 
     Each pair (x, y) weighs (n+1)(g(x) - g(y)) - 1 for the rank g.  An
     input with more than two values is solved on the split graph
-    (`_split_graph_matching`), whose optimum reuses no vertex (module
-    docstring).  A Boolean input weighs every pair n, so any maximum
-    matching is optimal; it keeps networkx's blossom, because which
-    maximum matching it picks fixes the part counts k that recorded
+    (`oracles.max_gain_matching`, keyed by rank), whose optimum reuses no
+    vertex (module docstring).  A Boolean input weighs every pair n, so
+    any maximum matching is optimal; it keeps networkx's blossom, because
+    which maximum matching it picks fixes the part counts k that recorded
     Boolean reports hold."""
     pairs = violated_pairs(f)
     if not len(pairs):
         return Matching(())
     ranks = f.ranks.tolist()
-    lower, upper = pairs.T.tolist()
     if max(ranks) > 1:
-        return Matching(tuple(sorted(_split_graph_matching(ranks, lower, upper))))
+        return Matching(tuple(max_gain_matching(*pairs.T, ranks, ranks)[0]))
+    lower, upper = pairs.T.tolist()
     graph = _PlainAdjGraph()
     graph.add_edges_from(zip(lower, upper), weight=f.domain.n)
     matched = nx.max_weight_matching(graph, maxcardinality=False)
@@ -137,63 +139,6 @@ def max_weight_min_card_matching(f: ValuedFunction) -> Matching:
     # a matched pair is violated, so its lower end has the strictly higher rank
     return Matching(tuple(sorted((a, b) if ranks[a] > ranks[b] else (b, a)
                                  for (a, b) in matched)))
-
-
-def _split_graph_matching(ranks: list[int], lower: list[int], upper: list[int]
-                          ) -> list[tuple[int, int]]:
-    """A maximum-weight matching of the split graph of the violated pairs
-    (x, y) given as ``lower`` and ``upper``, as (x, y) tuples.  The split
-    graph has a left copy of each x, a right copy of each y, and the
-    weight (n+1)(g(x) - g(y)) - 1 on each pair.
-
-    The weight is a(x) - b(y) with a(x) = (n+1)g(x) - 1 and
-    b(y) = (n+1)g(y), so an augmenting path from a free left x to a free
-    right y gains a(x) - b(y), whatever it passes through.  Each round
-    runs one reverse alternating search from the free right vertices in
-    (rank, vertex) order, so each left vertex is first reached from the
-    lowest-rank free right vertex that reaches it.  The round augments at
-    the first free left x reached with the largest gap g(x) - g(root),
-    and its search stops once no root left can reach a larger gap.
-    These are successive shortest paths: each matching is a
-    maximum-weight one of its size and the gains only fall, so the first
-    round with no positive gap (a gain is never 0) ends at a
-    maximum-weight matching.  A round costs O(pairs), and there is one
-    per matched pair and one more.
-    """
-    n = len(ranks)
-    below: dict[int, list[int]] = {}  # right y -> its left neighbours, in pair order
-    for x, y in zip(lower, upper):
-        below.setdefault(y, []).append(x)
-    roots = sorted(below, key=lambda y: (ranks[y], y))
-    lefts = set(lower)
-    mate_l, mate_r = [-1] * n, [-1] * n
-    while True:
-        top = max((ranks[x] for x in lefts if mate_l[x] < 0), default=0)
-        via = [-1] * n  # left x -> the right vertex the search reached it from
-        gap, chosen = 0, -1
-        for start in roots:
-            reach = top - ranks[start]  # no later root can label a larger gap
-            if reach <= gap:
-                break
-            if mate_r[start] >= 0:
-                continue
-            queue = [start]
-            for y in queue:
-                if gap == reach:
-                    break
-                for x in below[y]:
-                    if via[x] < 0:
-                        via[x] = y
-                        if mate_l[x] >= 0:
-                            queue.append(mate_l[x])
-                        elif ranks[x] - ranks[start] > gap:
-                            gap, chosen = ranks[x] - ranks[start], x
-        if not gap:
-            return [(x, y) for (y, x) in enumerate(mate_r) if x >= 0]
-        x = chosen
-        while x >= 0:  # flip the path back to its root
-            y = via[x]
-            mate_l[x], mate_r[y], x = y, x, mate_r[y]
 
 
 def merge_pairs(domain: PosetDomain, matching: Matching) -> tuple[SweepingGraph, ...]:

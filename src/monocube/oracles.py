@@ -28,21 +28,29 @@ function is the batch of one.  `exact_distances` solves a function and
 its decomposition's parts in one call, so the verification suite solves
 each instance once.  Every step runs once per chunk of rows (at most
 `poset.PAIR_CHUNK` cells, see `poset.row_chunks`): the monotonicity test (`violated_cover_edges`, which the decomposition's
-checks share), the violated-pair compare, one Hopcroft-Karp call on the
-disjoint union of the rows' split graphs, whose last breadth-first
-search is the Koenig cover, the repair and the certificate's
-assertions.  Hopcroft-Karp starts from a greedy matching; the cover is
-the same for every maximum matching it could end at (`_hopcroft_karp`),
-so the warm start changes no certificate, and neither does the stack a
-function is solved in.  Only monotone rows get the zero certificate;
-the others' covers are cut from one scan of their chunk's cover stack.
-A certificate keeps the repair as the vertex each point copies and
+checks share), the violated-pair compare, one matching of the disjoint
+union of the rows' split graphs, the repair and the certificate's
+assertions.  Only monotone rows get the zero certificate; the others'
+covers are cut from one scan of their chunk's cover stack.  A
+certificate keeps the repair as the vertex each point copies and
 builds the repaired function only when it is read.
+
+One bipartite engine, `max_gain_matching`, matches the split graph for
+both exact objects: each phase augments, along the layers of one
+search, paths of the largest gain, a free left end's key minus a free
+right end's key.  The
+exact solve keys every left vertex 1 and every right vertex 0, so the
+engine is Hopcroft-Karp from a greedy start, and its last search is the
+Koenig cover, the same for every maximum matching; neither the warm
+start nor the stack a function is solved in changes a certificate.  The
+decomposition (`decomposition.max_weight_min_card_matching`) keys both
+sides by rank.  The depth-first search keeps an explicit stack, so no
+solve depends on the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -129,8 +137,9 @@ class DistanceCertificate:
         The others are compared over the comparable pairs in row chunks of
         at most `poset.PAIR_CHUNK` cells.  A chunk is one bipartite graph,
         the disjoint union of its rows' split graphs on the cells
-        ``row * n + x``: one Hopcroft-Karp call gives its matching and its
-        Koenig cover, and the cover is checked, repaired and counted as one
+        ``row * n + x``: one `max_gain_matching` call, with every pair
+        gaining 1, is Hopcroft-Karp and gives its matching and its Koenig
+        cover, and the cover is checked, repaired and counted as one
         ``(rows, n)`` stack.
         """
         if not fs:
@@ -148,15 +157,12 @@ class DistanceCertificate:
         for rows in row_chunks(len(todo), width):
             block = ranks[todo[rows]]
             row, xs, ys = _violated_rows(domain, block)
-            # adjacency in pair order: left cells ascending, each one's
-            # right neighbour cells ascending
+            # edges in pair order: left cells ascending, each one's right
+            # neighbour cells ascending; every pair gains 1
             lefts, rights = row * n + xs, row * n + ys
-            firsts = np.flatnonzero(np.r_[True, lefts[1:] != lefts[:-1]])
-            neighbours, starts = rights.tolist(), firsts.tolist()
-            adj = {u: neighbours[a:b] for u, a, b in
-                   zip(lefts[firsts].tolist(), starts, starts[1:] + [len(row)])}
-            matched, cover_left, cover_right = _hopcroft_karp(adj)
-            assert len(cover_left) + len(cover_right) == matched, \
+            matching, cover_left, cover_right = max_gain_matching(
+                lefts, rights, [1] * block.size, [0] * block.size)
+            assert len(cover_left) + len(cover_right) == len(matching), \
                 "Koenig cover size must equal the matching size"
             covered = np.zeros((2, block.size), dtype=bool)
             covered[0, list(cover_left)] = covered[1, list(cover_right)] = True
@@ -185,90 +191,124 @@ class DistanceCertificate:
                 for i, f in enumerate(fs)]
 
 
-def _hopcroft_karp(adj: dict[int, list[int]]) -> tuple[int, set[int], set[int]]:
-    """Maximum bipartite matching of the left vertices ``adj``'s keys to
-    the right vertices in its lists; returns the matching size and the
-    left and right parts of the Koenig minimum vertex cover.
+def max_gain_matching(lefts: Sequence[int], rights: Sequence[int], key_l: Sequence[int],
+                      key_r: Sequence[int]) -> tuple[list[tuple[int, int]], set[int], set[int]]:
+    """A matching of largest weight, and of fewest pairs among those, of
+    the edges ``(lefts[i], rights[i])`` (grouped by left vertex, in search
+    order), where an edge (u, v) weighs ``key_l[u] - key_r[v]``.  Returns
+    its pairs in edge order, and the left vertices the last search missed
+    and the right vertices it reached.
 
-    The phase that finds no augmenting path has reached, in ``dist``,
-    exactly the left vertices that alternating paths reach from the free
-    left vertices; the cover is the left vertices it missed and the
-    right vertices it reached.
+    An augmenting path from a free left u to a free right v gains
+    key_l[u] - key_r[v]: every inner vertex's key enters once and leaves
+    once.  Augmenting a largest-gain path keeps each matching a
+    largest-weight one of its size, and the largest gain only falls
+    (successive shortest paths), so the phases stop at the first largest
+    gain Delta <= 0.  A phase searches layer by layer from the free left
+    vertices, one group per key in descending order; a vertex keeps the
+    first group and layer that reach it, since a path through it gains
+    more from that group.  The search ends at the first group whose key
+    minus the lowest right key cannot beat the best gain so far, and a
+    group stops after the layer where it meets that bound.  Each group
+    that reached gain Delta then augments along its layers, depth first
+    with an explicit stack, so no recursion limit applies.  Every path
+    found gains Delta on the matching it flips, so it is a largest-gain
+    path.
 
-    The search starts from a greedy matching (each left vertex in ``adj``
-    order takes its first free neighbour), which leaves fewer vertices to
-    augment and does not change the cover.  Against a maximum matching M,
-    a left vertex u is reached iff some maximum matching leaves u free:
-    flipping the even alternating path that reaches u frees it, and if a
-    maximum matching M' leaves u free but M does not, the component of
-    M xor M' at u is an even alternating path from u to a left vertex
-    that M leaves free.  So the reached left vertices, and with them their
-    neighbours, are the same for every maximum matching (the
-    Dulmage-Mendelsohn decomposition), whichever one the search ends at.
+    When all gains are equal and positive (one key_l value, one key_r
+    value below it), this is Hopcroft-Karp, started from a greedy
+    matching: each left vertex in edge order takes its first free
+    neighbour.  The last search then runs from every free left vertex,
+    and the left vertices it missed with the right vertices it reached
+    are the Koenig minimum vertex cover, the same for every maximum
+    matching.  Against a maximum matching M, a left vertex u is reached
+    iff some maximum matching leaves u free: flipping the even
+    alternating path that reaches u frees it, and if a maximum matching
+    M' leaves u free but M does not, the component of M xor M' at u is
+    an even alternating path from u to a left vertex that M leaves free.
+    So the reached left vertices, and with them their neighbours, do not
+    depend on the maximum matching (the Dulmage-Mendelsohn
+    decomposition), and the warm start does not change the cover.  With
+    unequal gains the last search is pruned, and the two sets are not a
+    cover.
     """
-    match_l: dict[int, int | None] = {u: None for u in adj}
-    match_r: dict[int, int] = {}
-    for u, vs in adj.items():
-        for v in vs:
-            if v not in match_r:
-                match_l[u], match_r[v] = v, u
-                break
-    while True:
-        dist = {}
-        queue = [u for u in adj if match_l[u] is None]
-        for u in queue:
-            dist[u] = 0
-        found = False
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
+    lefts, rights = np.asarray(lefts, dtype=np.int64), np.asarray(rights, dtype=np.int64)
+    if not len(lefts):
+        return [], set(), set()
+    firsts = np.flatnonzero(np.r_[True, lefts[1:] != lefts[:-1]])
+    neighbours, starts = rights.tolist(), firsts.tolist()
+    adj = {u: neighbours[a:b] for u, a, b in
+           zip(lefts[firsts].tolist(), starts, starts[1:] + [len(rights)])}
+    free = sorted(adj, key=key_l.__getitem__, reverse=True)  # stable: ties in edge order
+    mate_l, mate_r = [-1] * len(key_l), [-1] * len(key_r)
+    equal = key_l.count(key_l[0]) == len(key_l) and key_r.count(key_r[0]) == len(key_r)
+    low = key_r[0] if equal else min(key_r)  # no free right has a lower key
+    if equal and key_l[0] > low:
+        for u in free:
             for v in adj[u]:
-                w = match_r.get(v)
-                if w is None:
-                    found = True
-                elif w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if not found:
-            return (len(match_r), adj.keys() - dist.keys(),
-                    {v for u in dist for v in adj[u]})
-        for u in adj:
-            if match_l[u] is None:
-                _augment(u, adj, match_l, match_r, dist)
-
-
-def _augment(root: int, adj: dict[int, list[int]], match_l: dict, match_r: dict,
-             dist: dict) -> None:
-    """One depth-first search for an augmenting path from a free left
-    vertex along the BFS layers; flips the path if it finds one.
-
-    The explicit stack visits edges in exactly the order of the recursive
-    search, so the matching does not depend on the interpreter's
-    recursion limit.  ``path[k]`` is the right vertex through which
-    ``stack[k + 1]`` was entered.
-    """
-    stack = [(root, iter(adj[root]))]
-    path: list[int] = []
-    while stack:
-        u, edges = stack[-1]
-        for v in edges:
-            w = match_r.get(v)
-            if w is None:
-                path.append(v)
-                for (x, _), y in zip(stack, path):
-                    match_l[x] = y
-                    match_r[y] = x
-                return
-            if dist.get(w) == dist[u] + 1:
-                path.append(v)
-                stack.append((w, iter(adj[w])))
+                if mate_r[v] < 0:
+                    mate_l[u], mate_r[v] = v, u
+                    break
+    # layers count up across groups and phases: a label below the phase's
+    # first layer is stale, and one group's layers never meet the next's
+    level, first = [-1] * len(key_l), 0
+    while True:
+        free = [u for u in free if mate_l[u] < 0]
+        best, groups, base = 0, [], first
+        for key, group in itertools.groupby(free, key_l.__getitem__):
+            if key - low <= best:
                 break
-        else:
-            dist[u] = math.inf
-            stack.pop()
-            if path:
-                path.pop()
+            roots = list(group)
+            for u in roots:
+                level[u] = first
+            gain, stop, queue = best - 1, -1, roots.copy()
+            for u in queue:
+                if level[u] == stop:
+                    break
+                nxt = level[u] + 1
+                for v in adj[u]:
+                    w = mate_r[v]
+                    if w < 0:
+                        if key - key_r[v] > gain:
+                            gain = key - key_r[v]
+                            if gain == key - low:
+                                stop = nxt
+                    elif level[w] < base:
+                        level[w] = nxt
+                        queue.append(w)
+            if gain >= best:
+                if gain > best:
+                    best, groups = gain, []
+                groups.append((key, roots))
+            first = level[queue[-1]] + 2
+        if best <= 0:
+            reached = [u for u in adj if level[u] >= base]
+            return ([(u, mate_l[u]) for u in adj if mate_l[u] >= 0],
+                    adj.keys() - reached, {v for u in reached for v in adj[u]})
+        for key, roots in groups:
+            for root in roots:
+                # path[k] is the right vertex through which stack[k + 1] was entered
+                stack, path = [(root, iter(adj[root]))], []
+                while stack:
+                    u, edges = stack[-1]
+                    for v in edges:
+                        w = mate_r[v]
+                        if w < 0:
+                            if key - key_r[v] >= best:
+                                path.append(v)
+                                for (x, _), y in zip(stack, path):
+                                    mate_l[x], mate_r[y] = y, x
+                                stack = None
+                                break
+                        elif level[w] == level[u] + 1:
+                            path.append(v)
+                            stack.append((w, iter(adj[w])))
+                            break
+                    else:
+                        level[u] = -2  # a dead end, below every layer
+                        stack.pop()
+                        if path:
+                            path.pop()
 
 
 def exact_distances(fs: Sequence[ValuedFunction]) -> list[DistanceCertificate]:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from monocube import poset
+from monocube import cli, poset
 from monocube.cli import main
 from monocube.poset import hypercube
 
@@ -235,6 +235,29 @@ def test_a_count_that_checks_nothing_is_a_usage_error(tmp_path, capsys, command,
     assert captured.err == f"error: {option[0]} must be at least " \
                            f"{1 if option[0] == '--jobs' else 0}, not {option[1]}\n"
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("case", ["test-monotone-on-a-dag", "csv-without-out"])
+def test_a_command_it_cannot_run_is_one_error_line(tmp_path, capsys, monkeypatch, case):
+    # refused before any instance runs, with one line through main's handler
+    domain, fn = tmp_path / "dag.domain.json", tmp_path / "f.json"
+    domain.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    assert run(["gen-function", "--domain", str(domain), "--out", str(fn)]) == 0
+    capsys.readouterr()
+
+    def ran(*_):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr(cli, "_verify_instance", ran)
+    if case == "test-monotone-on-a-dag":
+        argv = ["test-monotone", "--fn", str(fn), "--eps", "0.5", "--trials", "2"]
+        message = "test-monotone needs a hypercube-domain function"
+    else:
+        argv = ["verify-inequalities", "--d", "3", "--count", "2", "--format", "csv"]
+        message = "--format csv needs --out: the CSV is written next to the JSON report"
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [["gen-function", "--d", "40"],

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -277,6 +278,28 @@ def test_decompose_non_boolean_d7():
     # the matching and the certificate's exact solves share one pair budget
     dec = decompose(random_function(hypercube(7), 5, 0))
     assert dec.certificate.all_ok
+
+
+def test_decompose_keeps_recursion_limit():
+    """The matching's depth-first search keeps its own stack.  On a zigzag
+    DAG, lower ends a_i below upper ends b_(i-1) and b_i, with f(a_0) = 1,
+    f(a_i) = 2 and f(b_i) = 0, the gap-2 phase matches each a_i to b_(i-1),
+    and the gap-1 path from a_0 to b_n then runs through every vertex."""
+    n = 700
+    edges = [(i, n + 1 + i) for i in range(n + 1)] + [(i, n + i) for i in range(1, n + 1)]
+    f = ValuedFunction(PosetDomain("dag", n=2 * n + 2, edges=edges),
+                       (1,) + (2,) * n + (0,) * (n + 1))
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        dec = decompose(f)
+        r8 = decompose(random_function(hypercube(10), 8, 0))
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
+    assert dec.matching.pairs == tuple((i, n + 1 + i) for i in range(n + 1))
+    assert dec.certificate.all_ok
+    assert len(r8.matching) > 0
 
 
 def test_components_d1():

@@ -78,7 +78,7 @@ GOLDEN = [
     (["exact-distance", "--fn", "tied-d5.json"],
      "b1ca16815dcf36618b102688b66ff24594a47dfbbd5cb9a3088368a5f30432fa"),
     (["decompose", "--fn", "tied-d6.json"],
-     "b18f313a26dc7d3f0790cc993e5e621504c6a2c8b3aa5a0fa648ba5e0c9ffbda"),
+     "a1bc9154d10d86cc84012712b8f44139eb5ba9f4e550653d1ef27b616340cfd5"),
     (["decompose", "--fn", "bool-d8.json"],
      "b7df756f132ed63c4d54fcbb6543f88c9fab73fcb7d4dfe7aff1de0972723ceb"),
     (["decompose", "--fn", "dag-n40.json"],

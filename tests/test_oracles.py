@@ -16,7 +16,7 @@ from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
 from monocube.isoperimetry import EdgeColoring, undirected_objective, violation_profile
 from monocube.oracles import (DistanceCertificate, exact_distance,
                               exact_distances, is_monotone,
-                              violated_pairs, worst_coloring, _hopcroft_karp,
+                              max_gain_matching, violated_pairs, worst_coloring,
                               _repair)
 from monocube import poset
 from monocube.poset import DomainSizeError, PosetDomain, hypercube
@@ -310,6 +310,23 @@ def bipartite_cases():
 BIPARTITE_CASES = bipartite_cases()
 
 
+def engine(adj, key_l=None, key_r=None):
+    """`max_gain_matching` on a dict of neighbour lists, searched in dict
+    order; by default every left key is 1 and every right key 0, so every
+    pair gains 1."""
+    lefts = [u for u, vs in adj.items() for _ in vs]
+    rights = [v for vs in adj.values() for v in vs]
+    return max_gain_matching(lefts, rights, key_l or [1] * (1 + max(adj, default=-1)),
+                             key_r or [0] * (1 + max(rights, default=-1)))
+
+
+def hopcroft_karp(adj):
+    """The engine with every pair gaining 1: the matching size, and the
+    left and right parts of the cover its last search reads."""
+    pairs, left, right = engine(adj)
+    return len(pairs), left, right
+
+
 @pytest.mark.parametrize("name", BIPARTITE_CASES)
 def test_hopcroft_karp_cover_matches_networkx(name):
     """The cover read off the last BFS is networkx's Koenig cover, and its
@@ -321,7 +338,7 @@ def test_hopcroft_karp_cover_matches_networkx(name):
     graph.add_edges_from((("L", u), ("R", v)) for u, vs in adj.items() for v in vs)
     matching = nx.bipartite.hopcroft_karp_matching(graph, top)
     expected = nx.bipartite.to_vertex_cover(graph, matching, top)
-    size, left, right = _hopcroft_karp(adj)
+    size, left, right = hopcroft_karp(adj)
     assert {("L", u) for u in left} | {("R", v) for v in right} == expected
     assert size == len(matching) // 2 == len(left) + len(right)
 
@@ -365,7 +382,56 @@ def small_bipartite(draw):
 def test_hopcroft_karp_cover_is_the_canonical_koenig_cover(adj):
     """Whichever maximum matching the warm-started search ends at, its
     cover is the one every maximum matching gives."""
-    assert _hopcroft_karp(adj) == canonical_koenig_cover(adj)
+    assert hopcroft_karp(adj) == canonical_koenig_cover(adj)
+
+
+def best_matching(adj, key_l, key_r):
+    """The largest weight of any matching, where a pair (u, v) weighs
+    key_l[u] - key_r[v], and the fewest pairs of a matching that has it:
+    each left vertex in turn stays free or takes a right vertex not yet
+    used."""
+    left = list(adj)
+
+    @lru_cache(maxsize=None)
+    def best(i, used):  # (weight, -pairs), largest first
+        if i == len(left):
+            return 0, 0
+        u = left[i]
+        options = [best(i + 1, used)]
+        for v in adj[u]:
+            if not used >> v & 1:
+                weight, pairs = best(i + 1, used | 1 << v)
+                options.append((weight + key_l[u] - key_r[v], pairs - 1))
+        return max(options)
+
+    weight, pairs = best(0, 0)
+    return weight, -pairs
+
+
+@st.composite
+def keyed_bipartite(draw):
+    """At most 7 + 7 vertices, each neighbour list in drawn order, and an
+    integer key per vertex, so gains may be zero or negative."""
+    right = draw(st.integers(1, 7))
+    adj = {u: draw(st.lists(st.integers(0, right - 1), unique=True, max_size=right))
+           for u in draw(st.permutations(range(draw(st.integers(0, 7)))))}
+    keys = st.integers(-3, 4)
+    return (adj, draw(st.lists(keys, min_size=len(adj), max_size=len(adj))),
+            draw(st.lists(keys, min_size=right, max_size=right)))
+
+
+@given(keyed_bipartite())
+@settings(max_examples=300, deadline=None)
+def test_max_gain_matching_is_the_largest_weight_with_fewest_pairs(case):
+    """On any bipartite graph, not only split graphs of a poset, the
+    engine's matching has the largest weight and, among those, the fewest
+    pairs."""
+    adj, key_l, key_r = case
+    pairs, _, _ = engine(adj, key_l, key_r)
+    assert all(v in adj[u] for (u, v) in pairs)
+    assert len({u for u, _ in pairs}) == len({v for _, v in pairs}) == len(pairs)
+    assert (sum(key_l[u] - key_r[v] for (u, v) in pairs), len(pairs)) \
+        == best_matching(adj, key_l, key_r)
 
 
 def test_cover_certifies_violations():
@@ -476,6 +542,32 @@ def test_exact_distance_keeps_recursion_limit():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
+
+
+def zigzag(n):
+    """The path a_0 b_0 a_1 b_1 ... a_n b_n as a bipartite graph: left a_i
+    is vertex i, right b_i is vertex i, and a_i lists b_(i-1), then b_i.
+    The lefts come in the order a_1 .. a_n, a_0."""
+    adj = {i: [i - 1, i] for i in range(1, n + 1)}
+    adj[0] = [0]
+    return adj
+
+
+@pytest.mark.parametrize("equal_keys", [True, False], ids=["equal-keys", "rank-keys"])
+def test_max_gain_matching_keeps_recursion_limit(equal_keys):
+    """A greedy start, or a first phase of gain 2, matches a_i to b_(i-1)
+    and leaves a_0 and b_n free; the last augmenting path then runs
+    through all 2n + 2 vertices, deeper than the recursion limit."""
+    n = 3000
+    key_l = [1] * (n + 1) if equal_keys else [1] + [2] * n
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        pairs, _, _ = engine(zigzag(n), key_l, [0] * (n + 1))
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
+    assert sorted(pairs) == [(i, i) for i in range(n + 1)]
 
 
 def scan_repair(f, cover):
