@@ -145,7 +145,7 @@ def cmd_test_monotone(args) -> int:
     if f.domain.kind != "hypercube":
         raise ValueError("test-monotone needs a hypercube-domain function")
     from functools import partial
-    run = partial(run_pair_tester, epsilon=args.eps, r=image_size(f),
+    run = partial(run_pair_tester, epsilon=args.eps, r=int(f.ranks.max()) + 1,
                   budget_constant=args.budget)
     measurement = measure_rejection(f, run, args.trials, args.seed, jobs=args.jobs)
     report = {

@@ -41,9 +41,13 @@ it per read.  The dicts and their order are a plain graph's, so the
 matching is the one networkx finds on a plain `nx.Graph`; a property
 test compares the two.
 
-Each part is built from bitmask unions: the zeros inside its graph are
-the vertices below some block sink with rank at most the sink's, and
-the ones outside are the vertices above one of its sources.
+The merge keeps each block as plain ints (its up(S) and down(T) masks)
+and builds one `SweepingGraph` per final block.  Each part is built
+from bitmask unions: the zeros inside its graph are the vertices below
+some block sink with rank at most the sink's, and the ones outside are
+the vertices above one of its sources.  One unpack then turns every
+part's value mask and graph mask into a ``(2k, n)`` bit stack, whose
+rows are cached as the parts' ranks and their graphs' vertex arrays.
 
 A decomposition's certificate is built when first read.  It and the
 chain check treat f and its k parts as one stack: one
@@ -64,7 +68,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 import networkx as nx
@@ -148,7 +152,9 @@ def merge_pairs(domain: PosetDomain, matching: Matching) -> tuple[SweepingGraph,
 
     One pass adds the pairs in matching order to a list of blocks with
     disjoint graphs: each new pair's block absorbs every block its
-    growing graph meets, until it meets none.
+    growing graph meets, until it meets none.  A block is kept as the
+    masks of up(S) and down(T), which absorbing ORs together; its graph
+    is their AND, the vertex set `PosetDomain.sweeping_graph` gives.
 
     Any order of merging conflicting blocks gives the same blocks.  Let
     P be any partition of the pairs whose blocks' graphs are pairwise
@@ -160,23 +166,49 @@ def merge_pairs(domain: PosetDomain, matching: Matching) -> tuple[SweepingGraph,
     that is finer than every such P: the unique finest one.
     """
     matching.validate_order(domain)
-    blocks: dict[int, SweepingGraph] = {}  # first pair index -> graph
+    up, down = domain._up_masks(), domain._down_masks()  # noqa: SLF001
+    # first pair index -> (graph mask, up(S) mask, down(T) mask, S, T)
+    blocks: dict[int, tuple[int, int, int, frozenset[int], frozenset[int]]] = {}
+    covered = 0  # the union of the blocks' graphs: a pair that misses it meets none
     for first, (s, t) in enumerate(matching.pairs):
-        graph = domain.sweeping_graph((s,), (t,))
-        while met := [i for i, g in blocks.items() if g.vertex_mask & graph.vertex_mask]:
-            absorbed = [blocks.pop(i) for i in met]
+        up_S, down_T, S, T = up[s], down[t], frozenset((s,)), frozenset((t,))
+        mask = up_S & down_T
+        while mask & covered and (met := [i for i, block in blocks.items()
+                                          if block[0] & mask]):
+            _, ups, downs, sources, sinks = zip(*(blocks.pop(i) for i in met))
             first = min(first, *met)
-            graph = domain.sweeping_graph(
-                graph.source_set.union(*(g.source_set for g in absorbed)),
-                graph.sink_set.union(*(g.sink_set for g in absorbed)))
-        blocks[first] = graph
-    return tuple(blocks[i] for i in sorted(blocks))
+            up_S = reduce(operator.or_, ups, up_S)
+            down_T = reduce(operator.or_, downs, down_T)
+            S, T = S.union(*sources), T.union(*sinks)
+            mask = up_S & down_T
+        blocks[first] = (mask, up_S, down_T, S, T)
+        covered |= mask
+    return tuple(SweepingGraph(domain, S, T, mask)
+                 for mask, _, _, S, T in (blocks[i] for i in sorted(blocks)))
 
 
 def build_components(f: ValuedFunction, graphs: Sequence[SweepingGraph]
                      ) -> list[tuple[ValuedFunction, SweepingGraph]]:
     """Each block's Boolean function, paired with the block's sweeping
-    graph, as bitmask unions.
+    graph.  One `mask_array` call unpacks every part's value mask
+    (`_part_masks`) and graph mask; each row is cached as the part's
+    ranks (uint8, minus the row's minimum, as `ValuedFunction.ranks`
+    gives them) or as its graph's vertex array."""
+    k = len(graphs)
+    bits = mask_array(_part_masks(f, graphs) + [graph.vertex_mask for graph in graphs],
+                      f.domain.n)
+    values = bits[:k].view(np.uint8)
+    parts = [ValuedFunction(f.domain, tuple(row.tolist())) for row in values]
+    values -= values.min(axis=1, keepdims=True)
+    for fi, row, graph, inside in zip(parts, values, graphs, bits[k:]):
+        vars(fi)["ranks"] = row
+        vars(graph)["vertex_array"] = inside
+    return list(zip(parts, graphs))
+
+
+def _part_masks(f: ValuedFunction, graphs: Sequence[SweepingGraph]) -> list[int]:
+    """The bitmask of the ones of each block's Boolean function, as
+    bitmask unions.
 
     Inside H_i a vertex is 1 iff its value beats every block sink it can
     still reach, so the zeros there are the vertices below some sink t of
@@ -184,12 +216,11 @@ def build_components(f: ValuedFunction, graphs: Sequence[SweepingGraph]
     strictly above some vertex of H_i; every vertex of H_i lies above a
     source inside H_i, so those are up(S_i cap H_i) minus H_i.
     """
-    domain = f.domain
-    components = []
-    down = domain._down_masks()  # noqa: SLF001
-    up = domain._up_masks()  # noqa: SLF001
+    down = f.domain._down_masks()  # noqa: SLF001
+    up = f.domain._up_masks()  # noqa: SLF001
     ranks = f.ranks.tolist()
     below = _below_rank_masks(ranks)
+    ones = []
     for graph in graphs:
         mask = graph.vertex_mask
         zeros = above = 0
@@ -198,10 +229,8 @@ def build_components(f: ValuedFunction, graphs: Sequence[SweepingGraph]
         for s in graph.source_set:
             if mask >> s & 1:
                 above |= up[s]
-        ones = (mask & ~zeros) | (above & ~mask)
-        values = tuple(mask_array(ones, domain.n).view(np.uint8).tolist())
-        components.append((ValuedFunction(domain, values), graph))
-    return components
+        ones.append((mask & ~zeros) | (above & ~mask))
+    return ones
 
 
 def _below_rank_masks(ranks: list[int]) -> list[int]:

@@ -76,7 +76,10 @@ class ValuedFunction:
     @cached_property
     def ranks(self) -> np.ndarray:
         """Each value's index among the sorted distinct values: the 0-based
-        ndarray form of `canonical_rank`, computed once per function."""
+        ndarray form of `canonical_rank`, computed once per function.  A
+        Boolean decomposition's parts get theirs cached from one bit stack
+        (`decomposition.build_components`): a 0/1 row minus its minimum,
+        in uint8, is exactly this."""
         levels = image_values(self)
         index = {v: i for i, v in enumerate(levels)}
         return np.fromiter(map(index.__getitem__, self.values),

@@ -139,14 +139,10 @@ class PosetDomain:
             def at_most(rows: slice) -> np.ndarray:  # x <= y iff x & ~y == 0
                 return (ids[rows, None] & ~ids) == 0
         else:
-            width = (n + 7) // 8
-            packed = np.frombuffer(b"".join(m.to_bytes(width, "little")
-                                            for m in self._up_masks()),
-                                   dtype=np.uint8).reshape(n, width)
+            up = self._up_masks()
 
             def at_most(rows: slice) -> np.ndarray:  # bit y of up[x]: x <= y
-                return np.unpackbits(packed[rows], axis=1, count=n,
-                                     bitorder="little").view(bool)
+                return mask_array(up[rows], n)
         lowers, uppers = [], []
         for rows in row_chunks(n, n):
             start = rows.start
@@ -306,13 +302,16 @@ class SweepingGraph:
     @cached_property
     def vertex_array(self) -> np.ndarray:
         """The vertex set as a boolean array over the domain's vertices."""
-        return mask_array(self.vertex_mask, self.domain.n)
+        return mask_array([self.vertex_mask], self.domain.n)[0]
 
 
-def mask_array(mask: int, n: int) -> np.ndarray:
-    """Bits 0..n-1 of a vertex bitmask as a boolean array."""
-    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
+def mask_array(masks: Sequence[int], n: int) -> np.ndarray:
+    """Bits 0..n-1 of each vertex bitmask, one unpack for the lot: a
+    ``(len(masks), n)`` boolean array."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
+                           dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def row_chunks(rows: int, width: int) -> Iterator[slice]:

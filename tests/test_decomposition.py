@@ -237,9 +237,13 @@ def test_merge_pairs_matches_the_rescan(domain):
     rng = random.Random(domain.n)
     for matching in merge_cases(domain, rng):
         graphs = merge_pairs(domain, matching)
-        assert block_sets(graphs) == merge_pairs_rescan(domain, matching)
-        for g in graphs:
-            assert g.vertex_mask == domain.sweeping_graph(g.source_set, g.sink_set).vertex_mask
+        blocks = merge_pairs_rescan(domain, matching)
+        assert block_sets(graphs) == blocks
+        for g, (S, T) in zip(graphs, blocks):
+            swept = domain.sweeping_graph(S, T)
+            assert g.domain is domain
+            assert (g.vertex_mask, g.source_set, g.sink_set) \
+                == (swept.vertex_mask, swept.source_set, swept.sink_set)
 
 
 def test_merge_pairs_matches_the_rescan_on_the_diamond(diamond_dag):
@@ -319,7 +323,8 @@ COMPONENT_DOMAINS = ([hypercube(d) for d in range(1, 8)]
 @pytest.mark.parametrize("domain", COMPONENT_DOMAINS, ids=repr)
 def test_components_match_the_per_vertex_rule(domain):
     """The bitmask unions give every block's part exactly as the
-    per-vertex rule does, with Python int values."""
+    per-vertex rule does, with Python int values, and the cached rows of
+    the one unpack equal the generic ranks and vertex arrays."""
     for r, seed in ((2, 1), (4, 2), (9, 3)):
         f = random_function(domain, r, seed)
         graphs = merge_pairs(domain, max_weight_min_card_matching(f))
@@ -327,6 +332,11 @@ def test_components_match_the_per_vertex_rule(domain):
         for fi, graph in build_components(f, graphs):
             assert fi.values == component_values(f, graph)
             assert {type(v) for v in fi.values} <= {int}
+            generic = ValuedFunction(domain, fi.values).ranks
+            assert fi.ranks.dtype == generic.dtype
+            assert np.array_equal(fi.ranks, generic)
+            assert np.array_equal(graph.vertex_array,
+                                  poset.mask_array([graph.vertex_mask], domain.n)[0])
 
 
 def test_components_source_sink_values():
@@ -615,6 +625,30 @@ def test_chain_check_builds_its_masks_once_per_decomposition(monkeypatch):
     assert len(built) == 1 and built[0].shape == (2 + 2 * dec.k,
                                                   violation_profile(f).num_violated)
     assert all(rep.ordering_ok and rep.distance_ok for rep in reports)
+
+
+def test_parts_come_from_one_unpack(monkeypatch):
+    """Decomposing a d = 6, r = 8 input, solving its stack, certifying it
+    and checking three chains sorts f's values once, for f's own ranks,
+    and unpacks every part's values and graph in one `mask_array` call."""
+    from monocube import decomposition, funcs
+    f = random_function(hypercube(6), 8, 24)
+    sorts, unpacks = [], []
+    image_values, mask_array = funcs.image_values, poset.mask_array
+    monkeypatch.setattr(funcs, "image_values", lambda g: sorts.append(g) or image_values(g))
+    for module in (poset, decomposition):
+        monkeypatch.setattr(module, "mask_array",
+                            lambda masks, n: unpacks.append(masks) or mask_array(masks, n))
+    dec = decompose(f)
+    dec.epsilons
+    assert dec.certificate.all_ok
+    rng = random.Random(5)
+    for _ in range(3):
+        rep = robust_chain_check(dec, EdgeColoring.random(violation_profile(f), rng))
+        assert rep.ordering_ok and rep.distance_ok
+    assert dec.k > 1
+    assert sorts == [f]
+    assert len(unpacks) == 1 and len(unpacks[0]) == 2 * dec.k
 
 
 def test_chain_check_random_suite():
