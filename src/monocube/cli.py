@@ -18,7 +18,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from . import __version__
 from .decomposition import decompose, decomposition_dump, edge_bound_check, \
@@ -32,7 +32,7 @@ from .isoperimetry import EdgeColoring, dist_to_const_fraction, \
 from .oracles import exact_distance
 from .poset import DomainSizeError, hypercube, read_domain
 from .seeds import derive_seed, parallel_map
-from .testers import DEFAULT_BUDGET_CONSTANT, measure_rejection, run_pair_tester
+from .testers import DEFAULT_BUDGET_CONSTANT, dimension, measure_rejection, pair_tester
 
 TWO_SQRT_TWO = 2.0 * (2.0 ** 0.5)
 
@@ -142,10 +142,8 @@ def cmd_test_monotone(args) -> int:
     started = time.perf_counter()
     _check_at_least(args, jobs=1)
     f = read_function(args.fn)
-    if f.domain.kind != "hypercube":
-        raise ValueError("test-monotone needs a hypercube-domain function")
-    from functools import partial
-    run = partial(run_pair_tester, epsilon=args.eps, r=int(f.ranks.max()) + 1,
+    dimension(f.domain, "test-monotone")
+    run = partial(pair_tester, epsilon=args.eps, r=int(f.ranks.max()) + 1,
                   budget_constant=args.budget)
     measurement = measure_rejection(f, run, args.trials, args.seed, jobs=args.jobs)
     report = {

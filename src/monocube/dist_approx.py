@@ -6,7 +6,9 @@ along the remaining coordinates of S (either orientation).  Its
 probability over a uniform vertex, mu(S), lower-bounds twice the
 distance to monotonicity, and for functions with few violated edges some
 dyadic coordinate-sampling rate makes it large; ApproxMono turns these
-two facts into a close/far verdict.
+two facts into a close/far verdict.  It is called like the testers, as
+``approx_mono(oracle, seed, *, epsilon, c_prime=1.0)``, and reads d
+from the oracle's domain through the testers' hypercube guard.
 
 Estimates are two-sided Hoeffding: n = ceil(ln(2/delta) / (2 err^2))
 samples give additive error err with failure probability delta, and the
@@ -15,15 +17,16 @@ edge estimate and the per-rate mu estimates.  The only tunable constant
 is c' (``c_prime``), which scales the mu estimates' error and threshold;
 the edge estimate's constant is 1.  Every estimator issues its full
 query pattern regardless of observed values, so runs with equal seeds
-and configurations query identical multisets on any two functions.
+and parameters query identical multisets on any two functions.
 
 One array evaluator, `_capture_hits`, decides the capture event for a
 block of vertices at once; `capture`, `mu_exact` and `mu_estimate` all
-go through it.  Each estimate draws its samples as arrays of `BLOCK`
-from its own `numpy.random.Generator`, seeded by `derive_seed`, and
-reads each block with one counted rank lookup, so the query log lists
-each sample's pattern in draw order.  `approx_mono` draws each
-coordinate set S from such a stream too.
+go through it.  One block sampler, `_estimate`, runs both estimates: it
+draws the samples as arrays of `BLOCK` from the estimate's own
+`numpy.random.Generator`, seeded by `derive_seed`, and reads each block
+with one counted rank lookup, so the query log lists each sample's
+pattern in draw order.  `approx_mono` draws each coordinate set S from
+such a stream too.
 
 The log factor inside sqrt(d log d) is base 2 and clamped below at 1 so
 the d = 1 corner stays defined.
@@ -40,26 +43,12 @@ import numpy as np
 
 from .funcs import CountingOracle, ValuedFunction, index_dtype
 from .seeds import derive_seed
-from .testers import edge_draws
+from .poset import PosetDomain
+from .testers import dimension, edge_draws
 
 
 # The run's failure probability, split evenly across its estimates.
 FAILURE_BUDGET = 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class CaptureConfig:
-    epsilon: float
-    c_prime: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        # 1/2 itself is admitted: the distance-approximation wrapper's top
-        # search level runs the tolerant tester at epsilon = 1/2.
-        if not 0 < self.epsilon <= 0.5:
-            raise ValueError("epsilon must lie in (0, 1/2]")
-        if self.c_prime <= 0:
-            raise ValueError("c_prime must be positive")
 
 
 # Vertices evaluated per array step.  A step's temporaries have BLOCK rows,
@@ -68,27 +57,26 @@ class CaptureConfig:
 BLOCK = 2048
 
 
-def _coordinates(f: ValuedFunction, S) -> list[int]:
+def _coordinates(domain: PosetDomain, S) -> list[int]:
     """S as a sorted list of distinct hypercube coordinates, validated."""
-    if f.domain.kind != "hypercube":
-        raise ValueError("capture is defined on hypercube domains")
+    d = dimension(domain, "capture")
     S = sorted(set(S))
     for i in S:
-        if not 1 <= i <= f.domain.d:
-            raise ValueError(f"coordinate {i} out of range 1..{f.domain.d}")
+        if not 1 <= i <= d:
+            raise ValueError(f"coordinate {i} out of range 1..{d}")
     return S
 
 
 def capture(f: ValuedFunction, x: int, S) -> bool:
     """The capture event for vertex x and coordinate set S (1-based)."""
-    S = _coordinates(f, S)
+    S = _coordinates(f.domain, S)
     xs = np.array([x], dtype=index_dtype(f.n))
     return _capture_hits(xs, S, f.ranks.__getitem__) == 1
 
 
 def mu_exact(f: ValuedFunction, S) -> Fraction:
     """Exact capture probability over a uniform vertex (full sweep)."""
-    S = _coordinates(f, S)
+    S = _coordinates(f.domain, S)
     n = f.domain.n
     vertices = np.arange(n, dtype=index_dtype(n))
     hits = sum(_capture_hits(vertices[lo:lo + BLOCK], S, f.ranks.__getitem__)
@@ -146,36 +134,37 @@ class Estimate:
     failure_prob: float
 
 
+def _estimate(additive_error: float, failure_prob: float, seed: int, hits) -> Estimate:
+    """The Hoeffding mean of a [0,1] event: ``hits(rng, count)`` draws
+    ``count`` samples from the run's generator and returns how many have
+    the event, called once per block of `BLOCK` samples."""
+    samples = hoeffding_samples(additive_error, failure_prob)
+    rng = np.random.default_rng(seed)
+    total = sum(hits(rng, min(BLOCK, samples - lo)) for lo in range(0, samples, BLOCK))
+    return Estimate(total / samples, samples, additive_error, failure_prob)
+
+
 def mu_estimate(oracle: CountingOracle, S, additive_error: float,
                 failure_prob: float, seed: int) -> Estimate:
     """Monte Carlo capture probability via oracle queries only."""
-    d = oracle.domain.d
-    if d is None:
-        raise ValueError("capture estimation runs on hypercube domains")
-    S = sorted(set(S))
-    samples = hoeffding_samples(additive_error, failure_prob)
+    S = _coordinates(oracle.domain, S)
     n = oracle.domain.n
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for lo in range(0, samples, BLOCK):
-        xs = rng.integers(0, n, size=min(BLOCK, samples - lo), dtype=index_dtype(n))
-        hits += _capture_hits(xs, S, oracle.lookup_ranks)
-    return Estimate(hits / samples, samples, additive_error, failure_prob)
+
+    def hits(rng, count):
+        xs = rng.integers(0, n, size=count, dtype=index_dtype(n))
+        return _capture_hits(xs, S, oracle.lookup_ranks)
+    return _estimate(additive_error, failure_prob, seed, hits)
 
 
 def violated_fraction_estimate(oracle: CountingOracle, additive_error: float,
                                failure_prob: float, seed: int) -> Estimate:
     """Monte Carlo estimate of |S_f^-| / (d 2^(d-1)) by uniform edges."""
-    d = oracle.domain.d
-    if d is None:
-        raise ValueError("edge sampling runs on hypercube domains")
-    samples = hoeffding_samples(additive_error, failure_prob)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for lo in range(0, samples, BLOCK):
-        ranks = oracle.lookup_ranks(edge_draws(rng, d, min(BLOCK, samples - lo)))
-        hits += int(np.count_nonzero(ranks[:, 0] > ranks[:, 1]))
-    return Estimate(hits / samples, samples, additive_error, failure_prob)
+    d = dimension(oracle.domain, "violated_fraction_estimate")
+
+    def hits(rng, count):
+        ranks = oracle.lookup_ranks(edge_draws(rng, d, count))
+        return int(np.count_nonzero(ranks[:, 0] > ranks[:, 1]))
+    return _estimate(additive_error, failure_prob, seed, hits)
 
 
 def sqrt_d_log_d(d: int) -> float:
@@ -200,59 +189,55 @@ class ApproxMonoReport:
     mu_estimates: tuple = ()
     mu_threshold: float = 0.0
     triggered_by: str = ""
-    seed: int = 0
 
 
-def approx_mono(oracle: CountingOracle, config: CaptureConfig) -> ApproxMonoReport:
+def approx_mono(oracle: CountingOracle, seed: int, *, epsilon: float,
+                c_prime: float = 1.0) -> ApproxMonoReport:
     """The tolerant tester: far when the violated-edge fraction estimate
     or any capture-probability estimate crosses its threshold.
 
     The edge estimate targets additive error eps/(4 sqrt(d log d)) with
     threshold at three times that; each mu estimate scales both by
     c_prime.  All sampling happens in a fixed order first, so the
-    queried multiset depends only on (seed, config, d); the verdict is
-    then read off in algorithm order (edge test, then increasing rates).
+    queried multiset depends only on (seed, epsilon, c_prime, d); the
+    verdict is then read off in algorithm order (edge test, then
+    increasing rates).
     """
-    d = oracle.domain.d
-    if d is None:
-        raise ValueError("approx_mono runs on hypercube domains")
+    # 1/2 itself is admitted: the distance-approximation wrapper's top
+    # search level runs the tolerant tester at epsilon = 1/2.
+    if not 0 < epsilon <= 0.5:
+        raise ValueError("epsilon must lie in (0, 1/2]")
+    if c_prime <= 0:
+        raise ValueError("c_prime must be positive")
+    d = dimension(oracle.domain, "approx_mono")
     start = oracle.query_count
     L = sqrt_d_log_d(d)
-    eps = config.epsilon
     rates = rate_schedule(d)
-    n_estimates = 1 + len(rates)
-    delta_each = FAILURE_BUDGET / n_estimates
+    delta_each = FAILURE_BUDGET / (1 + len(rates))
 
-    edge_err = eps / (4.0 * L)
-    edge_thr = 3.0 * eps / (4.0 * L)
-    mu_err = config.c_prime * eps / (4.0 * L)
-    mu_thr = 3.0 * config.c_prime * eps / (4.0 * L)
+    edge_err = epsilon / (4.0 * L)
+    edge_thr = 3.0 * epsilon / (4.0 * L)
+    mu_err = c_prime * epsilon / (4.0 * L)
+    mu_thr = 3.0 * c_prime * epsilon / (4.0 * L)
 
-    edge_est = violated_fraction_estimate(
-        oracle, edge_err, delta_each, derive_seed(config.seed, 0))
+    edge_est = violated_fraction_estimate(oracle, edge_err, delta_each, derive_seed(seed, 0))
 
-    mu_results = []
+    mu_estimates = []
     for idx, t in enumerate(rates, start=1):
-        keep = np.random.default_rng(derive_seed(config.seed, idx, 0)).random(d) < 1.0 / t
-        S = (np.flatnonzero(keep) + 1).tolist()
-        est = mu_estimate(oracle, S, mu_err, delta_each,
-                          derive_seed(config.seed, idx, 1))
-        mu_results.append({"t": t, "S": S, "estimate": est})
+        keep = np.random.default_rng(derive_seed(seed, idx, 0)).random(d) < 1.0 / t
+        S = tuple((np.flatnonzero(keep) + 1).tolist())
+        mu_estimates.append(
+            (t, S, mu_estimate(oracle, S, mu_err, delta_each, derive_seed(seed, idx, 1))))
 
-    verdict = "close"
-    triggered = ""
     if edge_est.value >= edge_thr:
-        verdict, triggered = "far", "edge-fraction"
+        triggered = "edge-fraction"
     else:
-        for entry in mu_results:
-            if entry["estimate"].value >= mu_thr:
-                verdict, triggered = "far", f"mu at t={entry['t']}"
-                break
+        triggered = next((f"mu at t={t}" for t, _, est in mu_estimates
+                          if est.value >= mu_thr), "")
     return ApproxMonoReport(
-        verdict=verdict, queries=oracle.query_count - start,
+        verdict="far" if triggered else "close", queries=oracle.query_count - start,
         edge_estimate=edge_est, edge_threshold=edge_thr,
-        mu_estimates=tuple((e["t"], tuple(e["S"]), e["estimate"]) for e in mu_results),
-        mu_threshold=mu_thr, triggered_by=triggered, seed=config.seed)
+        mu_estimates=tuple(mu_estimates), mu_threshold=mu_thr, triggered_by=triggered)
 
 
 @dataclass(frozen=True)
@@ -269,7 +254,6 @@ class DistanceApproxReport:
     promise_violation: bool
     queries: int
     levels: tuple[LevelResult, ...]
-    seed: int = 0
 
 
 def approx_distance(oracle: CountingOracle, alpha: float, c_prime: float = 1.0,
@@ -294,9 +278,8 @@ def approx_distance(oracle: CountingOracle, alpha: float, c_prime: float = 1.0,
         votes = 0
         reports = []
         for rep in range(3):
-            sub = CaptureConfig(epsilon=eps, c_prime=c_prime,
-                                seed=derive_seed(seed, li, rep))
-            report = approx_mono(oracle, sub)
+            report = approx_mono(oracle, derive_seed(seed, li, rep),
+                                 epsilon=eps, c_prime=c_prime)
             reports.append(report)
             votes += report.verdict == "far"
         verdict = "far" if votes >= 2 else "close"
@@ -308,4 +291,4 @@ def approx_distance(oracle: CountingOracle, alpha: float, c_prime: float = 1.0,
         epsilon_hat=chosen if chosen is not None else alpha,
         promise_violation=chosen is None,
         queries=oracle.query_count - start,
-        levels=tuple(results), seed=seed)
+        levels=tuple(results))

@@ -70,9 +70,6 @@ class ValuedFunction:
     def n(self) -> int:
         return self.domain.n
 
-    def is_boolean(self) -> bool:
-        return set(self.values) <= {0, 1}
-
     @cached_property
     def ranks(self) -> np.ndarray:
         """Each value's index among the sorted distinct values: the 0-based
@@ -128,11 +125,6 @@ class CountingOracle:
         if self.log is not None:
             self.log.extend(xs.ravel().tolist())
         return self.fn.ranks[xs]
-
-    def reset(self) -> None:
-        self.query_count = 0
-        if self.log is not None:
-            self.log = []
 
     @property
     def domain(self) -> PosetDomain:

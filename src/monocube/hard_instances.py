@@ -27,8 +27,6 @@ from .decomposition import Matching
 from .funcs import ValuedFunction
 from .poset import hypercube
 
-TESTED_DIMENSIONS = (9, 25)  # odd perfect squares at desk scale; 49 works too
-
 
 @dataclass(frozen=True)
 class LowerBoundSpec:
@@ -58,11 +56,6 @@ class LowerBoundSpec:
     def band_low(self) -> int:
         """Lowest middle-band level of the (d-1)-cube: (d-1)/2 - sqrt(d)."""
         return (self.d - 1) // 2 - self.sqrt_d
-
-    @property
-    def band_high(self) -> int:
-        """Highest middle-band level: (d-1)/2 + sqrt(d)."""
-        return (self.d - 1) // 2 + self.sqrt_d
 
     @property
     def dip_levels(self) -> range:

@@ -120,10 +120,6 @@ class EdgeColoring:
         return cls(profile, np.ones(profile.num_violated, dtype=bool))
 
     @classmethod
-    def all_blue(cls, profile: ViolationProfile) -> "EdgeColoring":
-        return cls(profile, np.zeros(profile.num_violated, dtype=bool))
-
-    @classmethod
     def random(cls, profile: ViolationProfile, rng) -> "EdgeColoring":
         """Each edge red with probability 1/2: one ``rng.random()`` per
         violated edge, in profile order."""

@@ -9,7 +9,14 @@ per setting, and rejects exactly when some drawn pair violates
 monotonicity.  For tau = 1 the draw is a random edge, so the edge tester
 is also provided directly.
 
-The full query schedule is generated from the seed and the configuration
+Both testers are called as ``tester(oracle, seed, *, epsilon, ...)``: the
+oracle and the run's seed, then the paper's parameters by keyword (r for
+the pair tester, and a budget constant for both).  They read d from the
+oracle's domain through `dimension`, the one hypercube guard, and a
+``functools.partial`` over the parameters is what `measure_rejection`
+runs.
+
+The full query schedule is generated from the seed and the parameters
 before any value is read, so the queried multiset never depends on the
 function: two runs with equal seeds on different functions touch
 identical points (the replay property).  Each schedule is drawn as
@@ -36,27 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .funcs import CountingOracle, ValuedFunction, index_dtype
+from .poset import PosetDomain
 from .seeds import derive_seed, parallel_map
 
 DEFAULT_BUDGET_CONSTANT = 4.0
-
-
-@dataclass(frozen=True)
-class TesterConfig:
-    epsilon: float
-    r: int
-    budget_constant: float = DEFAULT_BUDGET_CONSTANT
-    seed: int = 0
-
-    __test__ = False  # keep pytest from collecting this as a test class
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0,1)")
-        if self.r < 1:
-            raise ValueError("image size r must be >= 1")
-        if self.budget_constant <= 0:
-            raise ValueError("budget_constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,7 +55,6 @@ class TesterReport:
     queries: int
     witness: tuple[int, int, float, float] | None
     per_setting: dict = field(default_factory=dict)
-    seed: int = 0
 
     @property
     def rejected(self) -> bool:
@@ -85,12 +74,18 @@ def tau_schedule(d: int) -> list[int]:
     return taus
 
 
-def repetitions(config: TesterConfig, d: int) -> int:
+def repetitions(d: int, epsilon: float, r: int, budget_constant: float) -> int:
     """Draws per (b, tau) setting on the d-cube: budget * min(r sqrt(d)/eps^2,
-    d/eps) times an explicit (log2 d + 1) factor."""
-    r, eps = config.r, config.epsilon
-    base = min(r * math.sqrt(d) / eps**2, d / eps)
-    return max(1, math.ceil(config.budget_constant * base * (math.log2(d) + 1 if d > 1 else 1)))
+    d/eps) times an explicit (log2 d + 1) factor.  The pair tester's
+    parameters are validated here."""
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0,1)")
+    if r < 1:
+        raise ValueError("image size r must be >= 1")
+    if budget_constant <= 0:
+        raise ValueError("budget_constant must be positive")
+    base = min(r * math.sqrt(d) / epsilon**2, d / epsilon)
+    return max(1, math.ceil(budget_constant * base * (math.log2(d) + 1 if d > 1 else 1)))
 
 
 def pair_draws(rng: np.random.Generator, d: int, settings: list, reps: int) -> np.ndarray:
@@ -144,8 +139,8 @@ def edge_draws(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
     return np.stack([x, x | bit], axis=-1)
 
 
-def _evaluate_schedule(oracle: CountingOracle, settings: list, pairs: np.ndarray,
-                       seed: int) -> TesterReport:
+def _evaluate_schedule(oracle: CountingOracle, settings: list,
+                       pairs: np.ndarray) -> TesterReport:
     """Query every scheduled pair, then derive verdict and per-setting stats.
 
     ``pairs[s, j]`` is the j-th (x, y) draw of setting ``settings[s]``.
@@ -168,38 +163,39 @@ def _evaluate_schedule(oracle: CountingOracle, settings: list, pairs: np.ndarray
     return TesterReport(
         verdict="reject" if witness is not None else "accept",
         queries=oracle.query_count - start,
-        witness=witness, per_setting=per_setting, seed=seed)
+        witness=witness, per_setting=per_setting)
 
 
-def _dimension(oracle: CountingOracle) -> int:
-    """The dimension of the oracle's hypercube domain."""
-    if oracle.domain.kind != "hypercube":
-        raise ValueError(f"the testers run on hypercube domains, not {oracle.domain!r}")
-    return oracle.domain.d
+def dimension(domain: PosetDomain, what: str) -> int:
+    """The dimension of a hypercube domain; ``what`` names the caller in the
+    error raised for any other domain."""
+    if domain.kind != "hypercube":
+        raise ValueError(f"{what} needs a hypercube-domain function")
+    return domain.d
 
 
-def pair_tester(oracle: CountingOracle, config: TesterConfig) -> TesterReport:
+def pair_tester(oracle: CountingOracle, seed: int, *, epsilon: float, r: int,
+                budget_constant: float = DEFAULT_BUDGET_CONSTANT) -> TesterReport:
     """The pair tester.  Accepts every monotone function with certainty:
     each drawn pair is comparable in the direction checked, so a
     violation is a genuine witness of non-monotonicity."""
-    d = _dimension(oracle)
+    d = dimension(oracle.domain, "pair_tester")
     settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(d)]
-    pairs = pair_draws(np.random.default_rng(config.seed), d, settings,
-                       repetitions(config, d))
-    return _evaluate_schedule(oracle, settings, pairs, config.seed)
+    pairs = pair_draws(np.random.default_rng(seed), d, settings,
+                       repetitions(d, epsilon, r, budget_constant))
+    return _evaluate_schedule(oracle, settings, pairs)
 
 
-def edge_tester(oracle: CountingOracle, epsilon: float,
-                budget_constant: float = DEFAULT_BUDGET_CONSTANT,
-                seed: int = 0) -> TesterReport:
+def edge_tester(oracle: CountingOracle, seed: int, *, epsilon: float,
+                budget_constant: float = DEFAULT_BUDGET_CONSTANT) -> TesterReport:
     """Uniformly random directed edges; rejects on a violated edge.  The
     per-draw rejection probability is exactly |S_f^-| / (d 2^(d-1))."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0,1)")
-    d = _dimension(oracle)
+    d = dimension(oracle.domain, "edge_tester")
     reps = max(1, math.ceil(budget_constant * d / epsilon))
     edges = edge_draws(np.random.default_rng(seed), d, reps)
-    return _evaluate_schedule(oracle, [(0, 1)], edges[None], seed)
+    return _evaluate_schedule(oracle, [(0, 1)], edges[None])
 
 
 @dataclass(frozen=True)
@@ -227,7 +223,8 @@ def measure_rejection(f: ValuedFunction, run, trials: int, seed: int,
                       jobs: int = 1) -> RejectionMeasurement:
     """Run a tester `trials` times with independently derived seeds.
 
-    ``run(oracle, seed) -> TesterReport`` must be a pure function of its
+    ``run(oracle, seed) -> TesterReport``, such as
+    ``partial(pair_tester, epsilon=..., r=...)``, must be a pure function of its
     arguments; with jobs > 1 it must also be picklable.  Results are
     identical for any job count since trial seeds are derived from the
     master seed and the trial index alone.
@@ -254,10 +251,3 @@ def measure_rejection(f: ValuedFunction, run, trials: int, seed: int,
 def _one_trial(f: ValuedFunction, run, trial_seed: int) -> TesterReport:
     return run(CountingOracle(f), trial_seed)
 
-
-def run_pair_tester(oracle: CountingOracle, seed: int, *, epsilon: float, r: int,
-                    budget_constant: float = DEFAULT_BUDGET_CONSTANT) -> TesterReport:
-    """Picklable adapter for measure_rejection / CLI."""
-    return pair_tester(oracle, TesterConfig(epsilon=epsilon, r=r,
-                                            budget_constant=budget_constant,
-                                            seed=seed))

@@ -280,7 +280,7 @@ def median_threshold(f: ValuedFunction) -> MedianThresholdResult:
 
 def boolean_variance(h: ValuedFunction) -> Fraction:
     """p0 * (1 - p0) for a Boolean function."""
-    if not h.is_boolean():
+    if not set(h.values) <= {0, 1}:
         raise ValueError("variance is defined here for Boolean functions only")
     n = h.domain.n
     p0 = Fraction(sum(1 for v in h.values if v == 0), n)

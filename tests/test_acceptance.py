@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from monocube.decomposition import decompose, edge_bound_check, robust_chain_check
-from monocube.dist_approx import (CaptureConfig, approx_mono, mu_estimate,
+from monocube.dist_approx import (approx_mono, mu_estimate,
                                   mu_exact)
 from monocube.funcs import (CountingOracle, ValuedFunction, anti_dictator,
                             random_function, random_monotone)
@@ -28,7 +28,7 @@ from monocube.isoperimetry import (EdgeColoring, dist_to_const_fraction,
 from monocube.oracles import exact_distance, is_monotone
 from monocube.poset import hypercube
 from monocube.seeds import derive_seed
-from monocube.testers import TesterConfig, pair_draws, pair_tester
+from monocube.testers import pair_draws, pair_tester
 from poset_oracles import exact_distance_bruteforce
 from proof_checks import boolean_variance, median_threshold
 
@@ -118,10 +118,8 @@ def test_criterion_05_one_sided_error():
             d = rng.randint(1, 12)
             r = rng.randint(1, 16)
             f = random_monotone(hypercube(d), r, derive_seed(SUITE_SEED, 50, run_idx))
-            rep = pair_tester(
-                CountingOracle(f),
-                TesterConfig(epsilon=0.5, r=r,
-                             seed=derive_seed(SUITE_SEED, 51, run_idx)))
+            rep = pair_tester(CountingOracle(f), derive_seed(SUITE_SEED, 51, run_idx),
+                              epsilon=0.5, r=r)
             rejections += rep.rejected
         assert rejections == 0
 
@@ -131,10 +129,8 @@ def test_criterion_06_tester_power():
         f = anti_dictator(16)
         rejected = 0
         for trial in range(100):
-            rep = pair_tester(
-                CountingOracle(f),
-                TesterConfig(epsilon=0.5, r=2, budget_constant=4.0,
-                             seed=derive_seed(SUITE_SEED, 6, trial)))
+            rep = pair_tester(CountingOracle(f), derive_seed(SUITE_SEED, 6, trial),
+                              epsilon=0.5, r=2, budget_constant=4.0)
             rejected += rep.rejected
         assert rejected >= 60
         print(f"  (anti-dictator d=16: {rejected}/100 rejections)", end=" ")
@@ -195,17 +191,15 @@ def test_criterion_08_approx_mono():
         # monotone inputs land on close with probability 1
         for idx in range(20):
             f = random_monotone(hypercube(6), 5, derive_seed(SUITE_SEED, 8, idx))
-            rep = approx_mono(CountingOracle(f),
-                              CaptureConfig(epsilon=0.4,
-                                            seed=derive_seed(SUITE_SEED, 81, idx)))
+            rep = approx_mono(CountingOracle(f), derive_seed(SUITE_SEED, 81, idx),
+                              epsilon=0.4)
             assert rep.verdict == "close"
 
         far_f = anti_dictator(9)
         fars = 0
         for trial in range(100):
-            rep = approx_mono(CountingOracle(far_f),
-                              CaptureConfig(epsilon=0.4,
-                                            seed=derive_seed(SUITE_SEED, 82, trial)))
+            rep = approx_mono(CountingOracle(far_f), derive_seed(SUITE_SEED, 82, trial),
+                              epsilon=0.4)
             fars += rep.verdict == "far"
         assert fars >= 67  # >= 2/3 of 100
         print(f"  (far instance: {fars}/100 far)", end=" ")
@@ -215,9 +209,8 @@ def test_criterion_08_approx_mono():
         assert eps <= Fraction(2, 100)
         closes = 0
         for trial in range(100):
-            rep = approx_mono(CountingOracle(near),
-                              CaptureConfig(epsilon=0.4,
-                                            seed=derive_seed(SUITE_SEED, 83, trial)))
+            rep = approx_mono(CountingOracle(near), derive_seed(SUITE_SEED, 83, trial),
+                              epsilon=0.4)
             closes += rep.verdict == "close"
         assert closes >= 67
         print(f"(near instance: {closes}/100 close)", end=" ")
@@ -276,15 +269,14 @@ def test_criterion_11_nonadaptive_replay():
         g = random_monotone(hypercube(d), 3, 2)
         of = CountingOracle(f, record=True)
         og = CountingOracle(g, record=True)
-        cfg = dict(epsilon=0.4, r=5, seed=12345)
-        pair_tester(of, TesterConfig(**cfg))
-        pair_tester(og, TesterConfig(**cfg))
+        pair_tester(of, 12345, epsilon=0.4, r=5)
+        pair_tester(og, 12345, epsilon=0.4, r=5)
         assert of.log == og.log
 
         f5 = random_function(hypercube(5), 6, 3)
         g5 = random_monotone(hypercube(5), 2, 4)
         of = CountingOracle(f5, record=True)
         og = CountingOracle(g5, record=True)
-        approx_mono(of, CaptureConfig(epsilon=0.3, seed=777))
-        approx_mono(og, CaptureConfig(epsilon=0.3, seed=777))
+        approx_mono(of, 777, epsilon=0.3)
+        approx_mono(og, 777, epsilon=0.3)
         assert of.log == og.log

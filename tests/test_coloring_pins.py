@@ -263,7 +263,7 @@ def test_worst_coloring_and_chain_values_are_pinned(case):
     if chains:
         p = violation_profile(f)
         rng = random.Random(seed)
-        colorings = (EdgeColoring.all_red(p), EdgeColoring.all_blue(p),
+        colorings = (EdgeColoring.all_red(p), EdgeColoring(p, [False] * p.num_violated),
                      EdgeColoring.random(p, rng))
         got = [tuple(v.hex() for v in robust_chain_check(decompose(f), col).values)
                for col in colorings]

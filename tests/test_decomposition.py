@@ -717,7 +717,7 @@ def test_chain_values_match_the_per_part_formulation(chunk, monkeypatch, diamond
         dec = decompose(f)
         profile = violation_profile(f)
         for col in (EdgeColoring.random(profile, rng), EdgeColoring.all_red(profile),
-                    EdgeColoring.all_blue(profile)):
+                    EdgeColoring(profile, [False] * profile.num_violated)):
             rep = robust_chain_check(dec, col)
             expected = chain_values_per_part(f, col, dec)
             assert [v.hex() for v in rep.values] == [v.hex() for v in expected]

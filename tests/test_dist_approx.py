@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocube.dist_approx import (BLOCK, CaptureConfig, approx_distance,
+from monocube.dist_approx import (BLOCK, approx_distance,
                                   approx_mono, capture,
                                   hoeffding_samples, mu_estimate, mu_exact,
                                   rate_schedule, sqrt_d_log_d,
@@ -107,6 +107,14 @@ def test_mu_estimate_monotone_exact_zero():
     assert oracle.query_count == est.samples * (1 + 2 + 1)  # x, two flips, one pair
 
 
+@pytest.mark.parametrize("S", [[5], [9], [0]])
+def test_mu_estimate_checks_its_coordinates(S):
+    oracle = CountingOracle(random_function(hypercube(4), 3, 0))
+    with pytest.raises(ValueError, match=rf"^coordinate {S[0]} out of range 1\.\.4$"):
+        mu_estimate(oracle, S, 0.2, 0.1, seed=0)
+    assert oracle.query_count == 0
+
+
 def test_estimator_query_logs():
     f = random_function(hypercube(5), 4, 3)
     S = [1, 3, 4]
@@ -173,7 +181,7 @@ def test_rate_schedule_and_log_guard():
 def test_approx_mono_monotone_close_any_seed():
     for seed in range(10):
         f = random_monotone(hypercube(5), 4, seed)
-        rep = approx_mono(CountingOracle(f), CaptureConfig(epsilon=0.3, seed=seed))
+        rep = approx_mono(CountingOracle(f), seed, epsilon=0.3)
         assert rep.verdict == "close"
         assert rep.edge_estimate.value == 0.0
         assert all(est.value == 0.0 for (_, _, est) in rep.mu_estimates)
@@ -183,8 +191,7 @@ def test_approx_mono_far_instance():
     f = anti_dictator(9)
     far = 0
     for trial in range(10):
-        rep = approx_mono(CountingOracle(f),
-                          CaptureConfig(epsilon=0.4, seed=derive_seed(1, trial)))
+        rep = approx_mono(CountingOracle(f), derive_seed(1, trial), epsilon=0.4)
         far += rep.verdict == "far"
     assert far >= 8
 
@@ -194,16 +201,18 @@ def test_approx_mono_replay_identical_queries():
     g = random_monotone(hypercube(5), 4, 1)
     of = CountingOracle(f, record=True)
     og = CountingOracle(g, record=True)
-    cfg = CaptureConfig(epsilon=0.3, seed=77)
-    approx_mono(of, cfg)
-    approx_mono(og, cfg)
+    approx_mono(of, 77, epsilon=0.3)
+    approx_mono(og, 77, epsilon=0.3)
     assert of.log == og.log
 
 
 def test_approx_mono_config_validation():
-    with pytest.raises(ValueError):
-        CaptureConfig(epsilon=0.6)
-    CaptureConfig(epsilon=0.5)  # top search level is admitted
+    oracle = CountingOracle(anti_dictator(3))
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1/2\]$"):
+        approx_mono(oracle, 0, epsilon=0.6)
+    with pytest.raises(ValueError, match="^c_prime must be positive$"):
+        approx_mono(oracle, 0, epsilon=0.3, c_prime=0)
+    approx_mono(oracle, 0, epsilon=0.5)  # top search level is admitted
 
 
 def test_approx_distance_single_edge():

@@ -182,8 +182,6 @@ def test_counting_oracle_exact():
                                                    [f.ranks[2], f.ranks[0]]]
     assert oracle.query_count == 9
     assert oracle.log == [0, 3, 3, 7, 1, 2, 5, 2, 0]
-    oracle.reset()
-    assert oracle.query_count == 0 and oracle.log == []
 
 
 def test_read_function_shares_the_hypercube(tmp_path):

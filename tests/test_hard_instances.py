@@ -26,7 +26,7 @@ def test_spec_validation():
 def test_block_geometry_d9():
     spec = LowerBoundSpec(9, 7, 1)
     assert spec.width == 1
-    assert spec.band_low == 1 and spec.band_high == 7
+    assert spec.band_low == 1 and (spec.d - 1) // 2 + spec.sqrt_d == 7
     assert list(spec.dip_levels) == [1, 2, 3, 4, 5, 6]
     assert [spec.block_index(l) for l in spec.dip_levels] == [1, 2, 3, 4, 5, 6]
 

@@ -65,7 +65,7 @@ def test_robust_objective_examples():
     f = anti_dictator(3)
     p = violation_profile(f)
     assert robust_objective(f, EdgeColoring.all_red(p)) == directed_objective(f)
-    assert robust_objective(f, EdgeColoring.all_blue(p)) == pytest.approx(0.5)
+    assert robust_objective(f, EdgeColoring(p, [False] * p.num_violated)) == pytest.approx(0.5)
     mono = random_monotone(hypercube(4), 3, 1)
     assert robust_objective(mono, EdgeColoring.all_red(violation_profile(mono))) == 0.0
 

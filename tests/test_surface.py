@@ -1,10 +1,12 @@
-"""Every public module-level function or class in `src/monocube` is
-reached from the program, or has an entry in `ALLOWED` that says why it
-stays.  A name is reached when a top-level statement that is not a
-definition (``__main__``'s call of `cli.main`, a module constant) names
-it, or when a reached definition's body does.  Code that only tests call
-belongs beside its tests (`tests/poset_oracles.py`,
-`tests/proof_checks.py`)."""
+"""Every public module-level function or class in `src/monocube`, and
+every public method or property of its classes, is reached from the
+program, or has an entry in `ALLOWED` that says why it stays.  A name is
+reached when a top-level statement that is not a definition
+(``__main__``'s call of `cli.main`, a module constant) names it, or when
+a reached definition's body does.  A member ``Class.name`` is reached
+when such a statement or body names it as an attribute (``x.name``).
+Code that only tests call belongs beside its tests
+(`tests/poset_oracles.py`, `tests/proof_checks.py`)."""
 
 import ast
 import os
@@ -26,6 +28,8 @@ ALLOWED = {
     "cap_set": "ROADMAP item 4: the query-capture bound",
     "violation_witness_count": "ROADMAP item 4: exposed family members against w|Q|/d",
     "weight_function": "ROADMAP items 4 and 10: the weight-threshold inputs",
+    "PosetDomain.sweeping_graph": "perfbench's tracer wraps it by name, and it is the "
+                                  "tests' reference for the merge's graphs (ROADMAP item 1)",
     # other reasons
     "capture": "the paper's capture event at one vertex, which mu_exact and "
                "mu_estimate count in bulk",
@@ -33,25 +37,33 @@ ALLOWED = {
 
 
 def read_definitions():
-    """Each top-level def or class of `src/monocube` with its module and
-    the names its body mentions, and the names the other top-level
-    statements mention (the program's entry points).  Imports mention
-    nothing: an imported name counts once it is used."""
-    definitions, entry = {}, set()
+    """Each top-level def or class of `src/monocube` with its module, the
+    names its body mentions and the attribute names among them; the same
+    two sets for the other top-level statements (the program's entry
+    points); and each class's public methods and properties as
+    ``Class.name``, with their module.  Imports mention nothing: an
+    imported name counts once it is used."""
+    definitions, entry, members = {}, (set(), set()), {}
     for filename in sorted(os.listdir(SRC)):
         if not filename.endswith(".py"):
             continue
         with open(os.path.join(SRC, filename)) as fh:
             tree = ast.parse(fh.read(), filename)
         for node in tree.body:
-            mentioned = {sub.id if isinstance(sub, ast.Name) else sub.attr
-                         for sub in ast.walk(node)
-                         if isinstance(sub, (ast.Name, ast.Attribute))}
+            subs = list(ast.walk(node))
+            attributes = {sub.attr for sub in subs if isinstance(sub, ast.Attribute)}
+            mentioned = attributes | {sub.id for sub in subs if isinstance(sub, ast.Name)}
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions[node.name] = (filename[:-3], mentioned - {node.name})
+                definitions[node.name] = (filename[:-3], mentioned - {node.name}, attributes)
             else:
-                entry |= mentioned
-    return definitions, entry
+                entry[0].update(mentioned)
+                entry[1].update(attributes)
+            if isinstance(node, ast.ClassDef):
+                members.update((f"{node.name}.{item.name}", filename[:-3])
+                               for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
+    return definitions, entry, members
 
 
 def reachable(definitions, roots):
@@ -66,16 +78,27 @@ def reachable(definitions, roots):
     return seen
 
 
+def unreached(definitions, entry, members, allowed):
+    """The public definitions and members that neither the entry points nor
+    the ``allowed`` names reach, each with its module."""
+    live = reachable(definitions, entry[0] | allowed)
+    named = entry[1].union(*(definitions[name][2] for name in live if name in definitions))
+    found = {name: module for name, (module, *_) in definitions.items()
+             if not name.startswith("_") and name not in live}
+    found.update((member, module) for member, module in members.items()
+                 if member not in allowed and member.rpartition(".")[2] not in named)
+    return found
+
+
 def test_every_public_name_is_reached_from_the_program():
-    definitions, entry = read_definitions()
-    live = reachable(definitions, entry | ALLOWED.keys())
-    unused = [f"{module}.{name}" for name, (module, _) in definitions.items()
-              if not name.startswith("_") and name not in live]
+    unused = [f"{module}.{name}" for name, module
+              in unreached(*read_definitions(), ALLOWED.keys()).items()]
     assert unused == [], f"not reached from the program and no reason in ALLOWED: {unused}"
 
 
 def test_every_allowed_name_is_defined_and_otherwise_unreached():
-    definitions, entry = read_definitions()
-    stale = sorted(name for name in ALLOWED if name not in definitions
-                   or name in reachable(definitions, entry | (ALLOWED.keys() - {name})))
+    definitions, entry, members = read_definitions()
+    stale = sorted(name for name in ALLOWED if name not in definitions.keys() | members.keys()
+                   or name not in unreached(definitions, entry, members,
+                                            ALLOWED.keys() - {name}))
     assert stale == [], f"ALLOWED names that are gone or now reached: {stale}"

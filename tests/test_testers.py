@@ -9,10 +9,9 @@ import pytest
 from monocube.funcs import (CountingOracle, ValuedFunction, anti_dictator,
                             random_function, random_monotone)
 from monocube.poset import hypercube
-from monocube.testers import (TesterConfig, edge_draws, edge_tester,
-                              measure_rejection, pair_draws, pair_tester,
-                              repetitions, run_pair_tester, tau_schedule,
-                              wilson_interval)
+from monocube.testers import (edge_draws, edge_tester, measure_rejection,
+                              pair_draws, pair_tester, repetitions,
+                              tau_schedule, wilson_interval)
 
 
 def test_tau_schedule():
@@ -25,19 +24,20 @@ def test_tau_schedule():
 
 
 def test_repetitions_scale():
-    base = repetitions(TesterConfig(epsilon=0.5, r=2), 16)
+    base = repetitions(16, 0.5, 2, 4)
     assert base == math.ceil(4 * min(2 * 4 / 0.25, 32) * 5)
-    doubled = repetitions(TesterConfig(epsilon=0.5, r=2, budget_constant=8), 16)
+    doubled = repetitions(16, 0.5, 2, 8)
     assert doubled == 2 * base
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TesterConfig(epsilon=0.0, r=2)
-    with pytest.raises(ValueError):
-        TesterConfig(epsilon=0.5, r=0)
-    with pytest.raises(ValueError):
-        TesterConfig(epsilon=0.5, r=2, budget_constant=0)
+    oracle = CountingOracle(anti_dictator(3))
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0,1\)$"):
+        pair_tester(oracle, 0, epsilon=0.0, r=2)
+    with pytest.raises(ValueError, match="^image size r must be >= 1$"):
+        pair_tester(oracle, 0, epsilon=0.5, r=0)
+    with pytest.raises(ValueError, match="^budget_constant must be positive$"):
+        pair_tester(oracle, 0, epsilon=0.5, r=2, budget_constant=0)
 
 
 def draw_table(pairs, settings):
@@ -124,15 +124,14 @@ def test_edge_draws_uniform():
 def test_pair_tester_accepts_monotone():
     for seed in range(25):
         f = random_monotone(hypercube(6), 5, seed)
-        rep = pair_tester(CountingOracle(f),
-                          TesterConfig(epsilon=0.4, r=5, seed=seed))
+        rep = pair_tester(CountingOracle(f), seed, epsilon=0.4, r=5)
         assert rep.verdict == "accept"
         assert rep.witness is None
 
 
 def test_pair_tester_witness_is_genuine():
     f = anti_dictator(6)
-    rep = pair_tester(CountingOracle(f), TesterConfig(epsilon=0.5, r=2, seed=3))
+    rep = pair_tester(CountingOracle(f), 3, epsilon=0.5, r=2)
     assert rep.verdict == "reject"
     x, y, fx, fy = rep.witness
     assert f.values[x] == fx and f.values[y] == fy
@@ -143,15 +142,14 @@ def test_pair_tester_witness_is_genuine():
 
 def test_pair_tester_query_accounting():
     f = random_function(hypercube(5), 4, 2)
-    cfg = TesterConfig(epsilon=0.3, r=4, seed=11)
     oracle = CountingOracle(f, record=True)
-    rep = pair_tester(oracle, cfg)
+    rep = pair_tester(oracle, 11, epsilon=0.3, r=4)
     draws = sum(s["draws"] for s in rep.per_setting.values())
     assert rep.queries == oracle.query_count == len(oracle.log)
     # regenerate the schedule to count degenerate draws: 2 queries per
     # distinct pair, 1 per y = x draw
     settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(5)]
-    pairs = pair_draws(np.random.default_rng(cfg.seed), 5, settings, repetitions(cfg, 5))
+    pairs = pair_draws(np.random.default_rng(11), 5, settings, repetitions(5, 0.3, 4, 4.0))
     degenerate = int(np.count_nonzero(pairs[..., 0] == pairs[..., 1]))
     total = pairs[..., 0].size
     assert total == draws
@@ -181,12 +179,12 @@ def reference_report(f, schedule):
 def test_pair_tester_matches_pairwise_reference(d, seed):
     values = [(x * 7 % 5) + (0.5 if x % 4 == 1 else 0) for x in range(1 << d)]
     f = ValuedFunction(hypercube(d), tuple(values))
-    cfg = TesterConfig(epsilon=0.3, r=4, budget_constant=0.5, seed=seed)
     settings = [(b, tau) for b in (0, 1) for tau in tau_schedule(d)]
     schedule = draw_table(
-        pair_draws(np.random.default_rng(seed), d, settings, repetitions(cfg, d)), settings)
+        pair_draws(np.random.default_rng(seed), d, settings, repetitions(d, 0.3, 4, 0.5)),
+        settings)
     oracle = CountingOracle(f, record=True)
-    rep = pair_tester(oracle, cfg)
+    rep = pair_tester(oracle, seed, epsilon=0.3, r=4, budget_constant=0.5)
     verdict, witness, per_setting, log = reference_report(f, schedule)
     assert (rep.verdict, rep.witness, rep.per_setting) == (verdict, witness, per_setting)
     assert oracle.log == log
@@ -194,13 +192,12 @@ def test_pair_tester_matches_pairwise_reference(d, seed):
 
 
 def test_pair_tester_replay_identical_queries():
-    cfg = dict(epsilon=0.4, r=3, seed=99)
     f = random_function(hypercube(7), 3, 0)
     g = random_monotone(hypercube(7), 3, 1)
     of = CountingOracle(f, record=True)
     og = CountingOracle(g, record=True)
-    pair_tester(of, TesterConfig(**cfg))
-    pair_tester(og, TesterConfig(**cfg))
+    pair_tester(of, 99, epsilon=0.4, r=3)
+    pair_tester(og, 99, epsilon=0.4, r=3)
     assert of.log == og.log
 
 
@@ -216,15 +213,15 @@ def test_pair_tester_d1_per_draw_rate():
 
 def test_edge_tester_examples():
     mono = random_monotone(hypercube(5), 4, 8)
-    assert edge_tester(CountingOracle(mono), 0.5, seed=0).verdict == "accept"
+    assert edge_tester(CountingOracle(mono), 0, epsilon=0.5).verdict == "accept"
 
     single = ValuedFunction(hypercube(1), (1, 0))
-    rep = edge_tester(CountingOracle(single), 0.5, seed=1)
+    rep = edge_tester(CountingOracle(single), 1, epsilon=0.5)
     stats = rep.per_setting[(0, 1)]
     assert stats["violations"] == stats["draws"]  # the only edge is violated
 
     f = anti_dictator(8)
-    rep = edge_tester(CountingOracle(f), 0.1, budget_constant=20, seed=2)
+    rep = edge_tester(CountingOracle(f), 2, epsilon=0.1, budget_constant=20)
     stats = rep.per_setting[(0, 1)]
     rate = stats["violations"] / stats["draws"]
     sigma = math.sqrt((1 / 8) * (7 / 8) / stats["draws"])
@@ -233,14 +230,16 @@ def test_edge_tester_examples():
 
 def test_measure_rejection_monotone_zero():
     f = random_monotone(hypercube(5), 6, 4)
-    m = measure_rejection(f, partial(run_pair_tester, epsilon=0.5, r=6),
+    m = measure_rejection(f, partial(pair_tester, epsilon=0.5, r=6),
                           trials=50, seed=13)
     assert m.rejections == 0 and m.rate == 0.0
 
 
-def test_measure_rejection_parallel_matches_serial():
+@pytest.mark.parametrize("run", [partial(pair_tester, epsilon=0.5, r=2, budget_constant=0.5),
+                                 partial(edge_tester, epsilon=0.5, budget_constant=0.5)],
+                         ids=["pair_tester", "edge_tester"])
+def test_measure_rejection_parallel_matches_serial(run):
     f = anti_dictator(6)
-    run = partial(run_pair_tester, epsilon=0.5, r=2, budget_constant=0.5)
     serial = measure_rejection(f, run, trials=20, seed=3, jobs=1)
     parallel = measure_rejection(f, run, trials=20, seed=3, jobs=2)
     assert serial == parallel
