@@ -59,6 +59,12 @@ over f's violated edges do not depend on the coloring, so their
 `isoperimetry.colored_cells` are built once per decomposition
 (`Decomposition.chain_cells`); each coloring is then one slot gather and
 one bincount per chunk in `isoperimetry.colored_objectives`.
+
+A report (`decomposition_dump`) writes each part's values only on its
+own graph H_i.  Off H_i a part is 1 exactly on the vertices above a
+source of its block, as `_part_masks` builds it, and the report states
+that rule once (`OFF_GRAPH_RULE`).  The graphs are disjoint, so a report
+holds at most n part values, where the full tables held k * n.
 """
 
 from __future__ import annotations
@@ -214,7 +220,8 @@ def _part_masks(f: ValuedFunction, graphs: Sequence[SweepingGraph]) -> list[int]
     still reach, so the zeros there are the vertices below some sink t of
     T_i with rank at most t's.  Outside, a vertex is 1 iff it sits
     strictly above some vertex of H_i; every vertex of H_i lies above a
-    source inside H_i, so those are up(S_i cap H_i) minus H_i.
+    source, and every source s lies in H_i (s is below its matched sink),
+    so those are up(S_i) minus H_i: `OFF_GRAPH_RULE`.
     """
     down = f.domain._down_masks()  # noqa: SLF001
     up = f.domain._up_masks()  # noqa: SLF001
@@ -227,8 +234,7 @@ def _part_masks(f: ValuedFunction, graphs: Sequence[SweepingGraph]) -> list[int]
         for t in graph.sink_set:
             zeros |= down[t] & below[ranks[t] + 1]
         for s in graph.source_set:
-            if mask >> s & 1:
-                above |= up[s]
+            above |= up[s]
         ones.append((mask & ~zeros) | (above & ~mask))
     return ones
 
@@ -496,18 +502,27 @@ def edge_bound_check(f: ValuedFunction) -> EdgeBoundReport:
         stronger_holds=violated >= cover)
 
 
+# how a report's part f_i takes its values off its graph H_i (`_part_masks`)
+OFF_GRAPH_RULE = "off H_i, f_i(x) = 1 if s <= x for some source s in S_i, else 0"
+
+
 def decomposition_dump(dec: Decomposition) -> dict:
-    """JSON-ready dump: matching, blocks, part graphs, part functions,
-    certificate flags and measured scalars."""
+    """JSON-ready dump: matching, blocks, part graphs, certificate flags and
+    measured scalars.  Each part's values are written only on its own
+    graph H_i, in vertex order; `OFF_GRAPH_RULE`, stated once in the
+    report, gives the rest from the block's sources S_i, so the report
+    holds at most n part values in all."""
     doc: dict = {
         "monotone": dec.monotone,
         "k": dec.k,
         "matching": [list(p) for p in dec.matching.pairs],
         "blocks": [{"S": sorted(graph.source_set), "T": sorted(graph.sink_set)}
                    for (_, graph) in dec.components],
+        "off_graph_values": OFF_GRAPH_RULE,
         "components": [
-            {"vertices": sorted(graph.vertices), "values": list(fi.values)}
+            {"vertices": vertices, "values": [fi.values[x] for x in vertices]}
             for (fi, graph) in dec.components
+            for vertices in [sorted(graph.vertices)]
         ],
     }
     if not dec.monotone:

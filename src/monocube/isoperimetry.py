@@ -14,9 +14,11 @@ Counting conventions:
 * The undirected count ``I_undirected(x)`` assigns each influential edge
   (endpoint values differ) to the endpoint with the larger value.
 
-Floating-point objectives use ``math.fsum`` (exactly rounded) over
-correctly rounded square roots, so sums are independent of accumulation
-order and bit-reproducible.
+Every square-root objective is an exactly rounded sum of correctly
+rounded square roots, taken from a histogram of its integer counts
+(`_root_means`), so sums are independent of accumulation order and
+bit-reproducible: each mean equals ``math.fsum`` over the n roots,
+divided by n.
 
 Each function's profile is one array computation: the function's ranks
 (`ValuedFunction.ranks`) are compared across the domain's cover-edge
@@ -32,15 +34,17 @@ mask over the same positions.  A colored count is one ``np.bincount``.
 A whole ``(rows, m)`` mask stack is read once into its `colored_cells`,
 which no coloring enters, and `colored_objectives` gets each coloring's
 restricted objectives from them with one bincount per chunk of rows.
+`greedy_descent` keeps a coloring's objective as two exact integer
+totals, so each single-edge flip it tries costs O(1).
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -143,8 +147,52 @@ def _colored_slots(col: EdgeColoring) -> np.ndarray:
     return np.where(col.red, p.lower, p.upper.astype(np.intp) + p.n)
 
 
-def _mean_sqrt(counts, n: int) -> float:
-    return math.fsum(np.sqrt(counts).tolist()) / n
+# sqrt(c) >= 1 is a double of exponent >= 0, so sqrt(c) * 2^52 is an integer
+_ROOT_SCALE = 1 << 52
+
+
+def _root_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    roots = (np.sqrt(np.arange(size)) * float(_ROOT_SCALE)).astype(np.int64)
+    return roots >> 32, roots & 0xFFFFFFFF
+
+
+# _exact_roots' table, grown on demand; every size holds the same prefix,
+# so sharing it across callers changes no result
+_roots = _root_table(256)
+
+
+def _exact_roots(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact integers sqrt(c) * 2^52 for c = 0..top (below 2^62 while
+    c < 2^20), as their high and low 32-bit halves in two int64 arrays,
+    read from a table kept across calls and grown to the next power of
+    two past top when top reaches its end."""
+    global _roots
+    if top >= len(_roots[0]):
+        _roots = _root_table(1 << top.bit_length())
+    return _roots[0][:top + 1], _roots[1][:top + 1]
+
+
+def _root_means(counts: np.ndarray, n: int) -> list[float]:
+    """E[sqrt(count)] over each run of n counts: one bincount gives every
+    run's histogram of count values, which is dotted with both halves of
+    `_exact_roots`.  Neither int64 dot can overflow while n and every
+    count are below 2^20.  The halves join as one Python int, the exact
+    sum of the run's roots, and `_root_mean` rounds it as ``math.fsum``
+    over the n roots, then / n, does."""
+    runs = len(counts) // n
+    width = int(counts.max(initial=0)) + 1
+    keys = counts.reshape(runs, n) + np.arange(0, runs * width, width)[:, None]
+    hist = np.bincount(keys.ravel(), minlength=runs * width).reshape(runs, width)
+    high, low = _exact_roots(width - 1)
+    return [_root_mean((h << 32) + lo, n)
+            for h, lo in zip((hist @ high).tolist(), (hist @ low).tolist())]
+
+
+def _root_mean(total: int, n: int) -> float:
+    """E[sqrt(count)] over n counts from the exact sum ``total`` of their
+    `_exact_roots`: the sum correctly rounded (int / int division is),
+    then divided by n, as ``math.fsum(roots) / n`` computes it."""
+    return total / _ROOT_SCALE / n
 
 
 def colored_cells(masks: np.ndarray, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -177,20 +225,54 @@ def colored_objectives(col: EdgeColoring,
 
 def _objectives(counts: np.ndarray, n: int) -> list[float]:
     """The colored objective of each run of 2n slot counts (red at x, then
-    blue at y): one ``np.sqrt`` over the nonzero counts, then ``math.fsum``
-    over each half's roots.  A zero adds nothing to an exactly rounded
-    sum, so every value is bit-identical to `_mean_sqrt` of the red and
-    of the blue counts, added."""
-    nonzero = np.flatnonzero(counts)
-    roots = np.sqrt(counts.take(nonzero)).tolist()
-    cuts = np.searchsorted(nonzero, np.arange(0, len(counts) + 1, n)).tolist()
-    halves = [math.fsum(roots[a:b]) / n for a, b in zip(cuts, cuts[1:])]
+    blue at y): the `_root_means` of the red and of the blue counts,
+    added."""
+    halves = _root_means(counts, n)
     return list(map(operator.add, halves[0::2], halves[1::2]))
+
+
+def greedy_descent(col: EdgeColoring) -> Iterator[float]:
+    """The greedy search from col, which it recolors in place: sweeps over
+    the edges in profile order, flipping each edge whose flip lowers the
+    robust objective by more than 1e-15, until a sweep flips none.  Yields
+    the starting value, then the value after each flip.
+
+    The objective is kept as two exact integer totals, the `_exact_roots`
+    of the red and of the blue counts.  A flip moves one red count and
+    one blue count by 1, so a candidate costs two table differences, and
+    its value is bit-identical to `robust_objective`."""
+    p = col.profile
+    n = p.n
+    high, low = _exact_roots(int(p.total.max()))
+    roots = ((high << 32) + low).tolist()
+    counts = np.bincount(_colored_slots(col), minlength=2 * n).tolist()
+    reds, blues = counts[:n], counts[n:]
+    red_total, blue_total = sum(map(roots.__getitem__, reds)), sum(map(roots.__getitem__, blues))
+    val = _root_mean(red_total, n) + _root_mean(blue_total, n)
+    yield val
+    red = col.red
+    colors = red.tolist()
+    edges = list(enumerate(zip(p.lower.tolist(), p.upper.tolist())))
+    improved = True
+    while improved:
+        improved = False
+        for k, (x, y) in edges:
+            # red -> blue takes the edge from x's red count to y's blue count
+            r, b = (reds[x] - 1, blues[y] + 1) if colors[k] else (reds[x] + 1, blues[y] - 1)
+            cand_red = red_total + roots[r] - roots[reds[x]]
+            cand_blue = blue_total + roots[b] - roots[blues[y]]
+            cand_val = _root_mean(cand_red, n) + _root_mean(cand_blue, n)
+            if cand_val < val - 1e-15:
+                colors[k] = red[k] = not colors[k]
+                reds[x], blues[y] = r, b
+                red_total, blue_total, val = cand_red, cand_blue, cand_val
+                improved = True
+                yield val
 
 
 def directed_objective(f: ValuedFunction) -> float:
     """E_x[sqrt(I_minus(x))] over a uniform vertex."""
-    return _mean_sqrt(violation_profile(f).out, f.domain.n)
+    return _root_means(violation_profile(f).out, f.domain.n)[0]
 
 
 def robust_objective(f: ValuedFunction, col: EdgeColoring) -> float:
@@ -204,7 +286,7 @@ def robust_objective(f: ValuedFunction, col: EdgeColoring) -> float:
 def undirected_objective(f: ValuedFunction) -> float:
     """E_x[sqrt(I_undirected(x))]; each influential edge is counted at
     exactly one endpoint."""
-    return _mean_sqrt(violation_profile(f).undirected, f.domain.n)
+    return _root_means(violation_profile(f).undirected, f.domain.n)[0]
 
 
 def dist_to_const_fraction(f: ValuedFunction) -> Fraction:

@@ -59,7 +59,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .funcs import ValuedFunction
-from .isoperimetry import EdgeColoring, robust_objective, violation_profile
+from .isoperimetry import EdgeColoring, greedy_descent, robust_objective, violation_profile
 from .poset import DomainSizeError, PosetDomain, row_chunks
 
 COLORING_ENUM_CAP = 20
@@ -363,7 +363,9 @@ def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
     """Coloring of the violated edges minimizing the robust objective.
 
     'exhaustive' sweeps all 2^m colorings (m <= cap); 'greedy' runs
-    seeded local search flipping one edge color at a time.
+    seeded local search flipping one edge color at a time
+    (`isoperimetry.greedy_descent`, which updates the objective exactly
+    per flip).
     """
     profile = violation_profile(f)
     m = profile.num_violated
@@ -393,19 +395,7 @@ def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
     for restart in range(restarts):
         col = (EdgeColoring.all_red(profile) if restart == 0
                else EdgeColoring.random(profile, rng))
-        red = col.red
-        val = robust_objective(f, col)
-        improved = True
-        while improved:
-            improved = False
-            for k in range(m):
-                red[k] = not red[k]
-                cand_val = robust_objective(f, col)
-                if cand_val < val - 1e-15:
-                    val = cand_val
-                    improved = True
-                else:
-                    red[k] = not red[k]
+        *_, val = greedy_descent(col)
         if best_val is None or val < best_val:
             best_val, best_col = val, col
     return best_col, best_val

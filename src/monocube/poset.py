@@ -117,11 +117,14 @@ class PosetDomain:
         """Read-only ``uint32`` ``(lower, upper)`` endpoint arrays of the
         cover edges, in `cover_edges()` order."""
         if self.kind == "hypercube":
-            ids = np.arange(self.n, dtype=np.uint32)[:, None]
-            bits = np.uint32(1) << np.arange(self.d, dtype=np.uint32)
-            free = (ids & bits) == 0  # row-major over (vertex, coordinate)
-            lower = np.broadcast_to(ids, free.shape)[free]
-            upper = (ids | bits)[free]
+            # the flat positions of the free (vertex, coordinate) cells, in
+            # row-major order, held as uint32 once found
+            free = (np.arange(self.n, dtype=np.uint32)[:, None]
+                    & (np.uint32(1) << np.arange(self.d, dtype=np.uint32))) == 0
+            lower, bit = np.divmod(np.flatnonzero(free).astype(np.uint32), np.uint32(self.d))
+            del free
+            np.left_shift(np.uint32(1), bit, out=bit)
+            upper = lower | bit
         else:
             lower, upper = np.array(self._edges, dtype=np.uint32).reshape(-1, 2).T.copy()
         return _read_only(lower, upper)

@@ -82,7 +82,7 @@ def repetitions(d: int, epsilon: float, r: int, budget_constant: float) -> int:
         raise ValueError("epsilon must lie in (0,1)")
     if r < 1:
         raise ValueError("image size r must be >= 1")
-    if budget_constant <= 0:
+    if not budget_constant > 0:  # nan included
         raise ValueError("budget_constant must be positive")
     base = min(r * math.sqrt(d) / epsilon**2, d / epsilon)
     return max(1, math.ceil(budget_constant * base * (math.log2(d) + 1 if d > 1 else 1)))
@@ -192,6 +192,8 @@ def edge_tester(oracle: CountingOracle, seed: int, *, epsilon: float,
     per-draw rejection probability is exactly |S_f^-| / (d 2^(d-1))."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0,1)")
+    if not budget_constant > 0:  # nan included
+        raise ValueError("budget_constant must be positive")
     d = dimension(oracle.domain, "edge_tester")
     reps = max(1, math.ceil(budget_constant * d / epsilon))
     edges = edge_draws(np.random.default_rng(seed), d, reps)

@@ -753,6 +753,34 @@ def test_dump_shape():
     assert len(doc["components"]) == dec.k
 
 
+def rebuilt_part_tables(domain, doc):
+    """Every part's full value table from a report alone: its values on
+    H_i, and off H_i the report's rule, 1 exactly above a source of S_i."""
+    assert doc["off_graph_values"] == \
+        "off H_i, f_i(x) = 1 if s <= x for some source s in S_i, else 0"
+    tables = []
+    for block, part in zip(doc["blocks"], doc["components"]):
+        table = [int(any(domain.reaches(s, x) for s in block["S"])) for x in range(domain.n)]
+        for x, value in zip(part["vertices"], part["values"], strict=True):
+            table[x] = value
+        tables.append(tuple(table))
+    return tables
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_function(hypercube(6), 2, 3),
+    lambda: random_function(hypercube(6), 8, 5),
+    lambda: random_function(random_dag(30, 0.15, random.Random(2)), 4, 7),
+], ids=["boolean-d6", "r8-d6", "dag-n30"])
+def test_report_rebuilds_every_part(make):
+    f = make()
+    dec = decompose(f)
+    doc = decomposition_dump(dec)
+    assert dec.k > 1
+    assert rebuilt_part_tables(f.domain, doc) == [fi.values for (fi, _) in dec.components]
+    assert sum(len(part["values"]) for part in doc["components"]) <= f.domain.n
+
+
 def test_decompose_on_dag(diamond_dag):
     # the decomposition is defined for any DAG poset, not just hypercubes
     f = ValuedFunction(diamond_dag, (5, 1, 3, 4, 0, 2, 1))

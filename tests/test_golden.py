@@ -78,11 +78,11 @@ GOLDEN = [
     (["exact-distance", "--fn", "tied-d5.json"],
      "b1ca16815dcf36618b102688b66ff24594a47dfbbd5cb9a3088368a5f30432fa"),
     (["decompose", "--fn", "tied-d6.json"],
-     "a1bc9154d10d86cc84012712b8f44139eb5ba9f4e550653d1ef27b616340cfd5"),
+     "a63033ed7df8c3406e02ccbaba5b2e27c2a0daaffbb34f9ec5f1da32f123b765"),
     (["decompose", "--fn", "bool-d8.json"],
-     "b7df756f132ed63c4d54fcbb6543f88c9fab73fcb7d4dfe7aff1de0972723ceb"),
+     "a81d6f0cb33bcd5fe7439c59caa4ef451454d28e5d2522706af5f18531aa8853"),
     (["decompose", "--fn", "dag-n40.json"],
-     "3f413b8e6c3ffeb9b1f5c08fd9c0410e76e24f2e787b3db0e639f1c0235f9ab1"),
+     "7ca80b18e4789b7ab5f5ee397121daf0189a137a106f0d78c84ef0808cf0e172"),
     (["exact-distance", "--fn", "dag-n40.json"],
      "8c9947a58d1a798efe3c439bc0cfda8f459a7bbda8b2823e470c1178d2e285e2"),
     (["exact-distance", "--fn", "r6-d9.json"],

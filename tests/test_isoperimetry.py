@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -406,3 +407,46 @@ def test_validate_for_rejects_another_functions_coloring():
     same = ValuedFunction(hypercube(2), (5, 6, 6, 4))
     assert violation_profile(same) is not violation_profile(f)
     assert robust_objective(same, col) == robust_objective(f, col)
+
+
+def fsum_root_means(counts, n):
+    """The definition `isoperimetry._root_means` must equal bit for bit:
+    math.fsum over each run's n correctly rounded roots, over n."""
+    counts = list(counts)
+    return [math.fsum(map(math.sqrt, counts[start:start + n])) / n
+            for start in range(0, len(counts), n)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_root_means_equal_the_fsum_definition(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 2, 3, 64, 1000, 1 << 16])) if seed else 1 << 16
+    runs = 1 if seed % 3 == 0 else int(rng.integers(2, 5 if n > 1000 else 40))
+    top = int(rng.choice([1, 16, 300, (1 << 20) - 1]))
+    counts = rng.integers(0, top + 1, size=runs * n)
+    if seed % 2:  # mostly-zero runs, as a chain's restricted counts are
+        counts[rng.random(runs * n) < 0.97] = 0
+    assert isoperimetry._root_means(counts, n) == fsum_root_means(counts.tolist(), n)
+
+
+def test_exact_roots_are_the_scaled_roots():
+    high, low = isoperimetry._exact_roots(5000)
+    assert len(high) == len(low) == 5001 and low.max() < 2**32
+    assert all(Fraction(math.sqrt(c)) * 2**52 == (h << 32) + lo
+               for c, (h, lo) in enumerate(zip(high.tolist(), low.tolist())))
+
+
+def test_star_dag_grows_the_root_table(monkeypatch):
+    # the centre is below every leaf and violates all n - 1 edges, a count
+    # past the table's first length
+    monkeypatch.setattr(isoperimetry, "_roots", isoperimetry._root_table(256))
+    n = 3000
+    star = PosetDomain("dag", n=n, edges=[(0, v) for v in range(1, n)])
+    f = ValuedFunction(star, (1,) + (0,) * (n - 1))
+    assert violation_profile(f).out.max() == n - 1
+    assert directed_objective(f) == math.sqrt(n - 1) / n == fsum_root_means(
+        violation_profile(f).out.tolist(), n)[0]
+    col = EdgeColoring(violation_profile(f), [True, False] * ((n - 1) // 2) + [True])
+    red, blue = isoperimetry.colored_counts(col)
+    assert robust_objective(f, col) == sum(fsum_root_means(red + blue, n))
+    assert len(isoperimetry._roots[0]) == 4096

@@ -13,7 +13,8 @@ from monocube.cli import _verify_instance
 from monocube.decomposition import decompose, robust_chain_check
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
                             random_monotone, weight_function)
-from monocube.isoperimetry import EdgeColoring, undirected_objective, violation_profile
+from monocube.isoperimetry import EdgeColoring, greedy_descent, robust_objective, \
+    undirected_objective, violation_profile
 from monocube.oracles import (DistanceCertificate, exact_distance,
                               exact_distances, is_monotone,
                               max_gain_matching, violated_pairs, worst_coloring,
@@ -483,6 +484,23 @@ def test_worst_coloring_greedy_vs_exhaustive():
         _, exh = worst_coloring(f, mode="exhaustive")
         _, grd = worst_coloring(f, mode="greedy", restarts=4, seed=seed)
         assert grd >= exh - 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_function(hypercube(6), 8, 1),
+    lambda: random_function(hypercube(4), 3, 2),
+    lambda: random_function(PosetDomain("dag", n=12, edges=[(0, v) for v in range(1, 12)]
+                                        + [(v, 11) for v in range(1, 11)]), 4, 3),
+], ids=["r8-d6", "r3-d4", "dag-n12"])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_greedy_running_value_is_the_robust_objective(make, seed):
+    f = make()
+    col = EdgeColoring.random(violation_profile(f), random.Random(seed))
+    values = []
+    for val in greedy_descent(col):
+        assert val == robust_objective(f, col)
+        values.append(val)
+    assert len(values) > 1 and values == sorted(values, reverse=True)
 
 
 def test_worst_coloring_anti_dictator():

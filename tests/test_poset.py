@@ -41,6 +41,24 @@ def test_hypercube_edge_count(d):
     assert len(hypercube(d).cover_edges()) == d * 2 ** (d - 1)
 
 
+def edge_arrays_by_mask_gathers(d):
+    """The hypercube's cover edges as the two boolean-mask gathers over the
+    broadcast (vertex, coordinate) arrays that `PosetDomain.edge_arrays`
+    replaced by one index scan: its reference."""
+    ids = np.arange(1 << d, dtype=np.uint32)[:, None]
+    bits = np.uint32(1) << np.arange(d, dtype=np.uint32)
+    free = (ids & bits) == 0
+    return np.broadcast_to(ids, free.shape)[free], (ids | bits)[free]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_edge_arrays_equal_the_mask_gathers(d):
+    lower, upper = PosetDomain("hypercube", d=d).edge_arrays
+    want_lower, want_upper = edge_arrays_by_mask_gathers(d)
+    assert lower.dtype == upper.dtype == want_lower.dtype == want_upper.dtype == np.uint32
+    assert np.array_equal(lower, want_lower) and np.array_equal(upper, want_upper)
+
+
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
 def test_edge_arrays_follow_cover_edge_order(d):
     dom = PosetDomain("hypercube", d=d)

@@ -40,6 +40,16 @@ def test_config_validation():
         pair_tester(oracle, 0, epsilon=0.5, r=2, budget_constant=0)
 
 
+@pytest.mark.parametrize("budget", [0, -3.0, math.nan])
+@pytest.mark.parametrize("tester", [partial(pair_tester, r=2), edge_tester],
+                         ids=["pair_tester", "edge_tester"])
+def test_budget_constant_must_be_positive(tester, budget):
+    oracle = CountingOracle(anti_dictator(6))
+    with pytest.raises(ValueError, match="^budget_constant must be positive$"):
+        tester(oracle, 0, epsilon=0.5, budget_constant=budget)
+    assert oracle.query_count == 0
+
+
 def draw_table(pairs, settings):
     """(b, tau, x, y) rows of a ``pair_draws`` array, in schedule order."""
     return [(b, tau, x, y) for (b, tau), rows in zip(settings, pairs.tolist())
