@@ -36,6 +36,15 @@ which no coloring enters, and `colored_objectives` gets each coloring's
 restricted objectives from them with one bincount per chunk of rows.
 `greedy_descent` keeps a coloring's objective as two exact integer
 totals, so each single-edge flip it tries costs O(1).
+
+`profile_dump` writes the violated edges as one Python list per edge,
+built with the cyclic collector paused.  The pause alone would only
+move the collector's scan to the first allocation after it, since the
+new lists stay counted in generation 0.  So the dump, while the
+collector is still paused and only when nothing is frozen on entry,
+promotes every tracked object to the oldest generation with
+``gc.freeze()`` then ``gc.unfreeze()``, which scans nothing.  The edge
+ends are n shared ints, one per vertex.
 """
 
 from __future__ import annotations
@@ -125,11 +134,18 @@ class EdgeColoring:
 
     @classmethod
     def random(cls, profile: ViolationProfile, rng) -> "EdgeColoring":
-        """Each edge red with probability 1/2: one ``rng.random()`` per
-        violated edge, in profile order."""
+        """Each edge red with probability 1/2, from one
+        ``rng.getrandbits(64 * m)`` call: the coloring, and the generator
+        state after it, that one ``rng.random() < 0.5`` per violated edge
+        in profile order gives.
+
+        ``random.Random.random()`` builds each draw from two 32-bit words
+        a, b as ``((a >> 5) * 2^26 + (b >> 6)) / 2^53``, which is below 1/2
+        exactly when a < 2^31.  ``getrandbits`` takes the same 2m words,
+        the first one lowest, so edge k is red when word 2k is below 2^31."""
         m = profile.num_violated
-        return cls(profile, np.fromiter((rng.random() < 0.5 for _ in range(m)),
-                                        dtype=bool, count=m))
+        words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), dtype="<u4")
+        return cls(profile, words[0::2] < 1 << 31)
 
 
 def colored_counts(col: EdgeColoring) -> tuple[list[int], list[int]]:
@@ -301,20 +317,37 @@ def dist_to_const(f: ValuedFunction) -> float:
 def profile_dump(f: ValuedFunction) -> dict:
     """JSON-ready per-vertex counts plus the scalar objectives.
 
-    The cyclic garbage collector is paused while ``violated_edges`` is
-    built.  That list holds one small list per violated edge (about
-    230,000 at d = 16, r = 8); with the collector on, every 700 new lists
-    start a collection that walks the lists made so far, and those
-    collections cost several times the build itself.  The lists hold no
-    reference cycles, so the pause keeps no garbage alive.  The
-    collector's previous state is restored even if the build raises.
+    ``violated_edges`` holds one small list per violated edge (about
+    230,000 at d = 16, r = 8), and the collector never scans them:
+
+    * The cyclic garbage collector is paused while the list is built.
+      With it on, every 700 new lists start a collection that walks the
+      lists made so far.  The lists hold no reference cycles, so the
+      pause keeps no garbage alive.
+    * A pause alone only moves the scan: the new lists stay counted in
+      generation 0, and the first allocation after the collector is
+      back on starts a collection that walks all of them.  So while it
+      is still paused, ``gc.freeze()`` then ``gc.unfreeze()`` moves
+      every tracked object into the oldest generation without scanning
+      any, and resets generation 0's count.
+    * That move is made only when nothing is frozen on entry
+      (``gc.get_freeze_count() == 0``), since the unfreeze would also
+      release objects a caller froze.
+
+    Each edge's ends are gathered from one object array of the n vertex
+    ids, so every end is one of n shared ints rather than a new int.
+    The collector's previous state is restored even if the build raises.
     """
     profile = violation_profile(f)
     directed = directed_objective(f)
     collecting = gc.isenabled()
     gc.disable()  # the edge lists are acyclic: collections while they grow find nothing
     try:
-        violated_edges = np.stack((profile.lower, profile.upper), axis=1).tolist()
+        ids = np.arange(f.domain.n).astype(object)
+        violated_edges = ids[np.stack((profile.lower, profile.upper), axis=1)].tolist()
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
     finally:
         if collecting:
             gc.enable()

@@ -29,6 +29,16 @@ def collector_left_enabled():
         pytest.fail("the test left the garbage collector disabled")
 
 
+@pytest.fixture(autouse=True)
+def nothing_left_frozen():
+    """Fail any test that leaves objects in the collector's permanent
+    generation."""
+    yield
+    if gc.get_freeze_count():
+        gc.unfreeze()
+        pytest.fail("the test left objects frozen")
+
+
 @pytest.fixture(scope="session")
 def chain3():
     return PosetDomain("dag", n=3, edges=[(0, 1), (1, 2)])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocube.dist_approx import (BLOCK, approx_distance,
+from monocube import dist_approx
+from monocube.dist_approx import (BLOCK, Estimate, approx_distance,
                                   approx_mono, capture,
                                   hoeffding_samples, mu_estimate, mu_exact,
                                   rate_schedule, sqrt_d_log_d,
@@ -204,6 +205,26 @@ def test_approx_mono_replay_identical_queries():
     approx_mono(of, 77, epsilon=0.3)
     approx_mono(og, 77, epsilon=0.3)
     assert of.log == og.log
+
+
+@pytest.mark.parametrize("on_threshold", ["edge", "mu"])
+def test_approx_mono_estimate_on_its_threshold_is_far(monkeypatch, on_threshold):
+    d, epsilon, c_prime = 5, 0.3, 0.7
+    L = sqrt_d_log_d(d)
+    edge_thr = 3.0 * epsilon / (4.0 * L)
+    mu_thr = 3.0 * c_prime * epsilon / (4.0 * L)
+
+    def estimator(value):
+        return lambda *args: Estimate(value, samples=0, additive_error=0.0, failure_prob=0.0)
+    monkeypatch.setattr(dist_approx, "violated_fraction_estimate",
+                        estimator(edge_thr if on_threshold == "edge" else 0.0))
+    monkeypatch.setattr(dist_approx, "mu_estimate",
+                        estimator(mu_thr if on_threshold == "mu" else 0.0))
+    rep = approx_mono(CountingOracle(random_monotone(hypercube(d), 3, 0)), 0,
+                      epsilon=epsilon, c_prime=c_prime)
+    assert (rep.edge_threshold, rep.mu_threshold) == (edge_thr, mu_thr)
+    assert rep.verdict == "far"
+    assert rep.triggered_by == ("edge-fraction" if on_threshold == "edge" else "mu at t=1")
 
 
 def test_approx_mono_config_validation():

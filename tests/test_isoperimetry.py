@@ -17,6 +17,7 @@ from monocube.isoperimetry import (EdgeColoring, directed_objective,
                                    violation_profile)
 from monocube.poset import DomainSizeError, PosetDomain, hypercube
 import proof_checks
+from conftest import decreasing_chain
 from proof_checks import (PersistenceDecompositionReport, boolean_variance,
                           check_good_graph, is_persistent,
                           persistence_decomposition_check,
@@ -79,6 +80,17 @@ def test_robust_objective_validates_coloring():
         EdgeColoring(p, [True])  # not total
     with pytest.raises(ValueError):
         EdgeColoring(p, [True, False, True])  # extra edge
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 17, 295, 1000])
+def test_random_coloring_is_the_per_edge_draw(m):
+    profile = violation_profile(decreasing_chain(m + 1))
+    assert profile.num_violated == m
+    for seed in range(300):
+        rng, ref = random.Random(seed), random.Random(seed)
+        col = EdgeColoring.random(profile, rng)
+        assert col.red.tolist() == [ref.random() < 0.5 for _ in range(m)]
+        assert rng.random() == ref.random()
 
 
 def test_coloring_conservation():
@@ -326,6 +338,45 @@ def test_profile_dump_restores_the_collector_when_the_build_raises(monkeypatch):
     with pytest.raises(MemoryError, match="edge list"):
         profile_dump(random_function(hypercube(4), 4, 5))
     assert gc.isenabled()
+
+
+def test_profile_dump_edge_lists_skip_the_young_generations():
+    f = random_function(hypercube(12), 8, 5)
+    gc.collect()  # so that no collection older than generation 0 falls due during the dump
+    edges = profile_dump(f)["violated_edges"]
+    assert gc.isenabled() and len(edges) > 10_000
+    young = {id(obj) for gen in (0, 1) for obj in gc.get_objects(generation=gen)}
+    assert not any(id(edge) in young for edge in edges)
+
+
+def test_profile_dump_ends_share_one_int_per_vertex():
+    f = random_function(hypercube(12), 8, 5)
+    edges = profile_dump(f)["violated_edges"]
+    assert len({id(end) for edge in edges for end in edge}) <= f.domain.n
+
+
+@pytest.mark.parametrize("caller_froze", [True, False])
+@pytest.mark.parametrize("build_raises", [True, False])
+def test_profile_dump_keeps_the_freeze_count(monkeypatch, caller_froze, build_raises):
+    f = random_function(hypercube(4), 4, 5)
+    if build_raises:
+        def failing_stack(*args, **kwargs):
+            raise MemoryError("edge list")
+        monkeypatch.setattr(isoperimetry.np, "stack", failing_stack)
+    held = [[]]  # a tracked object that the caller freezes
+    if caller_froze:
+        gc.freeze()
+    frozen = gc.get_freeze_count()
+    try:
+        if build_raises:
+            with pytest.raises(MemoryError, match="edge list"):
+                profile_dump(f)
+        else:
+            profile_dump(f)
+        assert gc.get_freeze_count() == frozen
+        assert any(obj is held for obj in gc.get_objects()) != caller_froze
+    finally:
+        gc.unfreeze()
 
 
 def brute_profile(f, edges):
