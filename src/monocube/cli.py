@@ -24,8 +24,8 @@ from . import __version__
 from .decomposition import decompose, decomposition_dump, edge_bound_check, \
     robust_chain_check
 from .dist_approx import approx_distance, mu_exact
-from .funcs import CountingOracle, image_size, random_function, \
-    random_monotone, read_function, write_function
+from .funcs import CountingOracle, random_function, random_monotone, read_function, \
+    write_function
 from .hard_instances import LowerBoundSpec, lower_bound_function
 from .isoperimetry import EdgeColoring, dist_to_const_fraction, \
     undirected_objective, violation_profile
@@ -58,12 +58,12 @@ def _check_at_least(args, **least: int) -> None:
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2)
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            json.dump(report, fh, indent=2)  # streamed: the bytes json.dumps returns
+            fh.write("\n")
     else:
-        print(text)
+        print(json.dumps(report, indent=2))
 
 
 def _emit_csv(rows: list[dict], path: str) -> None:
@@ -88,7 +88,7 @@ def cmd_gen_function(args) -> int:
     gen = random_monotone if args.monotone else random_function
     f = gen(domain, args.r, args.seed)
     write_function(f, args.out)
-    print(f"wrote {args.out}: n={domain.n} image_size={image_size(f)}"
+    print(f"wrote {args.out}: n={domain.n} image_size={len(f.levels)}"
           f"{' (monotone)' if args.monotone else ''}")
     if args.report:
         config = {"d": args.d, "domain": args.domain, "r": args.r, "seed": args.seed,
@@ -102,7 +102,7 @@ def cmd_gen_lowerbound(args) -> int:
     f = lower_bound_function(spec)
     write_function(f, args.out)
     print(f"wrote {args.out}: d={args.d} r={args.r} i={args.i} "
-          f"width={spec.width} image_size={image_size(f)}")
+          f"width={spec.width} image_size={len(f.levels)}")
     return 0
 
 
@@ -143,7 +143,7 @@ def cmd_test_monotone(args) -> int:
     _check_at_least(args, jobs=1)
     f = read_function(args.fn)
     dimension(f.domain, "test-monotone")
-    run = partial(pair_tester, epsilon=args.eps, r=int(f.ranks.max()) + 1,
+    run = partial(pair_tester, epsilon=args.eps, r=len(f.levels),
                   budget_constant=args.budget)
     measurement = measure_rejection(f, run, args.trials, args.seed, jobs=args.jobs)
     report = {

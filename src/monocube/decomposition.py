@@ -46,8 +46,9 @@ and builds one `SweepingGraph` per final block.  Each part is built
 from bitmask unions: the zeros inside its graph are the vertices below
 some block sink with rank at most the sink's, and the ones outside are
 the vertices above one of its sources.  One unpack then turns every
-part's value mask and graph mask into a ``(2k, n)`` bit stack, whose
-rows are cached as the parts' ranks and their graphs' vertex arrays.
+part's value mask and graph mask into a ``(2k, n)`` bit stack.  A part
+is its row, held read-only as its ranks with levels (0, 1), and stores
+no values; the graphs cache the other rows as their vertex arrays.
 
 A decomposition's certificate is built when first read.  It and the
 chain check treat f and its k parts as one stack: one
@@ -197,19 +198,16 @@ def build_components(f: ValuedFunction, graphs: Sequence[SweepingGraph]
                      ) -> list[tuple[ValuedFunction, SweepingGraph]]:
     """Each block's Boolean function, paired with the block's sweeping
     graph.  One `mask_array` call unpacks every part's value mask
-    (`_part_masks`) and graph mask; each row is cached as the part's
-    ranks (uint8, minus the row's minimum, as `ValuedFunction.ranks`
-    gives them) or as its graph's vertex array."""
+    (`_part_masks`) and graph mask; each row is held as the part's ranks
+    (uint8, levels (0, 1): a part is 1 at its block's sources and 0 at
+    its sinks) or cached as its graph's vertex array."""
     k = len(graphs)
     bits = mask_array(_part_masks(f, graphs) + [graph.vertex_mask for graph in graphs],
                       f.domain.n)
-    values = bits[:k].view(np.uint8)
-    parts = [ValuedFunction(f.domain, tuple(row.tolist())) for row in values]
-    values -= values.min(axis=1, keepdims=True)
-    for fi, row, graph, inside in zip(parts, values, graphs, bits[k:]):
-        vars(fi)["ranks"] = row
+    for graph, inside in zip(graphs, bits[k:]):
         vars(graph)["vertex_array"] = inside
-    return list(zip(parts, graphs))
+    return [(ValuedFunction.of_ranks(f.domain, (0, 1), row), graph)
+            for row, graph in zip(bits[:k].view(np.uint8), graphs)]
 
 
 def _part_masks(f: ValuedFunction, graphs: Sequence[SweepingGraph]) -> list[int]:
@@ -413,7 +411,8 @@ def _unmatched_block_pairs(dec: Decomposition) -> Iterator[str]:
             yield f"component {idx}: M(S_i) != T_i"
         else:
             yield from (f"component {idx}: pair ({s},{pair_of[s]}) is not violated by f_{idx}"
-                        for s in S if not (fi.values[s] == 1 and fi.values[pair_of[s]] == 0))
+                        for s in S if not (fi.levels[fi.ranks[s]] == 1
+                                           and fi.levels[fi.ranks[pair_of[s]]] == 0))
 
 
 def _unviolated_block_pairs(dec: Decomposition) -> Iterator[str]:
@@ -520,7 +519,8 @@ def decomposition_dump(dec: Decomposition) -> dict:
                    for (_, graph) in dec.components],
         "off_graph_values": OFF_GRAPH_RULE,
         "components": [
-            {"vertices": vertices, "values": [fi.values[x] for x in vertices]}
+            {"vertices": vertices,
+             "values": [fi.levels[r] for r in fi.ranks[vertices].tolist()]}
             for (fi, graph) in dec.components
             for vertices in [sorted(graph.vertices)]
         ],

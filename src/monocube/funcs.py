@@ -1,20 +1,22 @@
 """Real-valued functions on a poset domain.
 
 A `ValuedFunction` is a dense, immutable assignment of finite reals to
-the domain's vertices.  Comparison-based machinery (decomposition,
-testers) never needs the raw values, only their order, so
-`canonical_rank` relabels any function to integer ranks ``1..r`` while
-preserving every violated pair, the distance to monotonicity, and the
-image size.
+the domain's vertices, held as its **rank view**: the sorted distinct
+values ``levels`` and a read-only ndarray ``ranks`` in the narrowest
+unsigned dtype, so that x's value is ``levels[ranks[x]]``.  Ranks
+compare exactly as the values do, for any mix of ints and floats, so
+comparison-based machinery reads only the ranks.  `canonical_rank`
+relabels any function to integer ranks ``1..r`` while preserving every
+violated pair, the distance to monotonicity, and the image size
+``len(levels)``.
 
-Query-driven code evaluates whole schedules at once, so every function
-also carries a cached **rank view**: ``ranks[x]`` is the index of
-``values[x]`` in ``sorted(set(values))``, stored as an ndarray in the
-narrowest unsigned dtype.  Ranks compare exactly as the values do, for
-any mix of ints and floats, so a strict comparison on ranks decides the
-same violations as one on values.  The violation profile (per-vertex
-violated-edge counts, see `isoperimetry`) and the exact distance
-certificate (see `oracles`) are cached the same way.
+``ValuedFunction(domain, values)`` checks, ranks and keeps values from
+outside the library, so reports echo them as given (1 and 1.0 share a
+level); `ValuedFunction.of_ranks` takes ranks the library made
+(`from_table`, a decomposition's bit-stack rows), scans nothing and
+builds ``values`` only when read.  The violation profile (see
+`isoperimetry`) and the exact distance certificate (see `oracles`) are
+cached on the function.
 
 `CountingOracle` wraps a function behind a query counter (optionally a
 query log) so testers can account for every lookup they make.  Its one
@@ -28,9 +30,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -45,54 +46,55 @@ class FunctionFormatError(ValueError):
     """Raised for malformed function files."""
 
 
-@dataclass(frozen=True)
 class ValuedFunction:
-    domain: PosetDomain
-    values: tuple
+    """A function as its ``levels`` and read-only ``ranks`` (module docstring)."""
 
-    def __post_init__(self):
-        if len(self.values) != self.domain.n:
+    def __init__(self, domain: PosetDomain, values: tuple):
+        if len(values) != domain.n:
             raise ValueError(
-                f"value array has length {len(self.values)}, "
-                f"domain has {self.domain.n} vertices")
+                f"value array has length {len(values)}, "
+                f"domain has {domain.n} vertices")
         # an int is finite at any size: check only the other values, and
         # look for the offender only once one is known to exist
-        types = set(map(type, self.values))
-        if types <= {int, bool}:
-            return
-        rest = self.values if types == {float} else \
-            [v for v in self.values if not isinstance(v, int)]
-        if not all(map(math.isfinite, rest)):
-            bad = next(v for v in rest if not math.isfinite(v))
-            raise ValueError(f"non-finite value {bad!r}")
+        types = set(map(type, values))
+        if not types <= {int, bool}:
+            rest = values if types == {float} else \
+                [v for v in values if not isinstance(v, int)]
+            if not all(map(math.isfinite, rest)):
+                bad = next(v for v in rest if not math.isfinite(v))
+                raise ValueError(f"non-finite value {bad!r}")
+        self.domain, self.values = domain, values  # kept as given, for output
+        self.levels, self.ranks = _ranked(values)
+
+    @classmethod
+    def of_ranks(cls, domain: PosetDomain, levels: tuple, ranks: np.ndarray) -> ValuedFunction:
+        """The function with value ``levels[ranks[x]]`` at x, every level
+        taken, in increasing order; ``ranks`` is held as a read-only view."""
+        f = cls.__new__(cls)
+        f.domain, f.levels, f.ranks = domain, levels, ranks.view()
+        f.ranks.flags.writeable = False
+        return f
 
     @property
     def n(self) -> int:
         return self.domain.n
 
     @cached_property
-    def ranks(self) -> np.ndarray:
-        """Each value's index among the sorted distinct values: the 0-based
-        ndarray form of `canonical_rank`, computed once per function.  A
-        Boolean decomposition's parts get theirs cached from one bit stack
-        (`decomposition.build_components`): a 0/1 row minus its minimum,
-        in uint8, is exactly this."""
-        levels = image_values(self)
-        index = {v: i for i, v in enumerate(levels)}
-        return np.fromiter(map(index.__getitem__, self.values),
-                           dtype=index_dtype(len(levels)), count=self.n)
+    def values(self) -> tuple:
+        """The values, for output only: the levels read through the ranks."""
+        return tuple(map(self.levels.__getitem__, self.ranks.tolist()))
 
     @cached_property
     def violation_profile(self) -> ViolationProfile:
         """This function's `isoperimetry.ViolationProfile`, computed once
-        per function like `ranks`."""
+        per function."""
         from .isoperimetry import ViolationProfile  # isoperimetry imports funcs
         return ViolationProfile.of(self)
 
     @cached_property
     def exact_distance(self) -> DistanceCertificate:
         """This function's `oracles.exact_distance` certificate, solved once
-        per function like `ranks`."""
+        per function."""
         from .oracles import DistanceCertificate  # oracles imports funcs
         return DistanceCertificate.of_all([self])[0]
 
@@ -131,16 +133,6 @@ class CountingOracle:
         return self.fn.domain
 
 
-def image_size(f: ValuedFunction) -> int:
-    """Number of distinct values the function takes."""
-    return len(set(f.values))
-
-
-def image_values(f: ValuedFunction) -> list:
-    """Sorted distinct values."""
-    return sorted(set(f.values))
-
-
 def canonical_rank(f: ValuedFunction) -> ValuedFunction:
     """Relabel values to their ranks 1..r among the distinct values.
 
@@ -150,8 +142,22 @@ def canonical_rank(f: ValuedFunction) -> ValuedFunction:
     instead; this function stays public because perfbench's tracer wraps
     it by name.
     """
-    ranks = {v: i + 1 for i, v in enumerate(image_values(f))}
-    return ValuedFunction(f.domain, tuple(ranks[v] for v in f.values))
+    return ValuedFunction.of_ranks(f.domain, tuple(range(1, len(f.levels) + 1)), f.ranks)
+
+
+def _ranked(values: Sequence) -> tuple[tuple, np.ndarray]:
+    """The sorted distinct values, and each value's index among them (read-only)."""
+    levels = sorted(set(values))
+    rank = {v: i for i, v in enumerate(levels)}
+    ranks = np.fromiter(map(rank.__getitem__, values), index_dtype(len(levels)), len(values))
+    ranks.flags.writeable = False
+    return tuple(levels), ranks
+
+
+def from_table(domain: PosetDomain, table: list[int]) -> ValuedFunction:
+    """The function with value ``table[x]`` at x, ranked as the constructor
+    ranks values, but checked by no scan and holding no values."""
+    return ValuedFunction.of_ranks(domain, *_ranked(table))
 
 
 def random_function(domain: PosetDomain, r: int, seed: int) -> ValuedFunction:
@@ -160,8 +166,7 @@ def random_function(domain: PosetDomain, r: int, seed: int) -> ValuedFunction:
         raise ValueError("image bound r must be >= 1")
     domain.check_table_budget()
     rng = np.random.default_rng(seed)
-    values = rng.integers(1, r + 1, size=domain.n)
-    return ValuedFunction(domain, tuple(int(v) for v in values))
+    return from_table(domain, rng.integers(1, r + 1, size=domain.n).tolist())
 
 
 def random_monotone(domain: PosetDomain, r: int, seed: int) -> ValuedFunction:
@@ -172,7 +177,7 @@ def random_monotone(domain: PosetDomain, r: int, seed: int) -> ValuedFunction:
     domain.check_table_budget()
     rng = np.random.default_rng(seed)
     base = rng.integers(1, r + 1, size=domain.n)
-    return ValuedFunction(domain, tuple(domain.down_max(base).tolist()))
+    return from_table(domain, domain.down_max(base).tolist())
 
 
 def anti_dictator(d: int) -> ValuedFunction:
@@ -180,14 +185,14 @@ def anti_dictator(d: int) -> ValuedFunction:
     edge tester."""
     dom = hypercube(d)
     dom.check_table_budget()
-    return ValuedFunction(dom, tuple(1 - (x & 1) for x in range(dom.n)))
+    return from_table(dom, [1 - (x & 1) for x in range(dom.n)])
 
 
 def weight_function(d: int) -> ValuedFunction:
     """f(x) = |x| (Hamming weight), a monotone function with image size d+1."""
     dom = hypercube(d)
     dom.check_table_budget()
-    return ValuedFunction(dom, tuple(x.bit_count() for x in range(dom.n)))
+    return from_table(dom, [x.bit_count() for x in range(dom.n)])
 
 
 # -- file I/O -----------------------------------------------------------------

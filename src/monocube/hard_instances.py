@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .decomposition import Matching
-from .funcs import ValuedFunction
+from .funcs import ValuedFunction, from_table
 from .poset import hypercube
 
 
@@ -82,7 +82,7 @@ class LowerBoundSpec:
 def lower_bound_function(spec: LowerBoundSpec) -> ValuedFunction:
     dom = hypercube(spec.d)
     dom.check_table_budget()
-    return ValuedFunction(dom, tuple(spec.value_at(x) for x in range(dom.n)))
+    return from_table(dom, list(map(spec.value_at, range(dom.n))))
 
 
 def witness_matching(spec: LowerBoundSpec) -> Matching:

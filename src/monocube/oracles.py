@@ -19,8 +19,8 @@ of the function's ranks over the domain's cached comparable-pair arrays
 (`PosetDomain.pair_arrays`), which check the pair budget
 (`poset.MAX_PAIRS`) before any mask or array is built; the exhaustive
 coloring search keeps its own cap.  `exact_distance` is solved once per
-function: its certificate is cached on the function, like the ranks and
-the violation profile.
+function: its certificate is cached on the function, like the violation
+profile.
 
 The exact solver works on a stack: `DistanceCertificate.of_all` takes
 functions on one domain as one ``(rows, n)`` rank array, and a single
@@ -32,8 +32,9 @@ checks share), the violated-pair compare, one matching of the disjoint
 union of the rows' split graphs, the repair and the certificate's
 assertions.  Only monotone rows get the zero certificate; the others'
 covers are cut from one scan of their chunk's cover stack.  A
-certificate keeps the repair as the vertex each point copies and
-builds the repaired function only when it is read.
+certificate holds no n-tuple: f's rank view and given values, and the
+repair as a read-only row of the vertex each point copies; it builds
+the repaired function only when it is read.
 
 One bipartite engine, `max_gain_matching`, matches the split graph for
 both exact objects: each phase augments, along the layers of one
@@ -51,14 +52,14 @@ solve depends on the interpreter's recursion limit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .funcs import ValuedFunction
+from .funcs import ValuedFunction, index_dtype
 from .isoperimetry import EdgeColoring, greedy_descent, robust_objective, violation_profile
 from .poset import DomainSizeError, PosetDomain, row_chunks
 
@@ -107,12 +108,15 @@ def _violated_rows(domain: PosetDomain, ranks: np.ndarray
 class DistanceCertificate:
     epsilon: Fraction
     vertex_cover: frozenset[int]
-    # f's domain and values, and the vertex each point of the repair copies
+    # f's domain and rank view, the values f holds (None if it holds none)
+    # and the vertex each point of the repair copies, as a read-only row
     # (None when f is monotone).  Not f itself: f caches this certificate,
     # and the reference cycle would keep both alive until a collection.
     domain: PosetDomain
-    f_values: tuple
-    source: tuple[int, ...] | None = None
+    levels: tuple
+    ranks: np.ndarray = field(compare=False)
+    given: tuple | None = field(compare=False)
+    source: np.ndarray | None = field(compare=False)
 
     @property
     def cover_size(self) -> int:
@@ -121,10 +125,10 @@ class DistanceCertificate:
     @cached_property
     def repaired(self) -> ValuedFunction:
         """The monotone repair of f, built on first read: the function
-        whose value at z is f's at ``source[z]``."""
-        values = self.f_values
+        whose value at z is f's at ``source[z]``, as f holds it if it does."""
+        values = self.given or tuple(map(self.levels.__getitem__, self.ranks.tolist()))
         if self.source is not None:
-            values = tuple(map(values.__getitem__, self.source))
+            values = tuple(map(values.__getitem__, self.source.tolist()))
         return ValuedFunction(self.domain, values)
 
     @classmethod
@@ -183,12 +187,13 @@ class DistanceCertificate:
             # each row's cover, cut from one scan of the whole stack
             points = (np.flatnonzero(cover) % n).tolist()
             ends = np.cumsum(sizes).tolist()
-            for i, start, end, s in zip(todo[rows].tolist(), [0, *ends], ends,
-                                        source.tolist()):
-                solved[i] = cls(Fraction(end - start, n), frozenset(points[start:end]),
-                                domain, fs[i].values, tuple(s))
-        return [solved[i] if i in solved else cls(Fraction(0), frozenset(), domain, f.values)
-                for i, f in enumerate(fs)]
+            source = source.astype(index_dtype(n))
+            source.flags.writeable = False
+            for i, start, end, row in zip(todo[rows].tolist(), [0, *ends], ends, source):
+                solved[i] = Fraction(end - start, n), frozenset(points[start:end]), row
+        zero = Fraction(0), frozenset(), None
+        return [cls(epsilon, cover, f.domain, f.levels, f.ranks, vars(f).get("values"), row)
+                for i, f in enumerate(fs) for epsilon, cover, row in [solved.get(i, zero)]]
 
 
 def max_gain_matching(lefts: Sequence[int], rights: Sequence[int], key_l: Sequence[int],

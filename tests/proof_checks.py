@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Literal
 
-from monocube.funcs import ValuedFunction, image_values
+from monocube.funcs import ValuedFunction
 from monocube.isoperimetry import EdgeColoring, colored_counts, violation_profile
 from monocube.poset import DomainSizeError
 
@@ -199,7 +199,7 @@ def persistence_decomposition_check(f: ValuedFunction, tau: int,
     vertices for f is at most the sum over the r-1 proper thresholds of
     the non-persistent counts of the thresholded functions.
     """
-    values = image_values(f)
+    values = list(f.levels)
     n = f.domain.n
     thresholds = [threshold(f, t) for t in values[:-1]]
     if direction == "right":

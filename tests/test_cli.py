@@ -308,3 +308,19 @@ def test_report_meta_fields(tmp_path):
     meta = json.load(open(out))["meta"]
     for key in ("tool", "version", "command", "config", "seed", "elapsed_seconds"):
         assert key in meta
+
+
+def test_exact_distance_echoes_the_values_a_file_holds(tmp_path):
+    """1 and 1.0 share a level, and so do -0.0 and 0.0, but the report
+    writes each repaired value as the value object the file holds at the
+    vertex it copies, type and sign included.  On three incomparable
+    atoms, three incomparable middle vertices and one violating top,
+    every unchanged vertex copies itself and echoes its own value."""
+    values = [-5, -0.0, 0.0, 1, 0, 1.0, 1, 0.5]
+    fn, out = tmp_path / "f.json", tmp_path / "out.json"
+    fn.write_text(json.dumps({"d": 3, "values": values}))
+    assert run(["exact-distance", "--fn", str(fn), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    repaired, cover = result["repaired_values"], result["vertex_cover"]
+    assert cover == [7] and repr(repaired[7]) == "1"
+    assert [repr(v) for v in repaired[:7]] == [repr(v) for v in values[:7]]

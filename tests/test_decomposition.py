@@ -629,16 +629,20 @@ def test_chain_check_builds_its_masks_once_per_decomposition(monkeypatch):
 
 def test_parts_come_from_one_unpack(monkeypatch):
     """Decomposing a d = 6, r = 8 input, solving its stack, certifying it
-    and checking three chains sorts f's values once, for f's own ranks,
-    and unpacks every part's values and graph in one `mask_array` call."""
+    and checking three chains ranks values once, for f's own ranks (from
+    its table), ranks no part from values, and unpacks every part's
+    values and graph in one `mask_array` call."""
     from monocube import decomposition, funcs
-    f = random_function(hypercube(6), 8, 24)
-    sorts, unpacks = [], []
-    image_values, mask_array = funcs.image_values, poset.mask_array
-    monkeypatch.setattr(funcs, "image_values", lambda g: sorts.append(g) or image_values(g))
+    ranked, unpacks = [], []
+    from_table, init, mask_array = funcs.from_table, ValuedFunction.__init__, poset.mask_array
+    monkeypatch.setattr(funcs, "from_table",
+                        lambda *args: ranked.append(from_table(*args)) or ranked[-1])
+    monkeypatch.setattr(ValuedFunction, "__init__",
+                        lambda self, *args: ranked.append(self) or init(self, *args))
     for module in (poset, decomposition):
         monkeypatch.setattr(module, "mask_array",
                             lambda masks, n: unpacks.append(masks) or mask_array(masks, n))
+    f = random_function(hypercube(6), 8, 24)
     dec = decompose(f)
     dec.epsilons
     assert dec.certificate.all_ok
@@ -647,8 +651,31 @@ def test_parts_come_from_one_unpack(monkeypatch):
         rep = robust_chain_check(dec, EdgeColoring.random(violation_profile(f), rng))
         assert rep.ordering_ok and rep.distance_ok
     assert dec.k > 1
-    assert sorts == [f]
+    assert ranked == [f]
     assert len(unpacks) == 1 and len(unpacks[0]) == 2 * dec.k
+
+
+def test_parts_are_rows_of_the_bit_stack(monkeypatch):
+    """Each part is a read-only uint8 row of the one bit stack with levels
+    (0, 1), and holds no values: neither the solve of the stack, nor
+    the certificate, nor the report builds them."""
+    from monocube import decomposition
+    stacks = []
+    mask_array = decomposition.mask_array
+    monkeypatch.setattr(decomposition, "mask_array",
+                        lambda masks, n: stacks.append(mask_array(masks, n)) or stacks[-1])
+    f = random_function(hypercube(6), 8, 24)
+    dec = decompose(f)
+    [stack] = stacks
+    assert dec.certificate.all_ok and decomposition_dump(dec)["k"] == dec.k > 1
+    for fi, _ in dec.components:
+        assert "values" not in vars(fi)
+        assert fi.levels == (0, 1) and fi.ranks.dtype == np.uint8
+        assert np.shares_memory(fi.ranks, stack)
+        cert = exact_distance(fi)
+        assert cert.given is None
+        assert cert.source is None or cert.source.dtype == np.uint8
+    assert "values" not in vars(f)
 
 
 def test_chain_check_random_suite():

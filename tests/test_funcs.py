@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monocube.funcs import (CountingOracle, FunctionFormatError, ValuedFunction,
-                            anti_dictator, canonical_rank, image_size,
+                            anti_dictator, canonical_rank,
                             random_function, random_monotone, read_function,
                             weight_function, write_function)
+from monocube.decomposition import decompose
+from monocube.hard_instances import LowerBoundSpec, lower_bound_function
 from monocube.isoperimetry import violation_profile
-from monocube.oracles import is_monotone
+from monocube.oracles import exact_distance, is_monotone
 from monocube.poset import DomainSizeError, PosetDomain, hypercube
 from proof_checks import threshold, violated_edges
 
@@ -41,9 +43,9 @@ def test_validation_names_the_first_offender(tmp_path):
 
 
 def test_image_size_examples():
-    assert image_size(ValuedFunction(hypercube(2), (5, 5, 5, 5))) == 1
-    assert image_size(anti_dictator(4)) == 2
-    assert image_size(weight_function(3)) == 4
+    assert len(ValuedFunction(hypercube(2), (5, 5, 5, 5)).levels) == 1
+    assert len(anti_dictator(4).levels) == 2
+    assert len(weight_function(3).levels) == 4
 
 
 def test_canonical_rank_examples():
@@ -71,6 +73,63 @@ def test_canonical_rank_preserves_comparisons(values):
             want = (f.values[x] > f.values[y]) - (f.values[x] < f.values[y])
             got = (g.values[x] > g.values[y]) - (g.values[x] < g.values[y])
             assert want == got
+
+
+def _old_canonical_rank(values):
+    """The values relabelled 1..r through a dict over their sorted set."""
+    rank = {v: i + 1 for i, v in enumerate(sorted(set(values)))}
+    return tuple(rank[v] for v in values)
+
+
+@pytest.mark.parametrize("d,r,seed", [(d, r, seed) for d in (1, 3, 6, 9)
+                                      for r in (1, 2, 5, 300) for seed in (0, 11)])
+def test_generators_rank_as_the_value_constructor(d, r, seed):
+    """Each generator, and `canonical_rank` of each, gives the same values
+    (by repr) and the same levels and ranks (dtype included) as the value
+    constructor on the table the generator describes, tabulated here in
+    Python."""
+    dom = hypercube(d)
+    dag = PosetDomain("dag", n=7, edges=[(0, 1), (1, 2), (0, 3), (3, 4), (5, 6)])
+    n = dom.n
+    draws = [int(v) for v in np.random.default_rng(seed).integers(1, r + 1, size=n)]
+    base = np.random.default_rng(seed).integers(1, r + 1, size=n)
+    dag_base = np.random.default_rng(seed).integers(1, r + 1, size=dag.n)
+    cases = [(random_function(dom, r, seed), draws),
+             (random_monotone(dom, r, seed), dom.down_max(base).tolist()),
+             (random_function(dag, r, seed),
+              [int(v) for v in np.random.default_rng(seed).integers(1, r + 1, size=dag.n)]),
+             (random_monotone(dag, r, seed), dag.down_max(dag_base).tolist()),
+             (anti_dictator(d), [1 - (x & 1) for x in range(n)]),
+             (weight_function(d), [x.bit_count() for x in range(n)])]
+    if d in (1, 9):
+        for width in (1, 2 * math.isqrt(d) + 1):
+            spec = LowerBoundSpec(d, width, 1 + seed % d)
+            cases.append((lower_bound_function(spec), [spec.value_at(x) for x in range(n)]))
+    cases += [(canonical_rank(f), _old_canonical_rank(values)) for f, values in cases]
+    for f, values in cases:
+        ref = ValuedFunction(f.domain, tuple(values))
+        assert list(map(repr, f.values)) == list(map(repr, ref.values))
+        assert f.levels == ref.levels and list(map(repr, f.levels)) == list(map(repr, ref.levels))
+        assert f.ranks.dtype == ref.ranks.dtype and np.array_equal(f.ranks, ref.ranks)
+        assert f.ranks.dtype == np.min_scalar_type(len(f.levels) - 1)  # the narrowest
+
+
+def test_every_function_holds_read_only_ranks(tmp_path):
+    f = random_function(hypercube(4), 5, 1)
+    path = str(tmp_path / "f.json")
+    write_function(f, path)
+    parts = [fi for (fi, _) in decompose(f).components]
+    cert = exact_distance(f)
+    functions = [f, ValuedFunction(hypercube(2), (1, 2.0, 2, -0.0)),
+                 random_monotone(hypercube(3), 4, 2), anti_dictator(3), weight_function(3),
+                 lower_bound_function(LowerBoundSpec(9, 7, 1)), canonical_rank(f),
+                 read_function(path), cert.repaired, *parts]
+    assert parts
+    for g in functions:
+        assert not g.ranks.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.ranks[0] = 0
+    assert not cert.source.flags.writeable and cert.source.dtype == np.uint8
 
 
 def test_threshold_examples():

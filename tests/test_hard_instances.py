@@ -3,11 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocube.funcs import image_size
 from monocube.hard_instances import (LowerBoundSpec, cap_set,
                                      lower_bound_function, violation_witness_count,
                                      witness_matching, witness_matching_size)
-from monocube.oracles import violated_pairs
+from monocube.oracles import exact_distance, violated_pairs
 
 
 def test_spec_validation():
@@ -47,7 +46,7 @@ def test_image_inside_declared_range():
     for i in (1, 5, 9):
         f = lower_bound_function(LowerBoundSpec(9, 7, i))
         assert set(f.values) <= set(range(1, 8))
-    assert image_size(lower_bound_function(LowerBoundSpec(9, 7, 1))) == 7
+    assert len(lower_bound_function(LowerBoundSpec(9, 7, 1)).levels) == 7
     # d = 25 sampled pointwise (the full table is 2^25 entries)
     spec = LowerBoundSpec(25, 11, 5)
     rng = random.Random(3)
@@ -87,6 +86,12 @@ def test_matching_lower_bound_on_distance():
     M = witness_matching(spec)
     eps_lb = len(M) / 2 ** (spec.d + 1)
     assert eps_lb >= 0.15
+    # each pair of M needs its own change, so eps >= |M| / 2^d on every member
+    for r in (1, 7):
+        for i in range(1, 10):
+            spec = LowerBoundSpec(9, r, i)
+            assert exact_distance(lower_bound_function(spec)).cover_size >= \
+                witness_matching_size(spec)
 
 
 def test_cap_set_examples():

@@ -133,6 +133,9 @@ def test_exact_distance_is_solved_once_per_function(monkeypatch):
     # an equal function is a new object with its own cache
     g = ValuedFunction(f.domain, f.values)
     assert exact_distance(g) == cert and exact_distance(g) is not cert
+    # the arrays are not compared by ==
+    assert np.array_equal(exact_distance(g).source, cert.source)
+    assert np.array_equal(exact_distance(g).ranks, cert.ranks)
     assert len(solved) == 2
 
 
@@ -141,9 +144,12 @@ def test_repaired_function_is_built_only_when_read(monkeypatch):
     repaired function; a read builds it once, and a monotone input's
     repair has its values."""
     built = []
-    post_init = ValuedFunction.__post_init__
-    monkeypatch.setattr(ValuedFunction, "__post_init__",
-                        lambda self: built.append(self) or post_init(self))
+    init, of_ranks = ValuedFunction.__init__, ValuedFunction.of_ranks.__func__
+    monkeypatch.setattr(ValuedFunction, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    monkeypatch.setattr(ValuedFunction, "of_ranks",
+                        classmethod(lambda cls, *args: built.append(of_ranks(cls, *args))
+                                    or built[-1]))
     f = random_function(hypercube(8), 2, 0)
     dec = decompose(f)
     assert dec.certificate.all_ok and len(built) == 1 + dec.k

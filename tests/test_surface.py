@@ -24,7 +24,7 @@ ALLOWED = {
     "worst_coloring": "ROADMAP item 6: --coloring worst",
     "edge_tester": "ROADMAP item 4: rejection against queries for the edge tester",
     "witness_matching": "ROADMAP item 4: the hard instance's ground truth",
-    "witness_matching_size": "ROADMAP item 4: epsilon >= |M| / 2^(d+1) in closed form",
+    "witness_matching_size": "ROADMAP item 4: epsilon >= |M| / 2^d in closed form",
     "cap_set": "ROADMAP item 4: the query-capture bound",
     "violation_witness_count": "ROADMAP item 4: exposed family members against w|Q|/d",
     "weight_function": "ROADMAP items 4 and 10: the weight-threshold inputs",
