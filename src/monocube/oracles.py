@@ -39,14 +39,19 @@ the repaired function only when it is read.
 One bipartite engine, `max_gain_matching`, matches the split graph for
 both exact objects: each phase augments, along the layers of one
 search, paths of the largest gain, a free left end's key minus a free
-right end's key.  The
-exact solve keys every left vertex 1 and every right vertex 0, so the
-engine is Hopcroft-Karp from a greedy start, and its last search is the
+right end's key.  The exact solve keys every left vertex 1 and every
+right vertex 0, so the engine is Hopcroft-Karp, started from the
+violated cover edges (`PosetDomain.pair_is_cover_edge`): each left cell
+lists them first, and the engine matches their graph alone before the
+whole one.  A maximum matching of the cover edges is nearly a maximum
+one of all violated pairs (380 of 380 pairs on a Boolean d = 10 input,
+seed 0), so few phases run on the whole graph.  The last search is the
 Koenig cover, the same for every maximum matching; neither the warm
 start nor the stack a function is solved in changes a certificate.  The
 decomposition (`decomposition.max_weight_min_card_matching`) keys both
-sides by rank.  The depth-first search keeps an explicit stack, so no
-solve depends on the interpreter's recursion limit.
+sides by rank and passes no cover edges.  The depth-first search keeps
+an explicit stack, so no solve depends on the interpreter's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -89,19 +94,17 @@ def violated_pairs(f: ValuedFunction) -> np.ndarray:
     an ``(m, 2)`` array of rows (x, y) in `PosetDomain.pair_arrays` order
     (x ascending, then y ascending).  Raises `DomainSizeError` over the
     pair budget."""
-    _, lower, upper = _violated_rows(f.domain, f.ranks[None])
-    return np.stack((lower, upper), axis=1)
+    _, pos = _violated_rows(f.domain, f.ranks[None])
+    return np.stack([ends.take(pos) for ends in f.domain.pair_arrays], axis=1)
 
 
-def _violated_rows(domain: PosetDomain, ranks: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(row, x, y)`` arrays of every violated comparable pair of each row
-    of a ``(rows, n)`` rank stack: row by row, each row's pairs in
-    `PosetDomain.pair_arrays` order."""
+def _violated_rows(domain: PosetDomain, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, pair)`` arrays of every violated comparable pair of each row
+    of a ``(rows, n)`` rank stack, the pair as its position in
+    `PosetDomain.pair_arrays`: row by row, each row's pairs in that order."""
     lower, upper = domain.pair_arrays
     violated = np.flatnonzero(ranks.take(lower, axis=1) > ranks.take(upper, axis=1))
-    row, pos = np.divmod(violated, max(len(lower), 1))  # 2-D nonzero is 4x slower
-    return row, lower.take(pos), upper.take(pos)
+    return np.divmod(violated, max(len(lower), 1))  # 2-D nonzero is 4x slower
 
 
 @dataclass(frozen=True)
@@ -142,9 +145,9 @@ class DistanceCertificate:
         at most `poset.PAIR_CHUNK` cells.  A chunk is one bipartite graph,
         the disjoint union of its rows' split graphs on the cells
         ``row * n + x``: one `max_gain_matching` call, with every pair
-        gaining 1, is Hopcroft-Karp and gives its matching and its Koenig
-        cover, and the cover is checked, repaired and counted as one
-        ``(rows, n)`` stack.
+        gaining 1, is Hopcroft-Karp started from the violated cover edges,
+        and gives its matching and its Koenig cover; the cover is checked,
+        repaired and counted as one ``(rows, n)`` stack.
         """
         if not fs:
             return []
@@ -160,12 +163,17 @@ class DistanceCertificate:
         width = max(len(domain.pair_arrays[0]), n) if len(todo) else n
         for rows in row_chunks(len(todo), width):
             block = ranks[todo[rows]]
-            row, xs, ys = _violated_rows(domain, block)
-            # edges in pair order: left cells ascending, each one's right
-            # neighbour cells ascending; every pair gains 1
-            lefts, rights = row * n + xs, row * n + ys
+            lower, upper = domain.pair_arrays
+            row, pos = _violated_rows(domain, block)
+            # left cells ascending, each one's violated cover edges first,
+            # then its other violated pairs, each run in pair order; every
+            # pair gains 1, and the cover edges start the matching
+            edge = domain.pair_is_cover_edge.take(pos)
+            lefts = row * n + lower.take(pos)
+            order = np.argsort(lefts * 2 + ~edge, kind="stable")
+            lefts, rights = lefts[order], (row * n + upper.take(pos))[order]
             matching, cover_left, cover_right = max_gain_matching(
-                lefts, rights, [1] * block.size, [0] * block.size)
+                lefts, rights, [1] * block.size, [0] * block.size, edge[order])
             assert len(cover_left) + len(cover_right) == len(matching), \
                 "Koenig cover size must equal the matching size"
             covered = np.zeros((2, block.size), dtype=bool)
@@ -197,7 +205,8 @@ class DistanceCertificate:
 
 
 def max_gain_matching(lefts: Sequence[int], rights: Sequence[int], key_l: Sequence[int],
-                      key_r: Sequence[int]) -> tuple[list[tuple[int, int]], set[int], set[int]]:
+                      key_r: Sequence[int], prefix: Sequence[bool] | None = None
+                      ) -> tuple[list[tuple[int, int]], set[int], set[int]]:
     """A matching of largest weight, and of fewest pairs among those, of
     the edges ``(lefts[i], rights[i])`` (grouped by left vertex, in search
     order), where an edge (u, v) weighs ``key_l[u] - key_r[v]``.  Returns
@@ -221,21 +230,24 @@ def max_gain_matching(lefts: Sequence[int], rights: Sequence[int], key_l: Sequen
     path.
 
     When all gains are equal and positive (one key_l value, one key_r
-    value below it), this is Hopcroft-Karp, started from a greedy
-    matching: each left vertex in edge order takes its first free
-    neighbour.  The last search then runs from every free left vertex,
-    and the left vertices it missed with the right vertices it reached
-    are the Koenig minimum vertex cover, the same for every maximum
-    matching.  Against a maximum matching M, a left vertex u is reached
-    iff some maximum matching leaves u free: flipping the even
-    alternating path that reaches u frees it, and if a maximum matching
-    M' leaves u free but M does not, the component of M xor M' at u is
-    an even alternating path from u to a left vertex that M leaves free.
-    So the reached left vertices, and with them their neighbours, do not
-    depend on the maximum matching (the Dulmage-Mendelsohn
-    decomposition), and the warm start does not change the cover.  With
-    unequal gains the last search is pruned, and the two sets are not a
-    cover.
+    value below it), this is Hopcroft-Karp from a warm start.  ``prefix``,
+    read only then, flags a leading run of each left vertex's edges (the
+    exact solve flags its cover edges): the engine first matches the
+    graph of those edges alone, and then the whole graph from there.
+    Each stage starts with a greedy pass, where each free left vertex in
+    edge order takes its first free neighbour.  The last search then runs
+    from every free left vertex of the whole graph, and the left vertices
+    it missed with the right vertices it reached are the Koenig minimum
+    vertex cover, the same for every maximum matching.  Against a maximum
+    matching M, a left vertex u is reached iff some maximum matching
+    leaves u free: flipping the even alternating path that reaches u
+    frees it, and if a maximum matching M' leaves u free but M does not,
+    the component of M xor M' at u is an even alternating path from u to
+    a left vertex that M leaves free.  So the reached left vertices, and
+    with them their neighbours, do not depend on the maximum matching
+    (the Dulmage-Mendelsohn decomposition), and neither the warm start
+    nor the prefix changes the cover.  With unequal gains the last search
+    is pruned, and the two sets are not a cover.
     """
     lefts, rights = np.asarray(lefts, dtype=np.int64), np.asarray(rights, dtype=np.int64)
     if not len(lefts):
@@ -248,72 +260,79 @@ def max_gain_matching(lefts: Sequence[int], rights: Sequence[int], key_l: Sequen
     mate_l, mate_r = [-1] * len(key_l), [-1] * len(key_r)
     equal = key_l.count(key_l[0]) == len(key_l) and key_r.count(key_r[0]) == len(key_r)
     low = key_r[0] if equal else min(key_r)  # no free right has a lower key
-    if equal and key_l[0] > low:
-        for u in free:
-            for v in adj[u]:
-                if mate_r[v] < 0:
-                    mate_l[u], mate_r[v] = v, u
-                    break
-    # layers count up across groups and phases: a label below the phase's
-    # first layer is stale, and one group's layers never meet the next's
+    greedy = equal and key_l[0] > low
+    stages = [adj]
+    if greedy and prefix is not None:
+        cuts = np.add.reduceat(np.asarray(prefix, dtype=np.int64), firsts).tolist()
+        stages.insert(0, {u: vs[:cut] for (u, vs), cut in zip(adj.items(), cuts)})
+    # layers count up across groups, phases and stages: a label below the
+    # phase's first layer is stale, and one group's layers never meet the next's
     level, first = [-1] * len(key_l), 0
-    while True:
-        free = [u for u in free if mate_l[u] < 0]
-        best, groups, base = 0, [], first
-        for key, group in itertools.groupby(free, key_l.__getitem__):
-            if key - low <= best:
-                break
-            roots = list(group)
-            for u in roots:
-                level[u] = first
-            gain, stop, queue = best - 1, -1, roots.copy()
-            for u in queue:
-                if level[u] == stop:
+    for graph in stages:
+        if greedy:
+            for u in free:
+                for v in graph[u]:
+                    if mate_r[v] < 0:
+                        mate_l[u], mate_r[v] = v, u
+                        break
+        while True:
+            free = [u for u in free if mate_l[u] < 0]
+            best, groups, base = 0, [], first
+            for key, group in itertools.groupby(free, key_l.__getitem__):
+                if key - low <= best:
                     break
-                nxt = level[u] + 1
-                for v in adj[u]:
-                    w = mate_r[v]
-                    if w < 0:
-                        if key - key_r[v] > gain:
-                            gain = key - key_r[v]
-                            if gain == key - low:
-                                stop = nxt
-                    elif level[w] < base:
-                        level[w] = nxt
-                        queue.append(w)
-            if gain >= best:
-                if gain > best:
-                    best, groups = gain, []
-                groups.append((key, roots))
-            first = level[queue[-1]] + 2
-        if best <= 0:
-            reached = [u for u in adj if level[u] >= base]
-            return ([(u, mate_l[u]) for u in adj if mate_l[u] >= 0],
-                    adj.keys() - reached, {v for u in reached for v in adj[u]})
-        for key, roots in groups:
-            for root in roots:
-                # path[k] is the right vertex through which stack[k + 1] was entered
-                stack, path = [(root, iter(adj[root]))], []
-                while stack:
-                    u, edges = stack[-1]
-                    for v in edges:
+                roots = list(group)
+                for u in roots:
+                    level[u] = first
+                gain, stop, queue = best - 1, -1, roots.copy()
+                for u in queue:
+                    if level[u] == stop:
+                        break
+                    nxt = level[u] + 1
+                    for v in graph[u]:
                         w = mate_r[v]
                         if w < 0:
-                            if key - key_r[v] >= best:
+                            if key - key_r[v] > gain:
+                                gain = key - key_r[v]
+                                if gain == key - low:
+                                    stop = nxt
+                        elif level[w] < base:
+                            level[w] = nxt
+                            queue.append(w)
+                if gain >= best:
+                    if gain > best:
+                        best, groups = gain, []
+                    groups.append((key, roots))
+                first = level[queue[-1]] + 2
+            if best <= 0:
+                break
+            for key, roots in groups:
+                for root in roots:
+                    # path[k] is the right vertex through which stack[k + 1] was entered
+                    stack, path = [(root, iter(graph[root]))], []
+                    while stack:
+                        u, edges = stack[-1]
+                        for v in edges:
+                            w = mate_r[v]
+                            if w < 0:
+                                if key - key_r[v] >= best:
+                                    path.append(v)
+                                    for (x, _), y in zip(stack, path):
+                                        mate_l[x], mate_r[y] = y, x
+                                    stack = None
+                                    break
+                            elif level[w] == level[u] + 1:
                                 path.append(v)
-                                for (x, _), y in zip(stack, path):
-                                    mate_l[x], mate_r[y] = y, x
-                                stack = None
+                                stack.append((w, iter(graph[w])))
                                 break
-                        elif level[w] == level[u] + 1:
-                            path.append(v)
-                            stack.append((w, iter(adj[w])))
-                            break
-                    else:
-                        level[u] = -2  # a dead end, below every layer
-                        stack.pop()
-                        if path:
-                            path.pop()
+                        else:
+                            level[u] = -2  # a dead end, below every layer
+                            stack.pop()
+                            if path:
+                                path.pop()
+    reached = [u for u in adj if level[u] >= base]
+    return ([(u, mate_l[u]) for u in adj if mate_l[u] >= 0],
+            adj.keys() - reached, {v for u in reached for v in adj[u]})
 
 
 def exact_distances(fs: Sequence[ValuedFunction]) -> list[DistanceCertificate]:

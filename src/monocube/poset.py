@@ -19,6 +19,11 @@ pairs:
   unpacked up-set masks on a DAG) after `PosetDomain.check_pair_budget`,
   the exact methods' one size budget, has admitted the domain.
 
+Beside the pairs, `PosetDomain.pair_is_cover_edge` is a cached, read-only
+boolean per comparable pair, True where the pair is a cover edge: one bit
+flipped (``popcount(x ^ y) == 1``) on the hypercube, a listed edge on a
+DAG.  The exact solve starts its matching from those pairs.
+
 `PosetDomain.down_max` is the one downward-max closure sweep, along the
 last axis of one value array or a stack of them: one pass per coordinate
 on the hypercube, one reduction per topological level on a DAG.
@@ -156,6 +161,18 @@ class PosetDomain:
             lowers.append((x + start).astype(np.uint32))
             uppers.append(y.astype(np.uint32))
         return _read_only(np.concatenate(lowers), np.concatenate(uppers))
+
+    @cached_property
+    def pair_is_cover_edge(self) -> np.ndarray:
+        """Read-only boolean per pair of `pair_arrays`, True where the pair
+        is one of `edge_arrays`."""
+        lower, upper = self.pair_arrays
+        if self.kind == "hypercube":
+            flips = lower ^ upper  # nonzero: one bit iff flips & (flips - 1) == 0
+            return _read_only(flips & (flips - 1) == 0)[0]
+        tails, heads = self.edge_arrays
+        edges = tails.astype(np.int64) * self.n + heads
+        return _read_only(np.isin(lower.astype(np.int64) * self.n + upper, edges))[0]
 
     def down_max(self, a: np.ndarray) -> np.ndarray:
         """The downward-max closure along the last axis of a value array or

@@ -19,7 +19,7 @@ from monocube.oracles import (DistanceCertificate, exact_distance,
                               exact_distances, is_monotone,
                               max_gain_matching, violated_pairs, worst_coloring,
                               _repair)
-from monocube import poset
+from monocube import oracles, poset
 from monocube.poset import DomainSizeError, PosetDomain, hypercube
 from monocube.seeds import derive_seed
 from poset_oracles import (enumerate_matchings_check, exact_distance_bruteforce,
@@ -317,20 +317,23 @@ def bipartite_cases():
 BIPARTITE_CASES = bipartite_cases()
 
 
-def engine(adj, key_l=None, key_r=None):
+def engine(adj, key_l=None, key_r=None, cuts=None):
     """`max_gain_matching` on a dict of neighbour lists, searched in dict
     order; by default every left key is 1 and every right key 0, so every
-    pair gains 1."""
+    pair gains 1.  ``cuts[u]``, if given, is the length of u's prefix:
+    its leading edges that the engine matches first."""
     lefts = [u for u, vs in adj.items() for _ in vs]
     rights = [v for vs in adj.values() for v in vs]
+    prefix = None if cuts is None else [i < cuts[u] for u, vs in adj.items()
+                                        for i in range(len(vs))]
     return max_gain_matching(lefts, rights, key_l or [1] * (1 + max(adj, default=-1)),
-                             key_r or [0] * (1 + max(rights, default=-1)))
+                             key_r or [0] * (1 + max(rights, default=-1)), prefix)
 
 
-def hopcroft_karp(adj):
+def hopcroft_karp(adj, cuts=None):
     """The engine with every pair gaining 1: the matching size, and the
     left and right parts of the cover its last search reads."""
-    pairs, left, right = engine(adj)
+    pairs, left, right = engine(adj, cuts=cuts)
     return len(pairs), left, right
 
 
@@ -384,12 +387,16 @@ def small_bipartite(draw):
             for u in range(draw(st.integers(0, 8)))}
 
 
-@given(small_bipartite())
+@given(small_bipartite(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_hopcroft_karp_cover_is_the_canonical_koenig_cover(adj):
+def test_hopcroft_karp_cover_is_the_canonical_koenig_cover(adj, data):
     """Whichever maximum matching the warm-started search ends at, its
-    cover is the one every maximum matching gives."""
-    assert hopcroft_karp(adj) == canonical_koenig_cover(adj)
+    cover is the one every maximum matching gives, also when it first
+    matches a drawn prefix of each left vertex's edges."""
+    expected = canonical_koenig_cover(adj)
+    assert hopcroft_karp(adj) == expected
+    cuts = {u: data.draw(st.integers(0, len(vs))) for u, vs in adj.items()}
+    assert hopcroft_karp(adj, cuts) == expected
 
 
 def best_matching(adj, key_l, key_r):
@@ -427,18 +434,20 @@ def keyed_bipartite(draw):
             draw(st.lists(keys, min_size=right, max_size=right)))
 
 
-@given(keyed_bipartite())
+@given(keyed_bipartite(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_max_gain_matching_is_the_largest_weight_with_fewest_pairs(case):
+def test_max_gain_matching_is_the_largest_weight_with_fewest_pairs(case, data):
     """On any bipartite graph, not only split graphs of a poset, the
     engine's matching has the largest weight and, among those, the fewest
-    pairs."""
+    pairs, also when it is given a drawn prefix of each left vertex's
+    edges."""
     adj, key_l, key_r = case
-    pairs, _, _ = engine(adj, key_l, key_r)
-    assert all(v in adj[u] for (u, v) in pairs)
-    assert len({u for u, _ in pairs}) == len({v for _, v in pairs}) == len(pairs)
-    assert (sum(key_l[u] - key_r[v] for (u, v) in pairs), len(pairs)) \
-        == best_matching(adj, key_l, key_r)
+    cuts = {u: data.draw(st.integers(0, len(vs))) for u, vs in adj.items()}
+    for pairs, _, _ in (engine(adj, key_l, key_r), engine(adj, key_l, key_r, cuts)):
+        assert all(v in adj[u] for (u, v) in pairs)
+        assert len({u for u, _ in pairs}) == len({v for _, v in pairs}) == len(pairs)
+        assert (sum(key_l[u] - key_r[v] for (u, v) in pairs), len(pairs)) \
+            == best_matching(adj, key_l, key_r)
 
 
 def test_cover_certifies_violations():
@@ -577,21 +586,68 @@ def zigzag(n):
     return adj
 
 
-@pytest.mark.parametrize("equal_keys", [True, False], ids=["equal-keys", "rank-keys"])
-def test_max_gain_matching_keeps_recursion_limit(equal_keys):
+@pytest.mark.parametrize("equal_keys, prefix", [(True, False), (True, True), (False, False)],
+                         ids=["equal-keys", "equal-keys-prefix", "rank-keys"])
+def test_max_gain_matching_keeps_recursion_limit(equal_keys, prefix):
     """A greedy start, or a first phase of gain 2, matches a_i to b_(i-1)
     and leaves a_0 and b_n free; the last augmenting path then runs
-    through all 2n + 2 vertices, deeper than the recursion limit."""
+    through all 2n + 2 vertices, deeper than the recursion limit.  With
+    every edge in the prefix, that path is found by the prefix's phases."""
     n = 3000
     key_l = [1] * (n + 1) if equal_keys else [1] + [2] * n
+    adj = zigzag(n)
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        pairs, _, _ = engine(zigzag(n), key_l, [0] * (n + 1))
+        pairs, _, _ = engine(adj, key_l, [0] * (n + 1),
+                             {u: len(vs) for u, vs in adj.items()} if prefix else None)
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
     assert sorted(pairs) == [(i, i) for i in range(n + 1)]
+
+
+def cover_edge_stacks():
+    """Stacks on one domain each: random functions with 2, 3 or 8 values
+    on hypercubes d = 1..8, a function with its decomposition's parts, and
+    random functions on random DAGs (forward edges of a shuffled order)."""
+    rng = random.Random(31)
+    stacks = [[random_function(hypercube(d), r, 100 * d + seed)
+               for r in (2, 3, 8) for seed in range(3)] for d in range(1, 9)]
+    for d in (4, 6, 8):
+        dec = decompose(random_function(hypercube(d), 8, d))
+        stacks.append([dec.f, *(fi for fi, _ in dec.components)])
+    for n in (1, 2, 7, 20, 60, 150):
+        order = rng.sample(range(n), n)
+        edges = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < 3 / n]
+        domain = PosetDomain("dag", n=n, edges=edges)
+        stacks.append([ValuedFunction(domain, tuple(rng.randrange(r) for _ in range(n)))
+                       for r in (2, 3, 8) for _ in range(3)])
+    return stacks
+
+
+def test_cover_edge_start_changes_no_certificate(monkeypatch):
+    """`of_all` gives the same certificates when the engine gets no
+    cover-edge prefix, and when no pair is flagged as a cover edge, so
+    every left cell lists its pairs in pair order."""
+    stacks = cover_edge_stacks()
+    solved = [DistanceCertificate.of_all(fs) for fs in stacks]
+    assert sum(c.cover_size for certs in solved for c in certs) > 0
+    unmasked_engine = oracles.max_gain_matching
+    with monkeypatch.context() as mp:
+        mp.setattr(oracles, "max_gain_matching", lambda *args: unmasked_engine(*args[:4]))
+        unmasked = [DistanceCertificate.of_all(fs) for fs in stacks]
+    with monkeypatch.context() as mp:
+        mp.setattr(PosetDomain, "pair_is_cover_edge",
+                   property(lambda dom: np.zeros(len(dom.pair_arrays[0]), dtype=bool)))
+        in_pair_order = [DistanceCertificate.of_all(fs) for fs in stacks]
+    for certs, *others in zip(solved, unmasked, in_pair_order):
+        for other in others:
+            for a, b in zip(certs, other, strict=True):
+                assert a.epsilon == b.epsilon and a.vertex_cover == b.vertex_cover
+                assert (a.source is None and b.source is None) \
+                    or np.array_equal(a.source, b.source)
 
 
 def scan_repair(f, cover):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from monocube import poset
 from monocube.poset import (CycleError, DomainSizeError, PosetDomain,
-                            build_domain, hypercube)
+                            build_domain, hypercube, read_domain)
 from poset_oracles import (comparable_pairs_walk, position_relative_to, reach_masks,
                            sinks_above, sources_below, sweeping_edges)
 
@@ -152,6 +153,46 @@ def test_pair_arrays_match_the_bitmask_walk(spec):
         assert not lower.flags.writeable and not upper.flags.writeable
         assert list(zip(lower.tolist(), upper.tolist())) == walk
         assert dom.pair_arrays[0] is lower  # cached
+
+
+def assert_cover_edge_flags(dom):
+    """`pair_is_cover_edge` is cached, read-only and True exactly on the
+    pairs that `cover_edges()` lists; on the hypercube, exactly on the
+    pairs one bit apart."""
+    flags = dom.pair_is_cover_edge
+    assert flags.dtype == bool and not flags.flags.writeable
+    assert dom.pair_is_cover_edge is flags
+    with pytest.raises(ValueError):
+        flags[:1] = True
+    edges = set(dom.cover_edges())
+    pairs = closure_pairs(dom)
+    assert flags.tolist() == [pair in edges for pair in pairs]
+    if dom.kind == "hypercube":
+        assert flags.tolist() == [bin(x ^ y).count("1") == 1 for x, y in pairs]
+    assert np.count_nonzero(flags) == len(edges)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_cover_edge_flags_on_hypercubes(d):
+    assert_cover_edge_flags(PosetDomain("hypercube", d=d))
+
+
+@pytest.mark.parametrize("spec", [s for s in PAIR_DOMAINS if s[0] != "cube"],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_cover_edge_flags_on_dags(spec):
+    assert_cover_edge_flags(pair_domain(spec))
+
+
+def test_cover_edge_flags_of_a_domain_file_with_transitive_and_duplicate_edges(tmp_path):
+    """A listed edge is a cover edge, also when the order implies it or
+    when it is listed twice; the implied pair (0, 3) is not."""
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [0, 2], [2, 3], [0, 1]]}))
+    dom = read_domain(path)
+    assert_cover_edge_flags(dom)
+    assert dict(zip(closure_pairs(dom), dom.pair_is_cover_edge.tolist())) == {
+        (0, 1): True, (0, 2): True, (0, 3): False, (1, 2): True, (1, 3): False,
+        (2, 3): True}
 
 
 @pytest.mark.parametrize("spec", PAIR_DOMAINS, ids=lambda s: "-".join(map(str, s)))
