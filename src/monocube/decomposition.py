@@ -173,7 +173,7 @@ def merge_pairs(domain: PosetDomain, matching: Matching) -> tuple[SweepingGraph,
     that is finer than every such P: the unique finest one.
     """
     matching.validate_order(domain)
-    up, down = domain._up_masks(), domain._down_masks()  # noqa: SLF001
+    up, down = domain.up_masks, domain.down_masks
     # first pair index -> (graph mask, up(S) mask, down(T) mask, S, T)
     blocks: dict[int, tuple[int, int, int, frozenset[int], frozenset[int]]] = {}
     covered = 0  # the union of the blocks' graphs: a pair that misses it meets none
@@ -221,8 +221,7 @@ def _part_masks(f: ValuedFunction, graphs: Sequence[SweepingGraph]) -> list[int]
     source, and every source s lies in H_i (s is below its matched sink),
     so those are up(S_i) minus H_i: `OFF_GRAPH_RULE`.
     """
-    down = f.domain._down_masks()  # noqa: SLF001
-    up = f.domain._up_masks()  # noqa: SLF001
+    up, down = f.domain.up_masks, f.domain.down_masks
     ranks = f.ranks.tolist()
     below = _below_rank_masks(ranks)
     ones = []
@@ -420,7 +419,7 @@ def _unviolated_block_pairs(dec: Decomposition) -> Iterator[str]:
     violate, and the first such sink in set order: one bitmask per
     source, the block sinks above it whose rank is not below its own."""
     f = dec.f
-    up = f.domain._up_masks()  # noqa: SLF001
+    up = f.domain.up_masks
     ranks = f.ranks.tolist()
     below = _below_rank_masks(ranks)
     for idx, (_, graph) in enumerate(dec.components):

@@ -207,8 +207,8 @@ def approx_mono(oracle: CountingOracle, seed: int, *, epsilon: float,
     # search level runs the tolerant tester at epsilon = 1/2.
     if not 0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
-    if c_prime <= 0:
-        raise ValueError("c_prime must be positive")
+    if not 0 < c_prime < math.inf:  # nan included
+        raise ValueError("c_prime must be positive and finite")
     d = dimension(oracle.domain, "approx_mono")
     start = oracle.query_count
     L = sqrt_d_log_d(d)

@@ -203,12 +203,12 @@ def weight_function(d: int) -> ValuedFunction:
 # relative to the function file.
 
 
-def write_function(f: ValuedFunction, path: str, domain_path: str | None = None) -> None:
+def write_function(f: ValuedFunction, path: str) -> None:
+    """Write f to ``path``, and a DAG's domain beside it as ``<stem>.domain.json``."""
     if f.domain.kind == "hypercube":
         doc = {"d": f.domain.d, "values": list(f.values)}
     else:
-        if domain_path is None:
-            domain_path = os.path.splitext(path)[0] + ".domain.json"
+        domain_path = os.path.splitext(path)[0] + ".domain.json"
         with open(domain_path, "w") as fh:
             json.dump({"n": f.domain.n, "edges": [list(e) for e in f.domain.cover_edges()]},
                       fh)

@@ -71,7 +71,6 @@ class ViolationProfile:
     out: np.ndarray          # I_minus per vertex
     total: np.ndarray        # U_minus per vertex
     undirected: np.ndarray   # I_undirected per vertex
-    influential_edge_count: int
 
     @classmethod
     def of(cls, f: ValuedFunction) -> "ViolationProfile":
@@ -87,8 +86,7 @@ class ViolationProfile:
         out = np.bincount(lower, minlength=n)
         return cls(violated, lower, upper, out,
                    total=out + np.bincount(upper, minlength=n),
-                   undirected=out + np.bincount(rising, minlength=n),
-                   influential_edge_count=len(lower) + len(rising))
+                   undirected=out + np.bincount(rising, minlength=n))
 
     @property
     def num_violated(self) -> int:

@@ -364,21 +364,22 @@ def exact_distance(f: ValuedFunction) -> DistanceCertificate:
 def _repair(domain: PosetDomain, ranks: np.ndarray, cover: np.ndarray) -> np.ndarray:
     """Monotone extensions keeping each row of a ``(rows, n)`` rank stack
     off its row of the boolean ``(rows, n)`` cover stack, as the vertex
-    each point copies: row r's g(z) = f(x) for the smallest kept x <= z of
-    largest value, falling back to the first kept vertex of smallest value
-    when no kept x is below z.
+    each point copies: a kept z itself, a covered z the smallest kept x <= z
+    of largest value, or the first kept vertex of smallest value when no
+    kept x is below z.
 
     One downward-max closure sweep over the key rank*n + (n-1-x) of the
-    kept vertices picks that x for every row and z at once; g copies the
-    value object stored at x, so an int and an equal float are never
-    swapped.
+    kept vertices picks that x for every row and z at once.  As g copies
+    the value object at x, a kept vertex echoes its own value, not an
+    equal one of another type or sign (0, 0.0, -0.0).
     """
     n = domain.n
     kept = ~cover
     ranks = ranks.astype(np.int64)
-    best = domain.down_max(np.where(kept, ranks * n + (n - 1 - np.arange(n)), -1))
+    ids = np.arange(n)
+    best = domain.down_max(np.where(kept, ranks * n + (n - 1 - ids), -1))
     fallback = np.where(kept, ranks, np.iinfo(np.int64).max).argmin(axis=1)
-    return np.where(best < 0, fallback[:, None], n - 1 - best % n)
+    return np.where(kept, ids, np.where(best < 0, fallback[:, None], n - 1 - best % n))
 
 
 def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",

@@ -3,9 +3,13 @@
 Vertices are integers ``0..n-1``.  For a hypercube of dimension ``d``,
 coordinate ``i`` (1-based) of vertex ``x`` is bit ``i-1`` of ``x``, so
 ``n = 2**d`` and every cover edge flips exactly one bit from 0 to 1.
-Reachability and sweeping graphs are answered from per-vertex up-set /
-down-set bitmasks (Python ints), which are built lazily and cached on
-the domain.
+Reachability on a DAG and every sweeping graph are read from
+`PosetDomain.up_masks` and `PosetDomain.down_masks`, the per-vertex
+up-set and down-set bitmasks (Python ints), built lazily by one pass
+over the cover edges and cached on the domain.  The hypercube answers
+`reaches` and `num_edges` in closed form, without them.  A DAG's one
+topological pass (Kahn's) gives both its order and each vertex's level,
+the length of the longest path ending there.
 
 Whole-table scans read two kinds of cached, read-only ``uint32`` array
 pairs:
@@ -75,7 +79,6 @@ class PosetDomain:
             self.kind = "hypercube"
             self.d = d
             self.n = 1 << d
-            self._edges: list[tuple[int, int]] | None = None
         elif kind == "dag":
             if n is None or n < 1:
                 raise ValueError("dag vertex count must be >= 1")
@@ -90,11 +93,9 @@ class PosetDomain:
             self.d = None
             self.n = n
             self._edges = sorted(set(edges))
-            self._topo = _topological_order(n, self._edges)
+            self._topo, self._level = _topological_order(n, self._edges)
         else:
             raise ValueError(f"unknown domain kind: {kind}")
-        self._up: list[int] | None = None
-        self._down: list[int] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -110,12 +111,10 @@ class PosetDomain:
     # -- edges and reachability -----------------------------------------------
 
     def cover_edges(self) -> list[tuple[int, int]]:
-        """All domain edges (x, y).  For hypercubes these are the single-bit
-        upward flips, d * 2^(d-1) in total."""
-        if self._edges is None:
-            lower, upper = self.edge_arrays
-            self._edges = list(zip(lower.tolist(), upper.tolist()))
-        return list(self._edges)
+        """All domain edges (x, y), in `edge_arrays` order.  For hypercubes
+        these are the single-bit upward flips, d * 2^(d-1) in total."""
+        lower, upper = self.edge_arrays
+        return list(zip(lower.tolist(), upper.tolist()))
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +146,7 @@ class PosetDomain:
             def at_most(rows: slice) -> np.ndarray:  # x <= y iff x & ~y == 0
                 return (ids[rows, None] & ~ids) == 0
         else:
-            up = self._up_masks()
+            up = self.up_masks
 
             def at_most(rows: slice) -> np.ndarray:  # bit y of up[x]: x <= y
                 return mask_array(up[rows], n)
@@ -199,15 +198,8 @@ class PosetDomain:
         endpoints themselves.  Every edge into a level leaves a lower one."""
         if not self._edges:
             return []
-        succ: list[list[int]] = [[] for _ in range(self.n)]
-        for (u, v) in self._edges:
-            succ[u].append(v)
-        level = [0] * self.n
-        for x in self._topo:
-            for v in succ[x]:
-                level[v] = max(level[v], level[x] + 1)
         lower, upper = (e.astype(np.intp) for e in self.edge_arrays)
-        edge_level = np.array(level, dtype=np.intp)[upper]
+        edge_level = np.array(self._level, dtype=np.intp)[upper]
         order = np.lexsort((upper, edge_level))
         bounds = np.flatnonzero(np.diff(edge_level[order])) + 1
         levels = []
@@ -228,19 +220,17 @@ class PosetDomain:
         self.check_vertex(y)
         if self.kind == "hypercube":
             return (x & y) == x
-        return bool(self._up_masks()[x] >> y & 1)
+        return bool(self.up_masks[x] >> y & 1)
 
-    def _up_masks(self) -> list[int]:
-        """up[x] = bitmask of {y : x <= y}, including x itself."""
-        if self._up is None:
-            self._up = self._closure_masks(upward=True)
-        return self._up
+    @cached_property
+    def up_masks(self) -> list[int]:
+        """``up_masks[x]`` = bitmask of {y : x <= y}, including x itself."""
+        return self._closure_masks(upward=True)
 
-    def _down_masks(self) -> list[int]:
-        """down[x] = bitmask of {y : y <= x}, including x itself."""
-        if self._down is None:
-            self._down = self._closure_masks(upward=False)
-        return self._down
+    @cached_property
+    def down_masks(self) -> list[int]:
+        """``down_masks[x]`` = bitmask of {y : y <= x}, including x itself."""
+        return self._closure_masks(upward=False)
 
     def _closure_masks(self, upward: bool) -> list[int]:
         """One pass over the cover edges: each vertex's mask absorbs those of
@@ -289,8 +279,7 @@ class PosetDomain:
             self.check_vertex(v)
         if S & T:
             raise ValueError(f"source and sink sets overlap: {sorted(S & T)}")
-        up = self._up_masks()
-        down = self._down_masks()
+        up, down = self.up_masks, self.down_masks
         up_S = 0
         for s in S:
             up_S |= up[s]
@@ -354,8 +343,12 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _topological_order(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+def _topological_order(n: int, edges: Sequence[tuple[int, int]]
+                       ) -> tuple[list[int], list[int]]:
+    """Kahn's order of the DAG, and each vertex's level: the length of the
+    longest path ending there."""
     indeg = [0] * n
+    level = [0] * n
     out: list[list[int]] = [[] for _ in range(n)]
     for (u, v) in edges:
         out[u].append(v)
@@ -368,31 +361,26 @@ def _topological_order(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
         head += 1
         order.append(x)
         for v in out[x]:
+            level[v] = max(level[v], level[x] + 1)
             indeg[v] -= 1
             if indeg[v] == 0:
                 queue.append(v)
     if len(order) != n:
         raise CycleError("edge list contains a directed cycle")
-    return order
+    return order, level
 
 
 def build_domain(spec) -> PosetDomain:
-    """Build a domain from a dimension, an (n, edges) pair, or a parsed
-    JSON mapping ({"d": ...} or {"n": ..., "edges": [[u, v], ...]}).  A
-    dimension gives the shared `hypercube` instance."""
-    if isinstance(spec, int):
-        return hypercube(spec)
+    """Build a domain from a parsed JSON mapping: {"d": ...} gives the
+    shared `hypercube` instance, {"n": ..., "edges": [[u, v], ...]} a
+    DAG."""
     if isinstance(spec, dict):
         if "d" in spec:
             return hypercube(int(spec["d"]))
         if "n" in spec:
             edges = [(int(u), int(v)) for u, v in spec.get("edges", [])]
             return PosetDomain("dag", n=int(spec["n"]), edges=edges)
-        raise ValueError("domain mapping needs a 'd' or 'n' key")
-    if isinstance(spec, tuple) and len(spec) == 2:
-        n, edges = spec
-        return PosetDomain("dag", n=n, edges=edges)
-    raise ValueError(f"cannot build a domain from {spec!r}")
+    raise ValueError("domain mapping needs a 'd' or 'n' key")
 
 
 @lru_cache(maxsize=None)

@@ -74,18 +74,31 @@ def tau_schedule(d: int) -> list[int]:
     return taus
 
 
-def repetitions(d: int, epsilon: float, r: int, budget_constant: float) -> int:
-    """Draws per (b, tau) setting on the d-cube: budget * min(r sqrt(d)/eps^2,
-    d/eps) times an explicit (log2 d + 1) factor.  The pair tester's
-    parameters are validated here."""
+def _draw_count(epsilon: float, budget_constant: float, count) -> int:
+    """``count()`` rounded up, at least one, once epsilon lies in (0,1), the
+    budget is positive and the count is finite: the testers' one parameter
+    check, made before any draw."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0,1)")
-    if r < 1:
-        raise ValueError("image size r must be >= 1")
     if not budget_constant > 0:  # nan included
         raise ValueError("budget_constant must be positive")
-    base = min(r * math.sqrt(d) / epsilon**2, d / epsilon)
-    return max(1, math.ceil(budget_constant * base * (math.log2(d) + 1 if d > 1 else 1)))
+    try:
+        draws = count()
+    except ZeroDivisionError:  # epsilon**2 is 0.0 below about 1e-162
+        draws = math.inf
+    if not math.isfinite(draws):
+        raise ValueError(f"epsilon {epsilon} and budget_constant {budget_constant} "
+                         "give no finite draw count")
+    return max(1, math.ceil(draws))
+
+
+def repetitions(d: int, epsilon: float, r: int, budget_constant: float) -> int:
+    """Draws per (b, tau) setting on the d-cube: budget * min(r sqrt(d)/eps^2,
+    d/eps) times an explicit (log2 d + 1) factor."""
+    if r < 1:
+        raise ValueError("image size r must be >= 1")
+    return _draw_count(epsilon, budget_constant, lambda: budget_constant * min(
+        r * math.sqrt(d) / epsilon**2, d / epsilon) * (math.log2(d) + 1 if d > 1 else 1))
 
 
 def pair_draws(rng: np.random.Generator, d: int, settings: list, reps: int) -> np.ndarray:
@@ -190,12 +203,8 @@ def edge_tester(oracle: CountingOracle, seed: int, *, epsilon: float,
                 budget_constant: float = DEFAULT_BUDGET_CONSTANT) -> TesterReport:
     """Uniformly random directed edges; rejects on a violated edge.  The
     per-draw rejection probability is exactly |S_f^-| / (d 2^(d-1))."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0,1)")
-    if not budget_constant > 0:  # nan included
-        raise ValueError("budget_constant must be positive")
     d = dimension(oracle.domain, "edge_tester")
-    reps = max(1, math.ceil(budget_constant * d / epsilon))
+    reps = _draw_count(epsilon, budget_constant, lambda: budget_constant * d / epsilon)
     edges = edge_draws(np.random.default_rng(seed), d, reps)
     return _evaluate_schedule(oracle, [(0, 1)], edges[None])
 
@@ -211,7 +220,9 @@ class RejectionMeasurement:
     per_setting: dict  # (b, tau) -> draws and violations summed over the trials
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval of a binomial rate, (0, 1) for no trials."""
+    z = 1.959964
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials

@@ -212,7 +212,7 @@ def test_oversized_input_is_a_usage_error(tmp_path, capsys):
     # the suite decomposes before it solves, and is refused by the same budget
     assert run(["verify-inequalities", "--d", "13", "--r", "3", "--count", "1"]) == 2
     assert capsys.readouterr().err == err
-    assert hypercube(13)._up is None  # refused before any mask was built
+    assert "up_masks" not in vars(hypercube(13))  # refused before any mask was built
 
 
 CHECKS_NOTHING = [("verify-inequalities", option) for option in
@@ -234,6 +234,19 @@ def test_a_count_that_checks_nothing_is_a_usage_error(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.err == f"error: {option[0]} must be at least " \
                            f"{1 if option[0] == '--jobs' else 0}, not {option[1]}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("budget", ["inf", "1e308"])
+def test_a_budget_without_a_finite_draw_count_is_a_usage_error(tmp_path, capsys, budget):
+    fn, out = tmp_path / "f.json", tmp_path / "o.json"
+    assert run(["gen-function", "--d", "3", "--out", str(fn)]) == 0
+    capsys.readouterr()
+    assert run(["test-monotone", "--fn", str(fn), "--eps", "0.5", "--trials", "2",
+                "--budget", budget, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: epsilon 0.5 and budget_constant {float(budget)} "
+                            "give no finite draw count\n")
     assert captured.out == "" and not out.exists()
 
 
@@ -311,16 +324,18 @@ def test_report_meta_fields(tmp_path):
 
 
 def test_exact_distance_echoes_the_values_a_file_holds(tmp_path):
-    """1 and 1.0 share a level, and so do -0.0 and 0.0, but the report
+    """1 and 1.0 share a level, and so do -0.0, 0.0 and 0, but the report
     writes each repaired value as the value object the file holds at the
-    vertex it copies, type and sign included.  On three incomparable
-    atoms, three incomparable middle vertices and one violating top,
-    every unchanged vertex copies itself and echoes its own value."""
-    values = [-5, -0.0, 0.0, 1, 0, 1.0, 1, 0.5]
+    vertex it copies, type and sign included.  Every kept vertex copies
+    itself and echoes its own value: in the second file vertex 5 keeps
+    its 0, though the kept -0.0 at vertex 0 below it shares its rank."""
+    cases = [([-5, -0.0, 0.0, 1, 0, 1.0, 1, 0.5], [7], [-5, -0.0, 0.0, 1, 0, 1.0, 1, 1]),
+             ([-0.0, 0.0, 1, 1.0, 1.0, 0, 1, -0.0], [4, 7],
+              [-0.0, 0.0, 1, 1.0, -0.0, 0, 1, 1])]
     fn, out = tmp_path / "f.json", tmp_path / "out.json"
-    fn.write_text(json.dumps({"d": 3, "values": values}))
-    assert run(["exact-distance", "--fn", str(fn), "--out", str(out)]) == 0
-    result = json.loads(out.read_text())["result"]
-    repaired, cover = result["repaired_values"], result["vertex_cover"]
-    assert cover == [7] and repr(repaired[7]) == "1"
-    assert [repr(v) for v in repaired[:7]] == [repr(v) for v in values[:7]]
+    for values, expected_cover, expected in cases:
+        fn.write_text(json.dumps({"d": 3, "values": values}))
+        assert run(["exact-distance", "--fn", str(fn), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["vertex_cover"] == expected_cover
+        assert [repr(v) for v in result["repaired_values"]] == [repr(v) for v in expected]

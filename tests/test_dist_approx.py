@@ -231,8 +231,10 @@ def test_approx_mono_config_validation():
     oracle = CountingOracle(anti_dictator(3))
     with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1/2\]$"):
         approx_mono(oracle, 0, epsilon=0.6)
-    with pytest.raises(ValueError, match="^c_prime must be positive$"):
-        approx_mono(oracle, 0, epsilon=0.3, c_prime=0)
+    for c_prime in (0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^c_prime must be positive and finite$"):
+            approx_mono(oracle, 0, epsilon=0.3, c_prime=c_prime)
+    assert oracle.query_count == 0
     approx_mono(oracle, 0, epsilon=0.5)  # top search level is admitted
 
 

@@ -76,7 +76,7 @@ GOLDEN = [
     (["exact-distance", "--fn", "bool-d8.json"],
      "a6c94a099b31dd327c0f28f05d0f603f1b63109eb495ab632c4bee94437b1b83"),
     (["exact-distance", "--fn", "tied-d5.json"],
-     "b1ca16815dcf36618b102688b66ff24594a47dfbbd5cb9a3088368a5f30432fa"),
+     "37a10ca841e7f3a4d7d7d0aaff73dc18818898c9b16f07d18c3d2ea500281d7d"),
     (["decompose", "--fn", "tied-d6.json"],
      "a63033ed7df8c3406e02ccbaba5b2e27c2a0daaffbb34f9ec5f1da32f123b765"),
     (["decompose", "--fn", "bool-d8.json"],

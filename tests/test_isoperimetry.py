@@ -53,7 +53,6 @@ def test_profile_count_identities():
         p = violation_profile(f)
         assert p.out.sum() == p.num_violated
         assert p.total.sum() == 2 * p.num_violated
-        assert p.undirected.sum() == p.influential_edge_count
 
 
 def test_directed_objective_examples():
@@ -381,10 +380,9 @@ def test_profile_dump_keeps_the_freeze_count(monkeypatch, caller_froze, build_ra
 
 def brute_profile(f, edges):
     """The per-edge loop over an explicit edge list: violated edges, the
-    directed, total and undirected counts, and the influential-edge count."""
+    directed, total and undirected counts."""
     n = f.domain.n
     out, total, undirected, violated = [0] * n, [0] * n, [0] * n, []
-    influential = 0
     for (x, y) in edges:
         vx, vy = f.values[x], f.values[y]
         if vx > vy:
@@ -393,11 +391,9 @@ def brute_profile(f, edges):
             total[x] += 1
             total[y] += 1
             undirected[x] += 1
-            influential += 1
         elif vx < vy:
             undirected[y] += 1
-            influential += 1
-    return tuple(violated), tuple(out), tuple(total), tuple(undirected), influential
+    return tuple(violated), tuple(out), tuple(total), tuple(undirected)
 
 
 MIXED_VALUES = st.integers(0, 4) | st.sampled_from([0.5, 1.0, 2.5, 3.0, -1.0])
@@ -432,10 +428,10 @@ def test_profile_agrees_with_edge_loop(case):
     assert f.domain.cover_edges() == edges
     p = violation_profile(f)
     assert (violated_edges(p), tuple(p.out.tolist()), tuple(p.total.tolist()),
-            tuple(p.undirected.tolist()), p.influential_edge_count) == brute_profile(f, edges)
+            tuple(p.undirected.tolist())) == brute_profile(f, edges)
     assert violation_profile(f) is p
     n = f.domain.n
-    violated, out, total, undirected, _ = brute_profile(f, edges)
+    violated, out, total, undirected = brute_profile(f, edges)
     dump = profile_dump(f)
     assert dump["violated_edges"] == [list(e) for e in violated]
     assert (dump["I_minus"], dump["U_minus"], dump["I_undirected"]) \

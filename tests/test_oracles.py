@@ -108,7 +108,7 @@ def test_exact_distance_pair_budget():
     over = PosetDomain("dag", n=1449, edges=[(0, 1)])
     with pytest.raises(DomainSizeError, match="1049076 comparable pairs"):
         exact_distance(ValuedFunction(over, (1,) + (0,) * 1448))
-    assert over._up is None  # refused before any mask was built
+    assert "up_masks" not in vars(over)  # refused before any mask was built
 
 
 def counting_solves(monkeypatch):
@@ -651,13 +651,16 @@ def test_cover_edge_start_changes_no_certificate(monkeypatch):
 
 
 def scan_repair(f, cover):
-    """The repair by its definition, one kept vertex at a time: g(z) is the
-    first largest f(x) over kept x <= z in vertex order, else the first
-    smallest kept value."""
+    """The repair by its definition, one vertex at a time: a kept z keeps
+    f(z); a covered z gets the first largest f(x) over kept x <= z in
+    vertex order, else the first smallest kept value."""
     kept = [x for x in range(f.n) if x not in cover]
     fallback = min(f.values[x] for x in kept)
     out = []
     for z in range(f.n):
+        if z not in cover:
+            out.append(f.values[z])
+            continue
         best = None
         for x in kept:
             if f.domain.reaches(x, z) and (best is None or f.values[x] > best):

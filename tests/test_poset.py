@@ -101,16 +101,16 @@ def test_reaches_agrees_with_edge_built_dag(d):
     hc = hypercube(d)
     dag = PosetDomain("dag", n=hc.n, edges=hc.cover_edges())
     for domain in (hc, dag):
-        assert domain._up_masks() == list(reach_masks(domain))
-        assert domain._down_masks() == list(reach_masks(domain, upward=False))
+        assert domain.up_masks == list(reach_masks(domain))
+        assert domain.down_masks == list(reach_masks(domain, upward=False))
 
 
 def test_reaches_agrees_at_d10():
     hc = hypercube(10)
     dag = PosetDomain("dag", n=hc.n, edges=hc.cover_edges())
     walk = list(reach_masks(hc))
-    assert hc._up_masks() == walk
-    assert dag._up_masks() == walk
+    assert hc.up_masks == walk
+    assert dag.up_masks == walk
 
 
 def random_dag(n, seed):
@@ -219,8 +219,7 @@ def test_pair_arrays_refused_before_any_mask_is_built():
     for dom in (PosetDomain("hypercube", d=13), PosetDomain("dag", n=1449, edges=[(0, 1)])):
         with pytest.raises(DomainSizeError):
             dom.pair_arrays
-        assert dom._up is None and dom._down is None
-        assert not {"pair_arrays", "edge_arrays"} & set(vars(dom))
+        assert not {"up_masks", "down_masks", "pair_arrays", "edge_arrays"} & set(vars(dom))
 
 
 def closure_pairs(domain):
@@ -337,6 +336,14 @@ def test_position_relative_to():
         assert position_relative_to(dom, z, full) == "inside"
 
 
+@pytest.mark.parametrize("d", [1, 12, 20])
+def test_hypercube_reaches_and_counts_edges_in_closed_form(d):
+    dom = PosetDomain("hypercube", d=d)
+    assert dom.reaches(0, dom.n - 1) and not dom.reaches(dom.n - 1, 0)
+    assert dom.num_edges == d << (d - 1)
+    assert not {"up_masks", "down_masks", "edge_arrays", "pair_arrays"} & set(vars(dom))
+
+
 def test_position_neither(chain3):
     H = chain3.sweeping_graph({0}, {1})
     dom = PosetDomain("dag", n=4, edges=[(0, 1), (1, 2)])
@@ -346,7 +353,6 @@ def test_position_neither(chain3):
 
 
 def test_build_domain_forms():
-    assert build_domain(3).kind == "hypercube"
     assert build_domain({"d": 2}).n == 4
     dag = build_domain({"n": 3, "edges": [[0, 1], [1, 2]]})
     assert dag.kind == "dag" and dag.reaches(0, 2)

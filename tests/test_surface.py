@@ -102,3 +102,26 @@ def test_every_allowed_name_is_defined_and_otherwise_unreached():
                    or name not in unreached(definitions, entry, members,
                                             ALLOWED.keys() - {name}))
     assert stale == [], f"ALLOWED names that are gone or now reached: {stale}"
+
+
+def private_reads():
+    """Each ``x._name`` in `src/monocube` whose object is not ``self`` or
+    ``cls``, as ``module:line: source``; dunder names are not private."""
+    found = []
+    for filename in sorted(os.listdir(SRC)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, filename)) as fh:
+            tree = ast.parse(fh.read(), filename)
+        found += [f"{filename[:-3]}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not node.attr.startswith("__")
+                  and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+    return found
+
+
+def test_no_module_reads_another_objects_private_attributes():
+    # a class's private state is read only by its own methods; other
+    # modules go through its public names
+    assert private_reads() == []

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from functools import partial
 from itertools import combinations
@@ -38,14 +39,22 @@ def test_config_validation():
         pair_tester(oracle, 0, epsilon=0.5, r=0)
     with pytest.raises(ValueError, match="^budget_constant must be positive$"):
         pair_tester(oracle, 0, epsilon=0.5, r=2, budget_constant=0)
+    # epsilon**2 underflows to 0.0: refused like any count that is not finite
+    with pytest.raises(ValueError, match=r"^epsilon 1e-200 and budget_constant 4\.0 give no "):
+        pair_tester(oracle, 0, epsilon=1e-200, r=2)
+    assert oracle.query_count == 0
 
 
-@pytest.mark.parametrize("budget", [0, -3.0, math.nan])
+@pytest.mark.parametrize("budget", [0, -3.0, math.nan, math.inf, 1e308])
 @pytest.mark.parametrize("tester", [partial(pair_tester, r=2), edge_tester],
                          ids=["pair_tester", "edge_tester"])
 def test_budget_constant_must_be_positive(tester, budget):
+    # an infinite budget, or a finite one whose draw count overflows, is
+    # refused as a usage error too
     oracle = CountingOracle(anti_dictator(6))
-    with pytest.raises(ValueError, match="^budget_constant must be positive$"):
+    message = ("budget_constant must be positive" if not budget > 0 else
+               f"epsilon 0.5 and budget_constant {budget} give no finite draw count")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         tester(oracle, 0, epsilon=0.5, budget_constant=budget)
     assert oracle.query_count == 0
 
