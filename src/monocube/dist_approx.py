@@ -44,7 +44,7 @@ import numpy as np
 from .funcs import CountingOracle, ValuedFunction, index_dtype
 from .seeds import derive_seed
 from .poset import PosetDomain
-from .testers import dimension, edge_draws
+from .testers import dimension, edge_draws, finite_count
 
 
 # The run's failure probability, split evenly across its estimates.
@@ -123,7 +123,9 @@ def hoeffding_samples(additive_error: float, failure_prob: float) -> int:
     """Two-sided Hoeffding sample count for a [0,1] mean estimate."""
     if not 0 < additive_error < 1 or not 0 < failure_prob < 1:
         raise ValueError("additive_error and failure_prob must lie in (0,1)")
-    return math.ceil(math.log(2.0 / failure_prob) / (2.0 * additive_error**2))
+    return finite_count(lambda: math.log(2.0 / failure_prob) / (2.0 * additive_error**2),
+                        f"additive error {additive_error} and failure probability "
+                        f"{failure_prob} give no finite sample count")
 
 
 @dataclass(frozen=True)
@@ -219,6 +221,11 @@ def approx_mono(oracle: CountingOracle, seed: int, *, epsilon: float,
     edge_thr = 3.0 * epsilon / (4.0 * L)
     mu_err = c_prime * epsilon / (4.0 * L)
     mu_thr = 3.0 * c_prime * epsilon / (4.0 * L)
+    try:  # before any query: an error of 1 or more, or one too small to size
+        hoeffding_samples(mu_err, delta_each)
+    except ValueError as exc:
+        raise ValueError(f"c_prime {c_prime} leaves the mu estimates no sample count "
+                         f"({exc})") from exc
 
     edge_est = violated_fraction_estimate(oracle, edge_err, delta_each, derive_seed(seed, 0))
 

@@ -14,15 +14,15 @@ violated pair, the distance to monotonicity, and the image size
 outside the library, so reports echo them as given (1 and 1.0 share a
 level); `ValuedFunction.of_ranks` takes ranks the library made
 (`from_table`, a decomposition's bit-stack rows), scans nothing and
-builds ``values`` only when read.  The violation profile (see
-`isoperimetry`) and the exact distance certificate (see `oracles`) are
-cached on the function.
+builds ``values`` only when read.  `isoperimetry.violation_profile` and
+`oracles.exact_distances` own the profile and the distance certificate
+and cache them on the function; this module imports only `poset`.
 
-`CountingOracle` wraps a function behind a query counter (optionally a
-query log) so testers can account for every lookup they make.  Its one
-read, `CountingOracle.lookup_ranks`, takes an integer ndarray of
-vertices of any shape, counts every element as one query, logs the
-vertices in row-major order and returns their ranks in the same shape.
+`CountingOracle` wraps a function behind a query counter so testers can
+account for every lookup they make.  Its one read,
+`CountingOracle.lookup_ranks`, takes an integer ndarray of vertices of
+any shape, counts every element as one query and returns their ranks in
+the same shape.
 """
 
 from __future__ import annotations
@@ -31,15 +31,11 @@ import json
 import math
 import os
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .poset import PosetDomain, build_domain, hypercube
-
-if TYPE_CHECKING:
-    from .isoperimetry import ViolationProfile
-    from .oracles import DistanceCertificate
+from .poset import PosetDomain, build_domain, hypercube, read_domain
 
 
 class FunctionFormatError(ValueError):
@@ -84,20 +80,6 @@ class ValuedFunction:
         """The values, for output only: the levels read through the ranks."""
         return tuple(map(self.levels.__getitem__, self.ranks.tolist()))
 
-    @cached_property
-    def violation_profile(self) -> ViolationProfile:
-        """This function's `isoperimetry.ViolationProfile`, computed once
-        per function."""
-        from .isoperimetry import ViolationProfile  # isoperimetry imports funcs
-        return ViolationProfile.of(self)
-
-    @cached_property
-    def exact_distance(self) -> DistanceCertificate:
-        """This function's `oracles.exact_distance` certificate, solved once
-        per function."""
-        from .oracles import DistanceCertificate  # oracles imports funcs
-        return DistanceCertificate.of_all([self])[0]
-
 
 def index_dtype(n: int) -> np.dtype:
     """The narrowest unsigned dtype holding 0..n-1: used for vertex ids
@@ -108,24 +90,18 @@ def index_dtype(n: int) -> np.dtype:
 class CountingOracle:
     """Oracle access to a function with exact query accounting.
 
-    ``query_count`` equals the number of value lookups since construction
-    or the last `reset`.  With ``record=True`` every queried vertex is
-    appended to ``log`` in issue order, which is what the nonadaptivity
-    replay checks compare.  For parallel trials, run one oracle per
-    worker and sum the counters.
+    ``query_count`` equals the number of value lookups since construction.
+    For parallel trials, run one oracle per worker and sum the counters.
     """
 
-    def __init__(self, fn: ValuedFunction, record: bool = False):
+    def __init__(self, fn: ValuedFunction):
         self.fn = fn
         self.query_count = 0
-        self.log: list[int] | None = [] if record else None
 
     def lookup_ranks(self, xs: np.ndarray) -> np.ndarray:
         """Ranks at the vertices of the integer array ``xs``, one query per
-        element, logged in row-major order."""
+        element."""
         self.query_count += xs.size
-        if self.log is not None:
-            self.log.extend(xs.ravel().tolist())
         return self.fn.ranks[xs]
 
     @property
@@ -219,25 +195,26 @@ def write_function(f: ValuedFunction, path: str) -> None:
 
 
 def read_function(path: str) -> ValuedFunction:
+    """The function a file holds (format above); `FunctionFormatError`
+    naming the file if it, or the domain file it names, is malformed."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FunctionFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "values" not in doc:
-        raise FunctionFormatError(f"{path}: missing 'values'")
+    if not isinstance(doc, dict) or type(doc.get("values")) is not list:
+        raise FunctionFormatError(f"{path}: needs a list of 'values'")
     values = doc["values"]
     if not set(map(type, values)) <= {int, float}:
         bad = next(v for v in values if type(v) not in (int, float))
         raise FunctionFormatError(f"{path}: non-numeric value {bad!r}")
-    if "d" in doc:
-        domain = build_domain({"d": doc["d"]})
-    elif "domain" in doc:
-        ref = os.path.join(os.path.dirname(path) or ".", doc["domain"])
-        with open(ref) as fh:
-            domain = build_domain(json.load(fh))
-    else:
-        raise FunctionFormatError(f"{path}: needs a 'd' or 'domain' key")
+    if "d" not in doc and type(doc.get("domain")) is not str:
+        raise FunctionFormatError(f"{path}: needs a 'd' key or a 'domain' file name")
+    try:
+        domain = (build_domain({"d": doc["d"]}) if "d" in doc else
+                  read_domain(os.path.join(os.path.dirname(path) or ".", doc["domain"])))
+    except ValueError as exc:
+        raise FunctionFormatError(f"{path}: {exc}") from exc
     if len(values) != domain.n:
         raise FunctionFormatError(
             f"{path}: {len(values)} values for a domain with {domain.n} vertices")

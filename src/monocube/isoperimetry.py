@@ -23,8 +23,9 @@ divided by n.
 Each function's profile is one array computation: the function's ranks
 (`ValuedFunction.ranks`) are compared across the domain's cover-edge
 arrays (`PosetDomain.edge_arrays`) and the per-vertex counts come from
-``np.bincount``.  It runs once per function; `violation_profile` returns
-the copy cached on the function.  `ViolationProfile` stores only arrays.
+``np.bincount``.  This module owns the profile: `violation_profile`
+computes it once per function and caches it on the function, under
+``vars(f)["violation_profile"]``.  `ViolationProfile` stores only arrays.
 
 A red/blue coloring of the violated edges (`EdgeColoring`) is a boolean
 vector aligned with one profile: ``red[k]`` colors the edge
@@ -35,7 +36,8 @@ A whole ``(rows, m)`` mask stack is read once into its `colored_cells`,
 which no coloring enters, and `colored_objectives` gets each coloring's
 restricted objectives from them with one bincount per chunk of rows.
 `greedy_descent` keeps a coloring's objective as two exact integer
-totals, so each single-edge flip it tries costs O(1).
+totals, so each single-edge flip it tries costs O(1); `worst_coloring`
+restarts it from seeded colorings, or tries all 2^m up to a cap.
 
 `profile_dump` writes the violated edges as one Python list per edge,
 built with the cyclic collector paused.  The pause alone would only
@@ -58,7 +60,7 @@ from typing import Iterator
 import numpy as np
 
 from .funcs import ValuedFunction
-from .poset import row_chunks
+from .poset import DomainSizeError, row_chunks
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,22 +74,6 @@ class ViolationProfile:
     total: np.ndarray        # U_minus per vertex
     undirected: np.ndarray   # I_undirected per vertex
 
-    @classmethod
-    def of(cls, f: ValuedFunction) -> "ViolationProfile":
-        """Compute the profile; callers use `violation_profile`, which
-        caches it on f."""
-        lower, upper = f.domain.edge_arrays
-        n = f.domain.n
-        rank_lower = f.ranks.take(lower)
-        rank_upper = f.ranks.take(upper)
-        violated = rank_lower > rank_upper
-        rising = upper.compress(rank_lower < rank_upper)
-        lower, upper = lower.compress(violated), upper.compress(violated)
-        out = np.bincount(lower, minlength=n)
-        return cls(violated, lower, upper, out,
-                   total=out + np.bincount(upper, minlength=n),
-                   undirected=out + np.bincount(rising, minlength=n))
-
     @property
     def num_violated(self) -> int:
         return len(self.lower)
@@ -100,7 +86,20 @@ class ViolationProfile:
 
 def violation_profile(f: ValuedFunction) -> ViolationProfile:
     """The violation profile of f, computed on first use and cached on f."""
-    return f.violation_profile
+    if "violation_profile" in vars(f):
+        return vars(f)["violation_profile"]
+    lower, upper = f.domain.edge_arrays
+    n = f.domain.n
+    rank_lower = f.ranks.take(lower)
+    rank_upper = f.ranks.take(upper)
+    violated = rank_lower > rank_upper
+    rising = upper.compress(rank_lower < rank_upper)
+    lower, upper = lower.compress(violated), upper.compress(violated)
+    out = np.bincount(lower, minlength=n)
+    profile = vars(f)["violation_profile"] = ViolationProfile(
+        violated, lower, upper, out, total=out + np.bincount(upper, minlength=n),
+        undirected=out + np.bincount(rising, minlength=n))
+    return profile
 
 
 class EdgeColoring:
@@ -282,6 +281,53 @@ def greedy_descent(col: EdgeColoring) -> Iterator[float]:
                 red_total, blue_total, val = cand_red, cand_blue, cand_val
                 improved = True
                 yield val
+
+
+COLORING_ENUM_CAP = 20
+
+
+def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
+                   restarts: int = 5, seed: int = 0,
+                   cap: int = COLORING_ENUM_CAP) -> tuple[EdgeColoring, float]:
+    """Coloring of the violated edges minimizing the robust objective.
+
+    'exhaustive' sweeps all 2^m colorings (m <= cap); 'greedy' runs
+    seeded local search flipping one edge color at a time
+    (`isoperimetry.greedy_descent`, which updates the objective exactly
+    per flip).
+    """
+    profile = violation_profile(f)
+    m = profile.num_violated
+    if m == 0:
+        col = EdgeColoring.all_red(profile)
+        return col, robust_objective(f, col)
+    if mode == "exhaustive":
+        if m > cap:
+            raise DomainSizeError(f"2^{m} colorings exceeds cap 2^{cap}")
+        col = EdgeColoring.all_red(profile)
+        shifts = np.arange(m)
+
+        def value(bits: int) -> float:
+            # coloring number `bits` makes edge k red iff bit k is set
+            col.red[:] = bits >> shifts & 1
+            return robust_objective(f, col)
+
+        # min keeps the first of equal values, as a strict < scan does
+        return col, value(min(range(1 << m), key=value))
+    if mode != "greedy":
+        raise ValueError(f"mode must be 'exhaustive' or 'greedy', not {mode!r}")
+
+    import random
+    rng = random.Random(seed)
+    best_val = None
+    best_col = None
+    for restart in range(restarts):
+        col = (EdgeColoring.all_red(profile) if restart == 0
+               else EdgeColoring.random(profile, rng))
+        *_, val = greedy_descent(col)
+        if best_val is None or val < best_val:
+            best_val, best_col = val, col
+    return best_col, best_val
 
 
 def directed_objective(f: ValuedFunction) -> float:

@@ -17,10 +17,10 @@ over all vertex subsets.
 The exact solver starts from the violated pairs: one gather-and-compare
 of the function's ranks over the domain's cached comparable-pair arrays
 (`PosetDomain.pair_arrays`), which check the pair budget
-(`poset.MAX_PAIRS`) before any mask or array is built; the exhaustive
-coloring search keeps its own cap.  `exact_distance` is solved once per
-function: its certificate is cached on the function, like the violation
-profile.
+(`poset.MAX_PAIRS`) before any mask or array is built.  This module
+owns the certificate: `exact_distances` solves each function once and
+caches its certificate on it, under ``vars(f)["exact_distance"]``, as
+`isoperimetry.violation_profile` caches the profile.
 
 The exact solver works on a stack: `DistanceCertificate.of_all` takes
 functions on one domain as one ``(rows, n)`` rank array, and a single
@@ -65,10 +65,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .funcs import ValuedFunction, index_dtype
-from .isoperimetry import EdgeColoring, greedy_descent, robust_objective, violation_profile
 from .poset import DomainSizeError, PosetDomain, row_chunks
-
-COLORING_ENUM_CAP = 20
 
 
 def is_monotone(f: ValuedFunction) -> bool:
@@ -136,9 +133,9 @@ class DistanceCertificate:
 
     @classmethod
     def of_all(cls, fs: Sequence[ValuedFunction]) -> list["DistanceCertificate"]:
-        """Solve functions on one domain as one ``(rows, n)`` rank stack;
-        callers use `exact_distances`, which caches each certificate on its
-        function.
+        """Solve one or more functions on one domain as one ``(rows, n)``
+        rank stack; callers use `exact_distances`, which caches each
+        certificate on its function.
 
         Monotone rows get the zero certificate from one cover-edge compare.
         The others are compared over the comparable pairs in row chunks of
@@ -149,8 +146,6 @@ class DistanceCertificate:
         and gives its matching and its Koenig cover; the cover is checked,
         repaired and counted as one ``(rows, n)`` stack.
         """
-        if not fs:
-            return []
         domain = fs[0].domain
         if any(f.domain is not domain for f in fs):
             raise ValueError("a batch of exact solves must share one domain")
@@ -340,9 +335,10 @@ def exact_distances(fs: Sequence[ValuedFunction]) -> list[DistanceCertificate]:
     solved are solved as one batch (`DistanceCertificate.of_all`) and
     cached on their functions."""
     todo = [f for f in fs if "exact_distance" not in vars(f)]
-    for f, cert in zip(todo, DistanceCertificate.of_all(todo)):
-        vars(f)["exact_distance"] = cert
-    return [f.exact_distance for f in fs]
+    if todo:
+        for f, cert in zip(todo, DistanceCertificate.of_all(todo)):
+            vars(f)["exact_distance"] = cert
+    return [vars(f)["exact_distance"] for f in fs]
 
 
 def exact_distance(f: ValuedFunction) -> DistanceCertificate:
@@ -358,7 +354,7 @@ def exact_distance(f: ValuedFunction) -> DistanceCertificate:
     gets the zero certificate from its cover edges alone, at any size;
     other inputs over the pair budget raise `DomainSizeError`.
     """
-    return f.exact_distance
+    return exact_distances([f])[0]
 
 
 def _repair(domain: PosetDomain, ranks: np.ndarray, cover: np.ndarray) -> np.ndarray:
@@ -380,47 +376,3 @@ def _repair(domain: PosetDomain, ranks: np.ndarray, cover: np.ndarray) -> np.nda
     best = domain.down_max(np.where(kept, ranks * n + (n - 1 - ids), -1))
     fallback = np.where(kept, ranks, np.iinfo(np.int64).max).argmin(axis=1)
     return np.where(kept, ids, np.where(best < 0, fallback[:, None], n - 1 - best % n))
-
-
-def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
-                   restarts: int = 5, seed: int = 0,
-                   cap: int = COLORING_ENUM_CAP) -> tuple[EdgeColoring, float]:
-    """Coloring of the violated edges minimizing the robust objective.
-
-    'exhaustive' sweeps all 2^m colorings (m <= cap); 'greedy' runs
-    seeded local search flipping one edge color at a time
-    (`isoperimetry.greedy_descent`, which updates the objective exactly
-    per flip).
-    """
-    profile = violation_profile(f)
-    m = profile.num_violated
-    if m == 0:
-        col = EdgeColoring.all_red(profile)
-        return col, robust_objective(f, col)
-    if mode == "exhaustive":
-        if m > cap:
-            raise DomainSizeError(f"2^{m} colorings exceeds cap 2^{cap}")
-        col = EdgeColoring.all_red(profile)
-        shifts = np.arange(m)
-
-        def value(bits: int) -> float:
-            # coloring number `bits` makes edge k red iff bit k is set
-            col.red[:] = bits >> shifts & 1
-            return robust_objective(f, col)
-
-        # min keeps the first of equal values, as a strict < scan does
-        return col, value(min(range(1 << m), key=value))
-    if mode != "greedy":
-        raise ValueError(f"mode must be 'exhaustive' or 'greedy', not {mode!r}")
-
-    import random
-    rng = random.Random(seed)
-    best_val = None
-    best_col = None
-    for restart in range(restarts):
-        col = (EdgeColoring.all_red(profile) if restart == 0
-               else EdgeColoring.random(profile, rng))
-        *_, val = greedy_descent(col)
-        if best_val is None or val < best_val:
-            best_val, best_col = val, col
-    return best_col, best_val

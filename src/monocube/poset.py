@@ -372,15 +372,21 @@ def _topological_order(n: int, edges: Sequence[tuple[int, int]]
 
 def build_domain(spec) -> PosetDomain:
     """Build a domain from a parsed JSON mapping: {"d": ...} gives the
-    shared `hypercube` instance, {"n": ..., "edges": [[u, v], ...]} a
-    DAG."""
-    if isinstance(spec, dict):
-        if "d" in spec:
-            return hypercube(int(spec["d"]))
-        if "n" in spec:
-            edges = [(int(u), int(v)) for u, v in spec.get("edges", [])]
-            return PosetDomain("dag", n=int(spec["n"]), edges=edges)
-    raise ValueError("domain mapping needs a 'd' or 'n' key")
+    shared `hypercube` instance, {"n": ..., "edges": [[u, v], ...]} a DAG.
+    ``d``, ``n`` and each edge end must be an int, not a bool: nothing is
+    converted."""
+    if not isinstance(spec, dict) or not ("d" in spec or "n" in spec):
+        raise ValueError("domain mapping needs a 'd' or 'n' key")
+    key = "d" if "d" in spec else "n"
+    if type(spec[key]) is not int:
+        raise ValueError(f"'{key}' must be an integer, not {type(spec[key]).__name__}")
+    if key == "d":
+        return hypercube(spec["d"])
+    edges = spec.get("edges", [])
+    if type(edges) is not list or not all(
+            type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges):
+        raise ValueError("'edges' must be a list of [u, v] integer pairs")
+    return PosetDomain("dag", n=spec["n"], edges=list(map(tuple, edges)))
 
 
 @lru_cache(maxsize=None)
@@ -390,6 +396,10 @@ def hypercube(d: int) -> PosetDomain:
 
 
 def read_domain(path) -> PosetDomain:
-    with open(path) as fh:
-        return build_domain(json.load(fh))
+    """The domain a JSON file holds; ValueError naming the file if malformed."""
+    try:
+        with open(path) as fh:
+            return build_domain(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 

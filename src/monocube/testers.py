@@ -74,22 +74,27 @@ def tau_schedule(d: int) -> list[int]:
     return taus
 
 
+def finite_count(count, message: str) -> int:
+    """``count()`` rounded up, at least one: every sample size, checked
+    before any draw.  ValueError(message) if it is not finite."""
+    try:
+        value = count()
+    except ZeroDivisionError:  # a square is 0.0 below about 1e-162
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(message)
+    return max(1, math.ceil(value))
+
+
 def _draw_count(epsilon: float, budget_constant: float, count) -> int:
-    """``count()`` rounded up, at least one, once epsilon lies in (0,1), the
-    budget is positive and the count is finite: the testers' one parameter
-    check, made before any draw."""
+    """`finite_count` of ``count()`` once epsilon lies in (0,1) and the
+    budget is positive: the testers' one parameter check."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0,1)")
     if not budget_constant > 0:  # nan included
         raise ValueError("budget_constant must be positive")
-    try:
-        draws = count()
-    except ZeroDivisionError:  # epsilon**2 is 0.0 below about 1e-162
-        draws = math.inf
-    if not math.isfinite(draws):
-        raise ValueError(f"epsilon {epsilon} and budget_constant {budget_constant} "
-                         "give no finite draw count")
-    return max(1, math.ceil(draws))
+    return finite_count(count, f"epsilon {epsilon} and budget_constant {budget_constant} "
+                               "give no finite draw count")
 
 
 def repetitions(d: int, epsilon: float, r: int, budget_constant: float) -> int:

@@ -3,9 +3,23 @@ import random
 
 import pytest
 
-from monocube.funcs import ValuedFunction, random_function
+from monocube.funcs import CountingOracle, ValuedFunction, random_function
 from monocube.poset import PosetDomain, hypercube
 from monocube.seeds import derive_seed
+
+
+class RecordingOracle(CountingOracle):
+    """A `CountingOracle` that also appends every queried vertex to ``log``,
+    in issue order and each array in row-major order: the log the
+    nonadaptivity replay checks compare."""
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.log = []
+
+    def lookup_ranks(self, xs):
+        self.log.extend(xs.ravel().tolist())
+        return super().lookup_ranks(xs)
 
 
 def suite_functions(count, dims, image_sizes, master_seed):

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import RecordingOracle
 from monocube.decomposition import decompose, edge_bound_check, robust_chain_check
 from monocube.dist_approx import (approx_mono, mu_estimate,
                                   mu_exact)
@@ -267,16 +268,16 @@ def test_criterion_11_nonadaptive_replay():
         d = 8
         f = random_function(hypercube(d), 5, 1)
         g = random_monotone(hypercube(d), 3, 2)
-        of = CountingOracle(f, record=True)
-        og = CountingOracle(g, record=True)
+        of = RecordingOracle(f)
+        og = RecordingOracle(g)
         pair_tester(of, 12345, epsilon=0.4, r=5)
         pair_tester(og, 12345, epsilon=0.4, r=5)
         assert of.log == og.log
 
         f5 = random_function(hypercube(5), 6, 3)
         g5 = random_monotone(hypercube(5), 2, 4)
-        of = CountingOracle(f5, record=True)
-        og = CountingOracle(g5, record=True)
+        of = RecordingOracle(f5)
+        og = RecordingOracle(g5)
         approx_mono(of, 777, epsilon=0.3)
         approx_mono(og, 777, epsilon=0.3)
         assert of.log == og.log

@@ -250,6 +250,19 @@ def test_a_budget_without_a_finite_draw_count_is_a_usage_error(tmp_path, capsys,
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("cprime", ["1e-200", "1e10"])
+def test_a_c_prime_without_a_sample_count_is_a_usage_error(tmp_path, capsys, cprime):
+    fn, out = tmp_path / "f.json", tmp_path / "o.json"
+    assert run(["gen-function", "--d", "3", "--out", str(fn)]) == 0
+    capsys.readouterr()
+    assert run(["approx-distance", "--fn", str(fn), "--alpha", "0.1", "--cprime", cprime,
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: c_prime {float(cprime)} leaves the mu estimates "
+                                   "no sample count (")
+    assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("case", ["test-monotone-on-a-dag", "csv-without-out"])
 def test_a_command_it_cannot_run_is_one_error_line(tmp_path, capsys, monkeypatch, case):
     # refused before any instance runs, with one line through main's handler
@@ -284,6 +297,46 @@ def test_generators_refuse_a_table_over_the_budget(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "value-table budget" in err
     assert not fn.exists()
+
+
+# (function file, its domain file or None, the error after the blamed file's name)
+DAG_FUNCTION = {"domain": "dag.domain.json", "values": [1, 2]}
+MALFORMED = {
+    "values-not-a-list": ({"d": 1, "values": 5}, None, "needs a list of 'values'"),
+    "domain-not-a-name": ({"domain": 5, "values": [1, 2]}, None,
+                          "needs a 'd' key or a 'domain' file name"),
+    "d-a-float": ({"d": 2.5, "values": [1, 2, 3, 4]}, None, "'d' must be an integer, not float"),
+    "d-a-bool": ({"d": True, "values": [1, 2]}, None, "'d' must be an integer, not bool"),
+    "n-a-string": (DAG_FUNCTION, {"n": "2", "edges": [[0, 1]]},
+                   "'n' must be an integer, not str"),
+    "edges-not-a-list": (DAG_FUNCTION, {"n": 2, "edges": 5},
+                         "'edges' must be a list of [u, v] integer pairs"),
+    "edge-end-a-float": (DAG_FUNCTION, {"n": 2, "edges": [[0, 1.5]]},
+                         "'edges' must be a list of [u, v] integer pairs"),
+    "edge-of-one-end": (DAG_FUNCTION, {"n": 2, "edges": [[0]]},
+                        "'edges' must be a list of [u, v] integer pairs"),
+}
+READS = [(case, "exact-distance") for case in MALFORMED]
+READS += [(case, "gen-function") for case, (_, domain, _) in MALFORMED.items() if domain]
+
+
+@pytest.mark.parametrize("case, command", READS, ids=[f"{c}-{m}" for c, m in READS])
+def test_a_malformed_input_file_is_one_error_line_naming_it(tmp_path, capsys, case, command):
+    # unchecked, each is a traceback or is read as some other number
+    fn, domain, message = MALFORMED[case]
+    fn_path, domain_path = tmp_path / "f.json", tmp_path / "dag.domain.json"
+    fn_path.write_text(json.dumps(fn))
+    if domain:
+        domain_path.write_text(json.dumps(domain))
+    out = tmp_path / "o.json"
+    argv = ([command, "--fn", str(fn_path)] if command == "exact-distance"
+            else [command, "--domain", str(domain_path)])
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    blamed = domain_path if domain else fn_path
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(f"{blamed.name}: {message}\n")
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen-function", "exact-distance"])

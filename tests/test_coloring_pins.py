@@ -14,8 +14,8 @@ import pytest
 
 from monocube.decomposition import decompose, robust_chain_check
 from monocube.funcs import ValuedFunction, random_function
-from monocube.isoperimetry import EdgeColoring, violation_profile
-from monocube.oracles import is_monotone, worst_coloring
+from monocube.isoperimetry import EdgeColoring, violation_profile, worst_coloring
+from monocube.oracles import is_monotone
 from monocube.poset import PosetDomain, hypercube
 
 # (input, exhaustive (coloring, value) or None, greedy (coloring, value),

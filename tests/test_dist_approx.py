@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import RecordingOracle
 from monocube import dist_approx
 from monocube.dist_approx import (BLOCK, Estimate, approx_distance,
                                   approx_mono, capture,
@@ -119,7 +120,7 @@ def test_mu_estimate_checks_its_coordinates(S):
 def test_estimator_query_logs():
     f = random_function(hypercube(5), 4, 3)
     S = [1, 3, 4]
-    oracle = CountingOracle(f, record=True)
+    oracle = RecordingOracle(f)
     est = mu_estimate(oracle, S, 0.025, 0.1, seed=8)
     assert est.samples > BLOCK  # spans more than one evaluation block
     rng = np.random.default_rng(8)
@@ -133,7 +134,7 @@ def test_estimator_query_logs():
     assert oracle.log == want
     assert oracle.query_count == len(want)
 
-    oracle = CountingOracle(f, record=True)
+    oracle = RecordingOracle(f)
     est = violated_fraction_estimate(oracle, 0.025, 0.1, seed=9)
     rng = np.random.default_rng(9)
     want = []
@@ -200,8 +201,8 @@ def test_approx_mono_far_instance():
 def test_approx_mono_replay_identical_queries():
     f = random_function(hypercube(5), 4, 0)
     g = random_monotone(hypercube(5), 4, 1)
-    of = CountingOracle(f, record=True)
-    og = CountingOracle(g, record=True)
+    of = RecordingOracle(f)
+    og = RecordingOracle(g)
     approx_mono(of, 77, epsilon=0.3)
     approx_mono(og, 77, epsilon=0.3)
     assert of.log == og.log
@@ -236,6 +237,21 @@ def test_approx_mono_config_validation():
             approx_mono(oracle, 0, epsilon=0.3, c_prime=c_prime)
     assert oracle.query_count == 0
     approx_mono(oracle, 0, epsilon=0.5)  # top search level is admitted
+
+
+@pytest.mark.parametrize("c_prime, why", [
+    (1e-200, r"additive error \S+ and failure probability \S+ give no finite sample count"),
+    (1e10, r"additive_error and failure_prob must lie in \(0,1\)")], ids=["tiny", "huge"])
+def test_a_c_prime_without_a_sample_count_is_refused_before_any_query(c_prime, why):
+    # the mu error squares to 0.0, or reaches 1: refused by name before the
+    # edge estimate queries anything
+    oracle = CountingOracle(anti_dictator(3))
+    with pytest.raises(ValueError, match=rf"^c_prime {c_prime} leaves the mu estimates "
+                                         rf"no sample count \({why}\)$"):
+        approx_mono(oracle, 0, epsilon=0.3, c_prime=c_prime)
+    assert oracle.query_count == 0
+    with pytest.raises(ValueError, match=rf"^{why}$"):
+        hoeffding_samples(0.3 * c_prime / (4 * sqrt_d_log_d(3)), 0.1)
 
 
 def test_approx_distance_single_edge():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocube.funcs import (CountingOracle, FunctionFormatError, ValuedFunction,
-                            anti_dictator, canonical_rank,
-                            random_function, random_monotone, read_function,
-                            weight_function, write_function)
+from conftest import RecordingOracle
+from monocube.funcs import (FunctionFormatError, ValuedFunction, anti_dictator,
+                            canonical_rank, random_function, random_monotone,
+                            read_function, weight_function, write_function)
 from monocube.decomposition import decompose
 from monocube.hard_instances import LowerBoundSpec, lower_bound_function
 from monocube.isoperimetry import violation_profile
@@ -231,7 +231,7 @@ def test_read_function_errors(tmp_path):
 
 def test_counting_oracle_exact():
     f = random_function(hypercube(3), 4, 0)
-    oracle = CountingOracle(f, record=True)
+    oracle = RecordingOracle(f)
     for k, x in enumerate([0, 3, 3, 7, 1]):
         assert oracle.lookup_ranks(np.array(x)) == f.ranks[x]
         assert oracle.query_count == k + 1

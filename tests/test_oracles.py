@@ -14,11 +14,10 @@ from monocube.decomposition import decompose, robust_chain_check
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
                             random_monotone, weight_function)
 from monocube.isoperimetry import EdgeColoring, greedy_descent, robust_objective, \
-    undirected_objective, violation_profile
+    undirected_objective, violation_profile, worst_coloring
 from monocube.oracles import (DistanceCertificate, exact_distance,
                               exact_distances, is_monotone,
-                              max_gain_matching, violated_pairs, worst_coloring,
-                              _repair)
+                              max_gain_matching, violated_pairs, _repair)
 from monocube import oracles, poset
 from monocube.poset import DomainSizeError, PosetDomain, hypercube
 from monocube.seeds import derive_seed

@@ -36,6 +36,14 @@ ALLOWED = {
 }
 
 
+def parsed_modules():
+    """Each module of `src/monocube`, by name, with its syntax tree."""
+    for filename in sorted(os.listdir(SRC)):
+        if filename.endswith(".py"):
+            with open(os.path.join(SRC, filename)) as fh:
+                yield filename[:-3], ast.parse(fh.read(), filename)
+
+
 def read_definitions():
     """Each top-level def or class of `src/monocube` with its module, the
     names its body mentions and the attribute names among them; the same
@@ -44,22 +52,18 @@ def read_definitions():
     ``Class.name``, with their module.  Imports mention nothing: an
     imported name counts once it is used."""
     definitions, entry, members = {}, (set(), set()), {}
-    for filename in sorted(os.listdir(SRC)):
-        if not filename.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, filename)) as fh:
-            tree = ast.parse(fh.read(), filename)
+    for module, tree in parsed_modules():
         for node in tree.body:
             subs = list(ast.walk(node))
             attributes = {sub.attr for sub in subs if isinstance(sub, ast.Attribute)}
             mentioned = attributes | {sub.id for sub in subs if isinstance(sub, ast.Name)}
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions[node.name] = (filename[:-3], mentioned - {node.name}, attributes)
+                definitions[node.name] = (module, mentioned - {node.name}, attributes)
             else:
                 entry[0].update(mentioned)
                 entry[1].update(attributes)
             if isinstance(node, ast.ClassDef):
-                members.update((f"{node.name}.{item.name}", filename[:-3])
+                members.update((f"{node.name}.{item.name}", module)
                                for item in node.body
                                if isinstance(item, ast.FunctionDef)
                                and not item.name.startswith("_"))
@@ -108,12 +112,8 @@ def private_reads():
     """Each ``x._name`` in `src/monocube` whose object is not ``self`` or
     ``cls``, as ``module:line: source``; dunder names are not private."""
     found = []
-    for filename in sorted(os.listdir(SRC)):
-        if not filename.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, filename)) as fh:
-            tree = ast.parse(fh.read(), filename)
-        found += [f"{filename[:-3]}:{node.lineno}: {ast.unparse(node)}"
+    for module, tree in parsed_modules():
+        found += [f"{module}:{node.lineno}: {ast.unparse(node)}"
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                   and not node.attr.startswith("__")
@@ -125,3 +125,32 @@ def test_no_module_reads_another_objects_private_attributes():
     # a class's private state is read only by its own methods; other
     # modules go through its public names
     assert private_reads() == []
+
+
+def imported_modules(node):
+    """The modules an import statement names, a relative import's as
+    ``monocube.<name>``; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [f"monocube.{node.module or ''}" if node.level else node.module or ""]
+    return []
+
+
+def nested_package_imports():
+    """Each ``from .x import`` or ``import monocube...`` in `src/monocube`
+    that is not a statement of its module's body (it sits in a function,
+    a class or an ``if``), as ``module:line: source``."""
+    found = []
+    for module, tree in parsed_modules():
+        found += [f"{module}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(tree) if node not in tree.body
+                  and any(name.partition(".")[0] == "monocube"
+                          for name in imported_modules(node))]
+    return found
+
+
+def test_package_imports_sit_at_module_top_level():
+    # a module's dependencies on the package are read off its first lines,
+    # and they run one way: poset <- funcs <- {isoperimetry, oracles} <- ...
+    assert nested_package_imports() == []

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import RecordingOracle
 from monocube.funcs import (CountingOracle, ValuedFunction, anti_dictator,
                             random_function, random_monotone)
 from monocube.poset import hypercube
@@ -161,7 +162,7 @@ def test_pair_tester_witness_is_genuine():
 
 def test_pair_tester_query_accounting():
     f = random_function(hypercube(5), 4, 2)
-    oracle = CountingOracle(f, record=True)
+    oracle = RecordingOracle(f)
     rep = pair_tester(oracle, 11, epsilon=0.3, r=4)
     draws = sum(s["draws"] for s in rep.per_setting.values())
     assert rep.queries == oracle.query_count == len(oracle.log)
@@ -202,7 +203,7 @@ def test_pair_tester_matches_pairwise_reference(d, seed):
     schedule = draw_table(
         pair_draws(np.random.default_rng(seed), d, settings, repetitions(d, 0.3, 4, 0.5)),
         settings)
-    oracle = CountingOracle(f, record=True)
+    oracle = RecordingOracle(f)
     rep = pair_tester(oracle, seed, epsilon=0.3, r=4, budget_constant=0.5)
     verdict, witness, per_setting, log = reference_report(f, schedule)
     assert (rep.verdict, rep.witness, rep.per_setting) == (verdict, witness, per_setting)
@@ -213,8 +214,8 @@ def test_pair_tester_matches_pairwise_reference(d, seed):
 def test_pair_tester_replay_identical_queries():
     f = random_function(hypercube(7), 3, 0)
     g = random_monotone(hypercube(7), 3, 1)
-    of = CountingOracle(f, record=True)
-    og = CountingOracle(g, record=True)
+    of = RecordingOracle(f)
+    og = RecordingOracle(g)
     pair_tester(of, 99, epsilon=0.4, r=3)
     pair_tester(og, 99, epsilon=0.4, r=3)
     assert of.log == og.log
