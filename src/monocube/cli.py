@@ -66,16 +66,6 @@ def _emit(report: dict, out: str | None) -> None:
         print(json.dumps(report, indent=2))
 
 
-def _emit_csv(rows: list[dict], path: str) -> None:
-    if not rows:
-        return
-    fields = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 # -- generators -----------------------------------------------------------------
 
 
@@ -168,6 +158,7 @@ def cmd_test_monotone(args) -> int:
 def cmd_approx_distance(args) -> int:
     started = time.perf_counter()
     f = read_function(args.fn)
+    dimension(f.domain, "approx-distance")
     result = approx_distance(CountingOracle(f), args.alpha, args.cprime, args.seed)
 
     def _tester_call(rep):
@@ -203,6 +194,10 @@ def cmd_approx_distance(args) -> int:
 
 # -- the inequality verification suite ---------------------------------------------
 
+# the columns of `_verify_instance`'s rows, in the order it fills them
+VERIFY_FIELDS = ("index", "d", "r", "seed", "epsilon", "violated_edges", "monotone",
+                 "edge_bound_full", "failures", "ok")
+
 
 def _verify_instance(params: tuple) -> dict:
     """One instance of the verification suite; pure function of its args."""
@@ -215,7 +210,7 @@ def _verify_instance(params: tuple) -> dict:
     row: dict = {"index": index, "d": d, "r": r, "seed": seed}
     failures: list[str] = []
 
-    # f is solved in its parts' stack; the edge bound reads the same solve
+    # the decomposition's certificate solves f; the edge bound reads the same solve
     dec = decompose(f)
     eps = dec.epsilons[0]
     profile = violation_profile(f)
@@ -281,10 +276,12 @@ def cmd_verify_inequalities(args) -> int:
                       args.seed, started),
     }
     _emit(report, args.out)
-    if args.format == "csv":
-        flat = [{k: (";".join(v) if isinstance(v, list) else v)
-                 for k, v in row.items()} for row in rows]
-        _emit_csv(flat, args.out.rsplit(".", 1)[0] + ".csv")
+    if args.format == "csv":  # the header is written also when there are no rows
+        with open(args.out.rsplit(".", 1)[0] + ".csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=VERIFY_FIELDS)
+            writer.writeheader()
+            writer.writerows({k: (";".join(v) if isinstance(v, list) else v)
+                              for k, v in row.items()} for row in rows)
     print(f"verify-inequalities: {args.count - len(failed)}/{args.count} passed")
     return 1 if failed else 0
 

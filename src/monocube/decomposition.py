@@ -50,14 +50,15 @@ part's value mask and graph mask into a ``(2k, n)`` bit stack.  A part
 is its row, held read-only as its ranks with levels (0, 1), and stores
 no values; the graphs cache the other rows as their vertex arrays.
 
-A decomposition's certificate is built when first read.  It and the
-chain check treat f and its k parts as one stack: one
-`oracles.exact_distances` call solves f and every part
+A decomposition's certificate is built when first read.  It solves f
+alone (`oracles.exact_distance`), and every part in one
+`oracles.solve_covers` call on the union of the part graphs, each
+vertex labelled with the first graph that holds it
 (`Decomposition.epsilons`, which also keeps the parts' distance sum as
-one integer cover count over n), and one chunked pass (`_part_edges`)
-gives each part's inside and violated cover edges.  The chain's masks
-over f's violated edges do not depend on the coloring, so their
-`isoperimetry.colored_cells` are built once per decomposition
+one integer cover count over n).  One chunked pass over the parts
+(`_part_edges`) gives each part's inside and violated cover edges.  The
+chain's masks over f's violated edges do not depend on the coloring, so
+their `isoperimetry.colored_cells` are built once per decomposition
 (`Decomposition.chain_cells`); each coloring is then one slot gather and
 one bincount per chunk in `isoperimetry.colored_objectives`.
 
@@ -84,7 +85,7 @@ import numpy as np
 from .funcs import ValuedFunction
 from .isoperimetry import EdgeColoring, colored_cells, colored_objectives, \
     violation_profile
-from .oracles import (exact_distance, exact_distances, is_monotone, max_gain_matching,
+from .oracles import (exact_distance, is_monotone, max_gain_matching, solve_covers,
                       violated_cover_edges, violated_pairs)
 from .poset import PosetDomain, SweepingGraph, mask_array
 
@@ -287,12 +288,20 @@ class Decomposition:
 
     @cached_property
     def epsilons(self) -> tuple[Fraction, tuple[Fraction, ...], Fraction]:
-        """eps(f), each eps(f_i) and their sum, from one `exact_distances`
-        stack of f and its parts, solved on first read.  The parts share
-        f's domain, so the sum is one integer cover count over n."""
-        cert, *parts = exact_distances([self.f, *(fi for (fi, _) in self.components)])
-        return (cert.epsilon, tuple(c.epsilon for c in parts),
-                Fraction(sum(c.cover_size for c in parts), self.f.domain.n))
+        """eps(f), each eps(f_i) and their sum, solved on first read (module
+        docstring); the parts share f's domain, so the sum is one integer
+        cover count over n."""
+        domain, n = self.f.domain, self.f.domain.n
+        if any(fi.domain is not domain for (fi, _) in self.components):
+            raise ValueError("f and its parts must share one domain")
+        eps_f, sizes = exact_distance(self.f).epsilon, []
+        if self.components:
+            label = np.full(n, -1, dtype=np.int32)
+            for i in reversed(range(self.k)):  # the first graph holding x labels x
+                label[self.components[i][1].vertex_array] = i
+            ranks = np.array([fi.ranks for (fi, _) in self.components])
+            sizes = list(map(len, solve_covers(domain, ranks, label)[0]))
+        return (eps_f, tuple(Fraction(size, n) for size in sizes), Fraction(sum(sizes), n))
 
     @cached_property
     def chain_cells(self) -> list[tuple[int, np.ndarray, np.ndarray]]:

@@ -15,7 +15,7 @@ outside the library, so reports echo them as given (1 and 1.0 share a
 level); `ValuedFunction.of_ranks` takes ranks the library made
 (`from_table`, a decomposition's bit-stack rows), scans nothing and
 builds ``values`` only when read.  `isoperimetry.violation_profile` and
-`oracles.exact_distances` own the profile and the distance certificate
+`oracles.exact_distance` own the profile and the distance certificate
 and cache them on the function; this module imports only `poset`.
 
 `CountingOracle` wraps a function behind a query counter so testers can

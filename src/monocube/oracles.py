@@ -15,24 +15,23 @@ vertex cover on the general violation graph and a brute-force sweep
 over all vertex subsets.
 
 The exact solver starts from the violated pairs: one gather-and-compare
-of the function's ranks over the domain's cached comparable-pair arrays
+of ranks over the domain's cached comparable-pair arrays
 (`PosetDomain.pair_arrays`), which check the pair budget
 (`poset.MAX_PAIRS`) before any mask or array is built.  This module
-owns the certificate: `exact_distances` solves each function once and
-caches its certificate on it, under ``vars(f)["exact_distance"]``, as
+owns the certificate: `exact_distance` solves f once and caches its
+certificate on it, under ``vars(f)["exact_distance"]``, as
 `isoperimetry.violation_profile` caches the profile.
 
-The exact solver works on a stack: `DistanceCertificate.of_all` takes
-functions on one domain as one ``(rows, n)`` rank array, and a single
-function is the batch of one.  `exact_distances` solves a function and
-its decomposition's parts in one call, so the verification suite solves
-each instance once.  Every step runs once per chunk of rows (at most
-`poset.PAIR_CHUNK` cells, see `poset.row_chunks`): the monotonicity test (`violated_cover_edges`, which the decomposition's
-checks share), the violated-pair compare, one matching of the disjoint
-union of the rows' split graphs, the repair and the certificate's
-assertions.  Only monotone rows get the zero certificate; the others'
-covers are cut from one scan of their chunk's cover stack.  A
-certificate holds no n-tuple: f's rank view and given values, and the
+One solver, `solve_covers`, makes every exact call: for k rank rows on
+one domain and a label per vertex, one `max_gain_matching` call on the
+domain's n vertices matches each row's violated pairs inside its label,
+and the Koenig cover splits by label.  `exact_distance` is the case of
+one row with every vertex labelled 0; a decomposition labels each vertex
+with the part graph that holds it (`decomposition.Decomposition.epsilons`).
+Each row's cover is certified on the whole domain, a chunk of rows at a
+time (`poset.row_chunks`), and a row that fails is solved alone.  A
+monotone f gets the zero certificate from its cover edges alone
+(`violated_cover_edges`, which the decomposition's checks share).  Acertificate holds no n-tuple: f's rank view and given values, and the
 repair as a read-only row of the vertex each point copies; it builds
 the repaired function only when it is read.
 
@@ -41,13 +40,13 @@ both exact objects: each phase augments, along the layers of one
 search, paths of the largest gain, a free left end's key minus a free
 right end's key.  The exact solve keys every left vertex 1 and every
 right vertex 0, so the engine is Hopcroft-Karp, started from the
-violated cover edges (`PosetDomain.pair_is_cover_edge`): each left cell
+violated cover edges (`PosetDomain.pair_is_cover_edge`): each left vertex
 lists them first, and the engine matches their graph alone before the
 whole one.  A maximum matching of the cover edges is nearly a maximum
 one of all violated pairs (380 of 380 pairs on a Boolean d = 10 input,
 seed 0), so few phases run on the whole graph.  The last search is the
 Koenig cover, the same for every maximum matching; neither the warm
-start nor the stack a function is solved in changes a certificate.  The
+start nor the other rows a function is solved with change its cover.  The
 decomposition (`decomposition.max_weight_min_card_matching`) keys both
 sides by rank and passes no cover edges.  The depth-first search keeps
 an explicit stack, so no solve depends on the interpreter's recursion
@@ -91,17 +90,9 @@ def violated_pairs(f: ValuedFunction) -> np.ndarray:
     an ``(m, 2)`` array of rows (x, y) in `PosetDomain.pair_arrays` order
     (x ascending, then y ascending).  Raises `DomainSizeError` over the
     pair budget."""
-    _, pos = _violated_rows(f.domain, f.ranks[None])
-    return np.stack([ends.take(pos) for ends in f.domain.pair_arrays], axis=1)
-
-
-def _violated_rows(domain: PosetDomain, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(row, pair)`` arrays of every violated comparable pair of each row
-    of a ``(rows, n)`` rank stack, the pair as its position in
-    `PosetDomain.pair_arrays`: row by row, each row's pairs in that order."""
-    lower, upper = domain.pair_arrays
-    violated = np.flatnonzero(ranks.take(lower, axis=1) > ranks.take(upper, axis=1))
-    return np.divmod(violated, max(len(lower), 1))  # 2-D nonzero is 4x slower
+    lower, upper = f.domain.pair_arrays
+    pos = np.flatnonzero(f.ranks.take(lower) > f.ranks.take(upper))
+    return np.stack([lower.take(pos), upper.take(pos)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -130,73 +121,6 @@ class DistanceCertificate:
         if self.source is not None:
             values = tuple(map(values.__getitem__, self.source.tolist()))
         return ValuedFunction(self.domain, values)
-
-    @classmethod
-    def of_all(cls, fs: Sequence[ValuedFunction]) -> list["DistanceCertificate"]:
-        """Solve one or more functions on one domain as one ``(rows, n)``
-        rank stack; callers use `exact_distances`, which caches each
-        certificate on its function.
-
-        Monotone rows get the zero certificate from one cover-edge compare.
-        The others are compared over the comparable pairs in row chunks of
-        at most `poset.PAIR_CHUNK` cells.  A chunk is one bipartite graph,
-        the disjoint union of its rows' split graphs on the cells
-        ``row * n + x``: one `max_gain_matching` call, with every pair
-        gaining 1, is Hopcroft-Karp started from the violated cover edges,
-        and gives its matching and its Koenig cover; the cover is checked,
-        repaired and counted as one ``(rows, n)`` stack.
-        """
-        domain = fs[0].domain
-        if any(f.domain is not domain for f in fs):
-            raise ValueError("a batch of exact solves must share one domain")
-        n = domain.n
-        ranks = np.stack([f.ranks for f in fs])
-        todo = np.flatnonzero(np.concatenate(
-            [violated.any(axis=1) for _, violated in violated_cover_edges(domain, ranks)]))
-        solved = {}
-        # a stack of monotone rows reads no pair arrays, so it fits at any size
-        width = max(len(domain.pair_arrays[0]), n) if len(todo) else n
-        for rows in row_chunks(len(todo), width):
-            block = ranks[todo[rows]]
-            lower, upper = domain.pair_arrays
-            row, pos = _violated_rows(domain, block)
-            # left cells ascending, each one's violated cover edges first,
-            # then its other violated pairs, each run in pair order; every
-            # pair gains 1, and the cover edges start the matching
-            edge = domain.pair_is_cover_edge.take(pos)
-            lefts = row * n + lower.take(pos)
-            order = np.argsort(lefts * 2 + ~edge, kind="stable")
-            lefts, rights = lefts[order], (row * n + upper.take(pos))[order]
-            matching, cover_left, cover_right = max_gain_matching(
-                lefts, rights, [1] * block.size, [0] * block.size, edge[order])
-            assert len(cover_left) + len(cover_right) == len(matching), \
-                "Koenig cover size must equal the matching size"
-            covered = np.zeros((2, block.size), dtype=bool)
-            covered[0, list(cover_left)] = covered[1, list(cover_right)] = True
-            assert np.all(covered[0, lefts] | covered[1, rights]), \
-                "Koenig construction left a violated pair uncovered"
-            cover = (covered[0] | covered[1]).reshape(block.shape)
-
-            source = _repair(domain, block, cover)
-            repaired = np.take_along_axis(block, source, axis=1)
-            assert not any(violated.any() for _, violated in
-                           violated_cover_edges(domain, repaired)), \
-                "repair produced a non-monotone function"
-            changed = np.count_nonzero(repaired != block, axis=1)
-            sizes = np.count_nonzero(cover, axis=1)
-            bad = np.flatnonzero(changed != sizes)
-            assert not len(bad), (f"repair changed {changed[bad[0]]} points of row "
-                                  f"{todo[rows][bad[0]]}, its cover has {sizes[bad[0]]}")
-            # each row's cover, cut from one scan of the whole stack
-            points = (np.flatnonzero(cover) % n).tolist()
-            ends = np.cumsum(sizes).tolist()
-            source = source.astype(index_dtype(n))
-            source.flags.writeable = False
-            for i, start, end, row in zip(todo[rows].tolist(), [0, *ends], ends, source):
-                solved[i] = Fraction(end - start, n), frozenset(points[start:end]), row
-        zero = Fraction(0), frozenset(), None
-        return [cls(epsilon, cover, f.domain, f.levels, f.ranks, vars(f).get("values"), row)
-                for i, f in enumerate(fs) for epsilon, cover, row in [solved.get(i, zero)]]
 
 
 def max_gain_matching(lefts: Sequence[int], rights: Sequence[int], key_l: Sequence[int],
@@ -247,7 +171,7 @@ def max_gain_matching(lefts: Sequence[int], rights: Sequence[int], key_l: Sequen
     lefts, rights = np.asarray(lefts, dtype=np.int64), np.asarray(rights, dtype=np.int64)
     if not len(lefts):
         return [], set(), set()
-    firsts = np.flatnonzero(np.r_[True, lefts[1:] != lefts[:-1]])
+    firsts = np.flatnonzero(np.concatenate(([True], lefts[1:] != lefts[:-1])))
     neighbours, starts = rights.tolist(), firsts.tolist()
     adj = {u: neighbours[a:b] for u, a, b in
            zip(lefts[firsts].tolist(), starts, starts[1:] + [len(rights)])}
@@ -330,17 +254,6 @@ def max_gain_matching(lefts: Sequence[int], rights: Sequence[int], key_l: Sequen
             adj.keys() - reached, {v for u in reached for v in adj[u]})
 
 
-def exact_distances(fs: Sequence[ValuedFunction]) -> list[DistanceCertificate]:
-    """`exact_distance` of each function on one domain: the ones not yet
-    solved are solved as one batch (`DistanceCertificate.of_all`) and
-    cached on their functions."""
-    todo = [f for f in fs if "exact_distance" not in vars(f)]
-    if todo:
-        for f, cert in zip(todo, DistanceCertificate.of_all(todo)):
-            vars(f)["exact_distance"] = cert
-    return [vars(f)["exact_distance"] for f in fs]
-
-
 def exact_distance(f: ValuedFunction) -> DistanceCertificate:
     """Exact distance to monotonicity with a certificate, solved on first
     use and cached on f.
@@ -354,7 +267,85 @@ def exact_distance(f: ValuedFunction) -> DistanceCertificate:
     gets the zero certificate from its cover edges alone, at any size;
     other inputs over the pair budget raise `DomainSizeError`.
     """
-    return exact_distances([f])[0]
+    cert = vars(f).get("exact_distance")
+    if cert is None:
+        n = f.domain.n
+        cover, source = [], None
+        if not is_monotone(f):
+            (cover,), source = solve_covers(f.domain, f.ranks[None], np.zeros(n, np.int32))
+            source = source.astype(index_dtype(n))
+            source.flags.writeable = False
+        cert = vars(f)["exact_distance"] = DistanceCertificate(
+            Fraction(len(cover), n), frozenset(cover), f.domain, f.levels, f.ranks,
+            vars(f).get("values"), source)
+    return cert
+
+
+def solve_covers(domain: PosetDomain, ranks: np.ndarray, label: np.ndarray
+                 ) -> tuple[list[list[int]], np.ndarray | None]:
+    """Minimum vertex covers of the violation graphs of a ``(k, n)`` rank
+    stack's rows, from one matching: each row's cover as an ascending
+    vertex list, and for one row its repair (`_repair`), else None.
+
+    ``label[x]`` is the row whose violated pairs may end at x, or -1.  The
+    rows' violated pairs inside their labels form one bipartite graph on
+    the n left and n right vertices, and its Koenig cover, split by label,
+    gives each row's cover C_i.  A row passes when its repair off C_i is
+    monotone on every cover edge and changes exactly |C_i| points, so C_i
+    is a cover, and |C_i| matched pairs carry label i: violated pairs of
+    the row with no common left or right end, which join its violation
+    order into n - |C_i| chains, so no cover is smaller.  A row that fails
+    is solved alone, every vertex labelled 0; a row so labelled must pass.
+    """
+    k, n = ranks.shape
+    lower, upper = domain.pair_arrays
+    # each vertex's rank in its label's row; 0 off every row, so that no
+    # pair of unlabelled vertices is violated
+    own = np.where(label < 0, 0, ranks[label, np.arange(n)])
+    pos = np.flatnonzero(own.take(lower) > own.take(upper))
+    lefts, rights = lower.take(pos), upper.take(pos)
+    same = label.take(lefts) == label.take(rights)
+    pos, lefts, rights = pos[same], lefts[same], rights[same]
+    # left vertices ascending, each one's violated cover edges first, then
+    # its other violated pairs, each run in pair order; the cover edges
+    # start the matching
+    edge = domain.pair_is_cover_edge.take(pos)
+    order = np.argsort(lefts * 2 + ~edge, kind="stable")
+    lefts, rights = lefts[order], rights[order]
+    matching, cover_left, cover_right = max_gain_matching(
+        lefts, rights, [1] * n, [0] * n, edge[order])
+    assert len(cover_left) + len(cover_right) == len(matching), \
+        "Koenig cover size must equal the matching size"
+    covered = np.zeros((2, n), dtype=bool)
+    covered[0, list(cover_left)] = covered[1, list(cover_right)] = True
+    assert np.all(covered[0, lefts] | covered[1, rights]), \
+        "Koenig construction left a violated pair uncovered"
+    cover = covered[0] | covered[1]
+    points = np.flatnonzero(cover)
+    sizes = np.bincount(label.take(points), minlength=k)
+    matched = np.bincount(label.take(np.array([u for u, _ in matching], dtype=np.intp)),
+                          minlength=k)
+    # each row's cover, cut from one list of the points in label order
+    points = points[np.argsort(label.take(points), kind="stable")].tolist()
+    ends = np.cumsum(sizes).tolist()
+    covers = [points[start:end] for start, end in zip([0, *ends], ends)]
+
+    ok = np.empty(k, dtype=bool)
+    # a chunk holds (rows, n) repair arrays and (rows, cover edges) compares
+    for rows in row_chunks(k, max(n, len(domain.edge_arrays[0]))):
+        block = ranks[rows]
+        repair = _repair(domain, block, cover & (label == np.arange(k)[rows, None]))
+        repaired = np.take_along_axis(block, repair, axis=1)
+        monotone = np.concatenate([~violated.any(axis=1) for _, violated in
+                                   violated_cover_edges(domain, repaired)])
+        changed = np.count_nonzero(repaired != block, axis=1)
+        ok[rows] = monotone & (changed == sizes[rows]) & (matched[rows] == sizes[rows])
+    source = repair[0]
+    for i in np.flatnonzero(~ok).tolist():
+        assert k > 1 or label.any(), \
+            f"the Koenig cover of a row on all {n} vertices failed its certificate"
+        (covers[i],), source = solve_covers(domain, ranks[i:i + 1], np.zeros_like(label))
+    return covers, source if k == 1 else None
 
 
 def _repair(domain: PosetDomain, ranks: np.ndarray, cover: np.ndarray) -> np.ndarray:

@@ -1,20 +1,22 @@
 """Time the exact solve on a fixed grid of inputs, each row in a child process.
 
 Usage:  python tests/solve_timings.py [REPEATS]
+        python tests/solve_timings.py --row KIND D R REPEATS
 
 Prints one line per row: its name, the least of REPEATS (default 5) wall
 times in seconds, the least time of the exact solve within it, and the
 child's peak RSS in MB.  The rows are
 
-* ``single d r``: `DistanceCertificate.of_all` of one
+* ``single d r``: `exact_distance` of one fresh
   `random_function(hypercube(d), r, 0)`, for d in {10, 12}, r in {2, 8};
-* ``parts d``: `of_all` of f and its decomposition's parts, one stack per
-  `random_function(hypercube(d), 8, seed)`, seeds 0-3, timed as the sum
-  over the four stacks, for d in {6, 8};
+* ``parts d``: `Decomposition.epsilons` of the decompositions of
+  `random_function(hypercube(d), 8, seed)`, seeds 0-3, which solves f
+  alone and its parts in one union solve, timed as the sum over the
+  four, for d in {6, 8};
 * ``decompose d r``: `decompose` of `random_function(hypercube(12), r, 0)`
   and the read of its certificate, from a fresh decomposition each
   repeat, for r in {2, 8}; the solve is the certificate's read, which
-  solves f with its parts and runs the checks.  The Boolean row's
+  solves f and its parts and runs the checks.  The Boolean row's
   matching is networkx's.
 
 Each row runs in its own process, so its peak RSS is its own; a repeat
@@ -33,7 +35,7 @@ sys.path[:0] = [os.path.join(ROOT, "src")]
 
 from monocube.decomposition import decompose  # noqa: E402
 from monocube.funcs import random_function  # noqa: E402
-from monocube.oracles import DistanceCertificate  # noqa: E402
+from monocube.oracles import exact_distance  # noqa: E402
 from monocube.poset import hypercube  # noqa: E402
 
 ROWS = [("single", 10, 2), ("single", 10, 8), ("single", 12, 2), ("single", 12, 8),
@@ -43,18 +45,15 @@ ROWS = [("single", 10, 2), ("single", 10, 8), ("single", 12, 2), ("single", 12, 
 def time_once(kind: str, d: int, r: int) -> tuple[float, float]:
     """Seconds of one repeat of a row, and of the exact solve within it."""
     if kind == "single":
-        fs = [random_function(hypercube(d), r, 0)]
+        f = random_function(hypercube(d), r, 0)
         start = time.perf_counter()
-        DistanceCertificate.of_all(fs)
+        exact_distance(f)
         return (time.perf_counter() - start,) * 2
     if kind == "parts":
-        stacks = []
-        for seed in range(4):
-            dec = decompose(random_function(hypercube(d), r, seed))
-            stacks.append([dec.f, *(fi for fi, _ in dec.components)])
+        decs = [decompose(random_function(hypercube(d), r, seed)) for seed in range(4)]
         start = time.perf_counter()
-        for fs in stacks:
-            DistanceCertificate.of_all(fs)
+        for dec in decs:
+            dec.epsilons
         return (time.perf_counter() - start,) * 2
     f = random_function(hypercube(d), r, 0)
     start = time.perf_counter()

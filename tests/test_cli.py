@@ -149,13 +149,16 @@ def test_verify_inequalities_parallel_matches(tmp_path):
 
 
 def test_verify_inequalities_csv(tmp_path):
-    out = tmp_path / "v.json"
-    assert run(["verify-inequalities", "--d", "3", "--r", "3", "--count", "4",
-                "--seed", "0", "--format", "csv", "--out", str(out)]) == 0
-    csv_path = tmp_path / "v.csv"
-    assert csv_path.exists()
-    header = csv_path.read_text().splitlines()[0]
-    assert "epsilon" in header and "ok" in header
+    headers = []
+    for count in (4, 0):  # no instance still writes the header
+        out = tmp_path / f"v{count}.json"
+        assert run(["verify-inequalities", "--d", "3", "--r", "3", "--count", str(count),
+                    "--seed", "0", "--format", "csv", "--out", str(out)]) == 0
+        lines = (tmp_path / f"v{count}.csv").read_text().splitlines()
+        assert len(lines) == 1 + count
+        headers.append(lines[0])
+    assert "epsilon" in headers[0] and "ok" in headers[0]
+    assert headers[1] == headers[0]
 
 
 @pytest.mark.parametrize("values, epsilon", [([0, 10**400], "0"), ([10**400, 0], "1/2")])
@@ -263,7 +266,8 @@ def test_a_c_prime_without_a_sample_count_is_a_usage_error(tmp_path, capsys, cpr
     assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("case", ["test-monotone-on-a-dag", "csv-without-out"])
+@pytest.mark.parametrize("case", ["test-monotone-on-a-dag", "approx-distance-on-a-dag",
+                                  "csv-without-out"])
 def test_a_command_it_cannot_run_is_one_error_line(tmp_path, capsys, monkeypatch, case):
     # refused before any instance runs, with one line through main's handler
     domain, fn = tmp_path / "dag.domain.json", tmp_path / "f.json"
@@ -278,6 +282,9 @@ def test_a_command_it_cannot_run_is_one_error_line(tmp_path, capsys, monkeypatch
     if case == "test-monotone-on-a-dag":
         argv = ["test-monotone", "--fn", str(fn), "--eps", "0.5", "--trials", "2"]
         message = "test-monotone needs a hypercube-domain function"
+    elif case == "approx-distance-on-a-dag":
+        argv = ["approx-distance", "--fn", str(fn), "--alpha", "0.1"]
+        message = "approx-distance needs a hypercube-domain function"
     else:
         argv = ["verify-inequalities", "--d", "3", "--count", "2", "--format", "csv"]
         message = "--format csv needs --out: the CSV is written next to the JSON report"

@@ -10,15 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import decreasing_chain
 from monocube.cli import _verify_instance
-from monocube.decomposition import decompose, robust_chain_check
+from monocube.decomposition import Decomposition, decompose, robust_chain_check
 from monocube.funcs import (ValuedFunction, anti_dictator, random_function,
                             random_monotone, weight_function)
 from monocube.isoperimetry import EdgeColoring, greedy_descent, robust_objective, \
     undirected_objective, violation_profile, worst_coloring
-from monocube.oracles import (DistanceCertificate, exact_distance,
-                              exact_distances, is_monotone,
-                              max_gain_matching, violated_pairs, _repair)
-from monocube import oracles, poset
+from monocube.oracles import (exact_distance, is_monotone, max_gain_matching,
+                              solve_covers, violated_pairs, _repair)
+from monocube import decomposition, oracles, poset
 from monocube.poset import DomainSizeError, PosetDomain, hypercube
 from monocube.seeds import derive_seed
 from poset_oracles import (enumerate_matchings_check, exact_distance_bruteforce,
@@ -111,31 +110,40 @@ def test_exact_distance_pair_budget():
 
 
 def counting_solves(monkeypatch):
-    """Record every function `DistanceCertificate.of_all` solves."""
-    solved = []
-    solve = DistanceCertificate.of_all.__func__
+    """Record the rank rows and labels of every `solve_covers` call, the
+    solver's re-solves of failing rows included.  The name is patched in
+    `oracles`, where `exact_distance` and the solver itself look it up,
+    and in `decomposition`, where `Decomposition.epsilons` does."""
+    calls = []
 
-    def recording(cls, fs):
-        solved.extend(fs)
-        return solve(cls, fs)
+    def recording(domain, ranks, label, solve=oracles.solve_covers):
+        calls.append((ranks.copy(), label.copy()))
+        return solve(domain, ranks, label)
 
-    monkeypatch.setattr(DistanceCertificate, "of_all", classmethod(recording))
-    return solved
+    for module in (oracles, decomposition):
+        monkeypatch.setattr(module, "solve_covers", recording)
+    return calls
+
+
+def is_whole_row(call, f):
+    """True iff a recorded call is f alone, every vertex labelled 0."""
+    ranks, label = call
+    return np.array_equal(ranks, f.ranks[None]) and not label.any()
 
 
 def test_exact_distance_is_solved_once_per_function(monkeypatch):
-    solved = counting_solves(monkeypatch)
+    calls = counting_solves(monkeypatch)
     f = random_function(hypercube(5), 4, 7)
     cert = exact_distance(f)
-    assert exact_distance(f) is cert
-    assert solved == [f]
+    assert exact_distance(f) is cert and vars(f)["exact_distance"] is cert
+    assert len(calls) == 1 and is_whole_row(calls[0], f)
     # an equal function is a new object with its own cache
     g = ValuedFunction(f.domain, f.values)
     assert exact_distance(g) == cert and exact_distance(g) is not cert
     # the arrays are not compared by ==
     assert np.array_equal(exact_distance(g).source, cert.source)
     assert np.array_equal(exact_distance(g).ranks, cert.ranks)
-    assert len(solved) == 2
+    assert len(calls) == 2
 
 
 def test_repaired_function_is_built_only_when_read(monkeypatch):
@@ -152,9 +160,10 @@ def test_repaired_function_is_built_only_when_read(monkeypatch):
     f = random_function(hypercube(8), 2, 0)
     dec = decompose(f)
     assert dec.certificate.all_ok and len(built) == 1 + dec.k
-    assert not any("repaired" in vars(g.exact_distance)
-                   for g in [f, *(fi for (fi, _) in dec.components)])
-    cert = exact_distance(f)
+    # f's certificate is cached, unbuilt; the parts carry none
+    cert = vars(f)["exact_distance"]
+    assert "repaired" not in vars(cert)
+    assert not any("exact_distance" in vars(fi) for (fi, _) in dec.components)
     assert cert.repaired is cert.repaired and len(built) == 2 + dec.k
     assert is_monotone(cert.repaired)
     assert cert.repaired.values == tuple(f.values[s] for s in cert.source)
@@ -162,23 +171,29 @@ def test_repaired_function_is_built_only_when_read(monkeypatch):
     assert exact_distance(mono).repaired.values == mono.values
 
 
+def part_labels(dec):
+    """Each vertex's first part graph, -1 off every graph, scanned vertex
+    by vertex."""
+    return np.array([next((i for i, (_, graph) in enumerate(dec.components)
+                           if x in graph.vertices), -1) for x in range(dec.f.n)])
+
+
 def test_verify_instance_solves_f_once(monkeypatch):
-    """f and every Boolean part arrive in one `DistanceCertificate.of_all`
-    stack, which the row's epsilon, the decomposition certificate, the
-    chain checks and the edge bound all read."""
-    batches = []
-    solve = DistanceCertificate.of_all.__func__
-    monkeypatch.setattr(DistanceCertificate, "of_all",
-                        classmethod(lambda cls, fs: batches.append(list(fs)) or solve(cls, fs)))
+    """f is solved alone and every Boolean part in one union solve, which
+    the row's epsilon, the decomposition certificate, the chain checks
+    and the edge bound all read."""
+    calls = counting_solves(monkeypatch)
     d, r, master, index = 5, 4, 3, 0
     row = _verify_instance((d, r, master, index, 2, 2))
     assert row["ok"] and not row["monotone"]
     f = random_function(hypercube(d), r, derive_seed(master, index))
-    parts = [fi.values for (fi, _) in decompose(f).components]
-    assert len(batches) == 1
-    [batch] = batches
-    assert [g.values for g in batch] == [f.values, *parts]
-    assert parts and all(set(g.values) <= {0, 1} for g in batch[1:])
+    dec = decompose(f)
+    parts = [fi.values for (fi, _) in dec.components]
+    assert len(calls) == 2 and is_whole_row(calls[0], f)
+    ranks, label = calls[1]
+    assert [tuple(row) for row in ranks.tolist()] == parts
+    assert parts and all(set(values) <= {0, 1} for values in parts)
+    assert np.array_equal(label, part_labels(dec))
     assert row["epsilon"] == str(exact_distance(f).epsilon)
 
 
@@ -186,29 +201,30 @@ def test_verify_instance_solves_a_monotone_f_from_its_cover_edges(monkeypatch):
     d, r, master = 3, 2, 0
     index = next(i for i in range(100) if is_monotone(
         random_function(hypercube(d), r, derive_seed(master, i))))
-    solved = counting_solves(monkeypatch)
+    calls = counting_solves(monkeypatch)
     compared = []
     monkeypatch.setattr(poset.PosetDomain, "pair_arrays",
                         property(lambda domain: compared.append(domain)))
     row = _verify_instance((d, r, master, index, 3, 3))
     assert row["monotone"] and row["ok"] and row["epsilon"] == "0"
-    assert len(solved) == 1 and not compared
+    assert calls == [] and not compared
 
 
 def test_decomposition_certificate_is_solved_when_read(monkeypatch):
-    """`decompose` solves nothing; reading the certificate solves f and
-    every part in one batch, which the chain check then reads; a
+    """`decompose` solves nothing; reading the certificate solves f, then
+    every part in one union solve, which the chain check then reads; a
     decomposition whose certificate was never read gives the same chain,
     bit for bit."""
-    solved = counting_solves(monkeypatch)
+    calls = counting_solves(monkeypatch)
     f = random_function(hypercube(5), 4, 11)
     dec = decompose(f)
-    assert solved == [] and "certificate" not in vars(dec)
+    assert calls == [] and "certificate" not in vars(dec)
     assert dec.certificate.all_ok
-    assert solved == [f, *(fi for (fi, _) in dec.components)]
+    assert len(calls) == 2 and is_whole_row(calls[0], f)
+    assert np.array_equal(calls[1][0], [fi.ranks for (fi, _) in dec.components])
     col = EdgeColoring.random(violation_profile(f), random.Random(3))
     chain = robust_chain_check(dec, col)
-    assert len(solved) == 1 + dec.k
+    assert len(calls) == 2
     g = ValuedFunction(f.domain, f.values)
     unread = decompose(g)
     fresh = robust_chain_check(unread, EdgeColoring(violation_profile(g), col.red))
@@ -235,12 +251,21 @@ BATCH_DOMAINS = [("cube", 1, 0), ("cube", 3, 0), ("cube", 5, 0),
                  ("dag", 7, 2), ("dag", 40, 3), ("dag", 1, 0), ("dag", 6, 0)]
 
 
+def solve_alone(f):
+    """`solve_covers` of f alone, every vertex labelled 0: its cover and
+    its repair."""
+    (cover,), source = solve_covers(f.domain, f.ranks[None], np.zeros(f.n, np.int32))
+    return cover, source
+
+
 @pytest.mark.parametrize("spec", BATCH_DOMAINS, ids=lambda s: "-".join(map(str, s)))
 @pytest.mark.parametrize("chunk", [None, 1, 37, 500])
 def test_batch_solve_matches_single_solves(spec, chunk, monkeypatch):
     """Monotone, non-monotone, constant, Boolean and mixed int/float rows
-    solved as one stack give each row's own certificate, field by field,
-    also when the stack is split into chunks of a few rows."""
+    solved as one stack, under labels that leave many of their violated
+    pairs out, get a minimum cover each, the size of the row's own solve;
+    also when the rows are certified in chunks of a few rows.  A single
+    row's solve gives `exact_distance`'s cover and repair."""
     domain = batch_domain(spec)
     n = domain.n
     values = [(1,) * n, tuple(range(n)), tuple(range(n, 0, -1)),
@@ -249,34 +274,142 @@ def test_batch_solve_matches_single_solves(spec, chunk, monkeypatch):
     for _ in range(6):
         values.append(tuple(rng.choice([0, 1, 1.0, 2, 2.5, 3]) for _ in range(n)))
         values.append(tuple(rng.choice([0, 1]) for _ in range(n)))
-    singles = [DistanceCertificate.of_all([ValuedFunction(domain, v)])[0] for v in values]
+    fs = [ValuedFunction(domain, v) for v in values]
+    singles = [exact_distance(ValuedFunction(domain, v)) for v in values]
     if chunk is not None:
         monkeypatch.setattr(poset, "PAIR_CHUNK", chunk)
-    batch = DistanceCertificate.of_all([ValuedFunction(domain, v) for v in values])
-    assert len(batch) == len(values)
-    for v, one, many in zip(values, singles, batch):
-        assert many.epsilon == one.epsilon and many.vertex_cover == one.vertex_cover
-        assert [repr(x) for x in many.repaired.values] == [repr(x) for x in one.repaired.values]
-        assert many.repaired.values == v if not one.vertex_cover else is_monotone(many.repaired)
-        if n <= 20:
-            f = ValuedFunction(domain, v)
-            assert many.cover_size == exact_distance_bruteforce(f)
+    ranks = np.array([f.ranks for f in fs])
+    labels = [np.full(n, -1), np.zeros(n, dtype=int),
+              np.array([rng.randrange(len(fs)) for _ in range(n)]),
+              np.array([rng.randrange(-1, 3) for _ in range(n)])]
+    for label in labels:
+        covers, source = solve_covers(domain, ranks, label)
+        assert len(covers) == len(fs) and source is None
+        for f, one, cover in zip(fs, singles, covers):
+            assert len(cover) == one.cover_size
+            assert all(x in cover or y in cover for (x, y) in violated_pairs(f).tolist())
+            if n <= 20:
+                assert len(cover) == exact_distance_bruteforce(f)
+    for f, one in zip(fs, singles):
+        cover, source = solve_alone(f)
+        assert frozenset(cover) == one.vertex_cover
+        assert np.array_equal(source, one.source if one.vertex_cover else np.arange(n))
 
 
-def test_exact_distances_caches_each_certificate(monkeypatch):
-    """Unsolved functions are solved in one batch and cached; solved ones
-    are read from their cache."""
-    domain = hypercube(4)
-    fs = [random_function(domain, r, seed) for r, seed in ((2, 1), (3, 2), (4, 3))]
-    first = exact_distance(fs[0])
-    solved = counting_solves(monkeypatch)
-    certs = exact_distances(fs)
-    assert solved == fs[1:]
-    assert certs[0] is first and all(f.exact_distance is c for f, c in zip(fs, certs))
-    assert exact_distances(fs) == certs and solved == fs[1:]
-    assert exact_distances([]) == []
-    with pytest.raises(ValueError, match="one domain"):
-        DistanceCertificate.of_all([fs[0], anti_dictator(3)])
+DECOMPOSED = [("cube", d, 0) for d in range(1, 9)] + [("dag", n, 3) for n in (5, 20, 60, 150)]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 37])
+def test_union_solve_gives_each_part_its_own_distance(chunk, monkeypatch):
+    """On hypercubes d <= 8 and random DAGs, every part's distance from the
+    union solve is the part's own `exact_distance`, also when the parts
+    are certified a few rows per chunk.  A correct decomposition makes
+    exactly two solver calls, f alone and its parts' union, and solves no
+    part again."""
+    if chunk is not None:
+        monkeypatch.setattr(poset, "PAIR_CHUNK", chunk)
+    decs = [decompose(random_function(batch_domain(spec), r, seed))
+            for spec in DECOMPOSED for r, seed in ((2, 1), (3, 2), (8, 3))]
+    calls = counting_solves(monkeypatch)
+    solved = 0
+    for dec in decs:
+        if dec.monotone:
+            continue
+        del calls[:]
+        _, eps_parts, eps_sum = dec.epsilons
+        assert len(calls) == 2 and is_whole_row(calls[0], dec.f)
+        assert np.array_equal(calls[1][1], part_labels(dec))
+        assert eps_parts == tuple(exact_distance(fi).epsilon for (fi, _) in dec.components)
+        assert eps_sum == sum(eps_parts) and 2 * eps_sum >= exact_distance(dec.f).epsilon
+        solved += 1
+    assert solved > 25
+
+
+def koenig_cover_on_label(fi, label, i):
+    """The vertices of networkx's Koenig cover of the split graph of fi's
+    violated pairs with both ends labelled i."""
+    graph = nx.Graph()
+    top = {("L", x) for x in range(fi.n)}
+    graph.add_nodes_from(top)
+    graph.add_edges_from((("L", x), ("R", y)) for (x, y) in violated_pairs(fi).tolist()
+                         if label[x] == label[y] == i)
+    matching = nx.bipartite.hopcroft_karp_matching(graph, top)
+    return {x for (_, x) in nx.bipartite.to_vertex_cover(graph, matching, top)}
+
+
+def test_a_corrupted_decomposition_re_solves_only_its_failing_parts(monkeypatch):
+    """Parts with random values, whose violated pairs leave their graphs,
+    and graphs widened into another part's: a part is solved again alone
+    iff the Koenig cover of its pairs inside its label is no minimum cover
+    of all its violated pairs, and every distance is still the part's
+    own."""
+    rng = random.Random(36)
+    calls = counting_solves(monkeypatch)
+    failed = passed = 0
+    for seed in range(30):
+        domain = hypercube(4) if seed % 2 else batch_domain(("dag", 12, 2))
+        f = random_function(domain, 4, 3600 + seed)
+        if is_monotone(f):
+            continue
+        dec = decompose(f)
+        parts = list(dec.components)
+        i = rng.randrange(dec.k)
+        part, graph = parts[i]
+        if seed % 3 or dec.k == 1:
+            parts[i] = (ValuedFunction(domain, tuple(rng.choice((0, 1)) for _ in range(f.n))),
+                        graph)
+        else:
+            other = parts[rng.choice([j for j in range(dec.k) if j != i])][1]
+            parts[i] = (part, domain.sweeping_graph(
+                graph.source_set | {min(other.source_set)},
+                graph.sink_set | {min(other.sink_set)}))
+        corrupted = Decomposition(f, dec.matching, tuple(parts))
+        label = part_labels(corrupted)
+        alone = [exact_distance(ValuedFunction.of_ranks(domain, fi.levels, fi.ranks))
+                 for (fi, _) in parts]
+        failing = [j for j, ((fi, _), cert) in enumerate(zip(parts, alone))
+                   if not ((cover := koenig_cover_on_label(fi, label, j))
+                           .issuperset(x if x in cover else y
+                                       for (x, y) in violated_pairs(fi).tolist())
+                           and len(cover) == cert.cover_size)]
+        del calls[:]
+        _, eps_parts, _ = corrupted.epsilons
+        assert eps_parts == tuple(cert.epsilon for cert in alone)
+        again = calls[2:]
+        assert all(len(ranks) == 1 and not label.any() for ranks, label in again)
+        assert [ranks[0].tolist() for ranks, _ in again] \
+            == [parts[j][0].ranks.tolist() for j in failing]
+        failed += len(failing)
+        passed += corrupted.k - len(failing)
+    assert failed > 10 and passed > 10
+
+
+def test_epsilons_refuses_a_part_on_another_domain():
+    f = random_function(hypercube(4), 3, 2)
+    dec = decompose(f)
+    (fi, graph), *rest = dec.components
+    dag = PosetDomain("dag", n=f.n)
+    for part in [(anti_dictator(3), graph),
+                 (ValuedFunction.of_ranks(dag, fi.levels, fi.ranks), graph)]:
+        with pytest.raises(ValueError, match="^f and its parts must share one domain$"):
+            Decomposition(f, dec.matching, (part, *rest)).epsilons
+
+
+def test_a_whole_domain_row_that_fails_its_certificate_is_an_error(monkeypatch):
+    """A repair that changes nothing fails every non-monotone row: a row
+    of a stack is solved again alone, and a row alone on all its
+    vertices raises."""
+    monkeypatch.setattr(oracles, "_repair", lambda domain, ranks, cover:
+                        np.broadcast_to(np.arange(domain.n), ranks.shape))
+    f = random_function(hypercube(3), 3, 1)
+    with pytest.raises(AssertionError, match="on all 8 vertices"):
+        exact_distance(f)
+    assert "exact_distance" not in vars(f)
+    calls = counting_solves(monkeypatch)
+    with pytest.raises(AssertionError, match="on all 8 vertices"):
+        solve_covers(f.domain, np.array([f.ranks, f.ranks]), np.full(f.n, 1))
+    # the first row's re-solve is the call that raises
+    assert len(calls) == 1 and is_whole_row(calls[0], f)
 
 
 def random_bipartite(rng, lefts, rights, density):
@@ -288,7 +421,7 @@ def random_bipartite(rng, lefts, rights, density):
 
 def disjoint_union(graphs):
     """The graphs side by side, each shifted past the labels of the ones
-    before it, as `of_all` lays a chunk's rows out."""
+    before it."""
     union, offset = {}, 0
     for adj in graphs:
         union.update({offset + u: [offset + v for v in vs] for u, vs in adj.items()})
@@ -627,26 +760,36 @@ def cover_edge_stacks():
 
 
 def test_cover_edge_start_changes_no_certificate(monkeypatch):
-    """`of_all` gives the same certificates when the engine gets no
-    cover-edge prefix, and when no pair is flagged as a cover edge, so
-    every left cell lists its pairs in pair order."""
-    stacks = cover_edge_stacks()
-    solved = [DistanceCertificate.of_all(fs) for fs in stacks]
-    assert sum(c.cover_size for certs in solved for c in certs) > 0
+    """Each function's solve alone, and each decomposition's union solve
+    of its parts, give the same covers and repairs when the engine gets
+    no cover-edge prefix, and when no pair is flagged as a cover edge, so
+    every left vertex lists its pairs in pair order."""
+    calls = []
+    for fs in cover_edge_stacks():
+        calls += [(f.domain, f.ranks[None], np.zeros(f.n, np.int32)) for f in fs]
+    for d in (4, 6, 8):
+        dec = decompose(random_function(hypercube(d), 8, d))
+        calls.append((dec.f.domain, np.array([fi.ranks for fi, _ in dec.components]),
+                      part_labels(dec)))
+
+    def solve_all():
+        return [solve_covers(*call) for call in calls]
+
+    solved = solve_all()
+    assert sum(len(cover) for covers, _ in solved for cover in covers) > 0
     unmasked_engine = oracles.max_gain_matching
     with monkeypatch.context() as mp:
         mp.setattr(oracles, "max_gain_matching", lambda *args: unmasked_engine(*args[:4]))
-        unmasked = [DistanceCertificate.of_all(fs) for fs in stacks]
+        unmasked = solve_all()
     with monkeypatch.context() as mp:
         mp.setattr(PosetDomain, "pair_is_cover_edge",
                    property(lambda dom: np.zeros(len(dom.pair_arrays[0]), dtype=bool)))
-        in_pair_order = [DistanceCertificate.of_all(fs) for fs in stacks]
-    for certs, *others in zip(solved, unmasked, in_pair_order):
-        for other in others:
-            for a, b in zip(certs, other, strict=True):
-                assert a.epsilon == b.epsilon and a.vertex_cover == b.vertex_cover
-                assert (a.source is None and b.source is None) \
-                    or np.array_equal(a.source, b.source)
+        in_pair_order = solve_all()
+    for (covers, source), *others in zip(solved, unmasked, in_pair_order):
+        for other_covers, other_source in others:
+            assert covers == other_covers
+            assert (source is None and other_source is None) \
+                or np.array_equal(source, other_source)
 
 
 def scan_repair(f, cover):
