@@ -130,7 +130,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_test_monotone(args) -> int:
     started = time.perf_counter()
-    _check_at_least(args, jobs=1)
+    _check_at_least(args, trials=1, jobs=1)
     f = read_function(args.fn)
     dimension(f.domain, "test-monotone")
     run = partial(pair_tester, epsilon=args.eps, r=len(f.levels),

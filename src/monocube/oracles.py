@@ -31,7 +31,8 @@ with the part graph that holds it (`decomposition.Decomposition.epsilons`).
 Each row's cover is certified on the whole domain, a chunk of rows at a
 time (`poset.row_chunks`), and a row that fails is solved alone.  A
 monotone f gets the zero certificate from its cover edges alone
-(`violated_cover_edges`, which the decomposition's checks share).  Acertificate holds no n-tuple: f's rank view and given values, and the
+(`violated_cover_edges`, which the decomposition's checks share).  A
+certificate holds no n-tuple: f's rank view and given values, and the
 repair as a read-only row of the vertex each point copies; it builds
 the repaired function only when it is read.
 

@@ -27,11 +27,11 @@ reported witness are derived afterwards, taking the first violating
 pair in schedule order.  Draws with y = x cost one lookup; all others
 cost two.
 
-A pair draw gives every coordinate a random key, below 1 exactly on x's
-b-coordinates, and flips the tau coordinates with the smallest keys,
-found by tau rounds of a row-wise argmin.  The tau-th smallest key also
-decides the degenerate case: when it is not below 1, x has fewer than
-tau b-coordinates and y = x.
+A pair draw takes x's b-coordinates as a bit mask and picks the tau
+coordinates y flips one at a time, each uniform among those not yet
+picked.  A pick costs one uniform 53-bit word and a binary search over
+bit counts, so a draw costs O(tau) random words and O(tau log d) word
+operations, where a random key per coordinate would cost d.
 """
 
 from __future__ import annotations
@@ -109,42 +109,39 @@ def repetitions(d: int, epsilon: float, r: int, budget_constant: float) -> int:
 def pair_draws(rng: np.random.Generator, d: int, settings: list, reps: int) -> np.ndarray:
     """``reps`` draws from D_pair(b, tau) for each (b, tau) in ``settings``,
     as an array of shape (len(settings), reps, 2) holding (x, y) in the
-    vertex dtype `index_dtype(2^d)`.  Every tau must lie in 1..d; this is
-    checked before anything is drawn.
+    vertex dtype `index_dtype(2^d)`, for d up to 63.  Every tau must lie
+    in 1..d; this is checked before anything is drawn.
 
-    x is uniform on the d-cube.  Each coordinate gets a uniform key in
-    [0, 1), and the coordinates where x does not have bit b get 1 added,
-    which puts them after every b-coordinate.  tau rounds of a row-wise
-    argmin, each retiring its pick to +inf, take the tau smallest keys;
-    when the last of them is below 1 they are a uniform tau-subset of x's
-    b-coordinates, which y flips.  Otherwise x has fewer than tau
-    b-coordinates and y = x.  Two b-coordinates tie only on equal 53-bit
-    keys; argmin then takes the lower coordinate.
+    The stream holds x, uniform on the d-cube, as one (len(settings), reps)
+    block, then one (T, len(settings), reps) block of uniform 53-bit words,
+    T the largest tau.  Its layout depends on (d, settings, reps) alone.
+    When x has fewer than tau b-coordinates, y = x.  Otherwise, round r < tau
+    of a draw reads its word U from block row r, takes the m b-coordinates
+    not yet picked, and picks the (j+1)-th highest of them, j = U*m >> 53:
+    exact integer arithmetic, uniform on 0..m-1 to within 2^-53 per value.
+    The tau picks are then a uniform tau-subset of x's b-coordinates, and
+    y flips them.  Rounds r >= tau of a draw discard their pick.
     """
     for _, tau in settings:
         if not 1 <= tau <= d:
             raise ValueError(f"tau={tau} must lie in 1..d={d}")
     dtype = index_dtype(1 << d)
     x = rng.integers(0, 1 << d, size=(len(settings), reps), dtype=dtype)
-    keys = rng.random((len(settings), reps, d))
-    one = dtype.type(1)
-    b_col = np.array([b for b, _ in settings], dtype=bool)[:, None, None]
-    bits = one << np.arange(d, dtype=dtype)
-    keys += ((x[..., None] & bits) != 0) ^ b_col  # +1 where x's bit is not b
-    pairs = np.stack([x, x], axis=-1)
-    row_start = np.arange(0, reps * d, d)  # each draw's first key in a flat setting
-    for s, (_, tau) in enumerate(settings):
-        flat = keys[s].reshape(-1)
-        flip = np.zeros(reps, dtype=dtype)
-        for _ in range(tau):
-            coord = keys[s].argmin(axis=1)
-            picked = row_start + coord
-            last = flat[picked]
-            flat[picked] = np.inf
-            flip |= one << coord.astype(dtype)
-        flip[last >= 1] = 0
-        pairs[s, :, 1] ^= flip
-    return pairs
+    taus = np.array([tau for _, tau in settings], dtype=int)[:, None]
+    words = rng.integers(0, 1 << 53, size=(taus.max(initial=0), len(settings), reps),
+                         dtype=np.uint64)
+    full = (1 << d) - 1
+    coords = x ^ np.array([0 if b else full for b, _ in settings], dtype=dtype)[:, None]
+    coords *= np.bitwise_count(coords) >= taus  # x's b-coordinates, none when too few
+    free = coords.copy()
+    steps = [dtype.type(1 << i) for i in reversed(range((d - 1).bit_length()))]
+    for r, word in enumerate(words):
+        j = (word * np.bitwise_count(free) >> 53).astype(np.uint8)
+        pick = np.zeros_like(free)  # ends at the (j+1)-th highest free bit
+        for step in steps:
+            pick |= step * (np.bitwise_count(free >> (pick | step)) > j)
+        free &= ~((dtype.type(1) << pick) * (taus > r))
+    return np.stack([x, x ^ coords ^ free], axis=-1)
 
 
 def edge_draws(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
@@ -166,9 +163,11 @@ def _evaluate_schedule(oracle: CountingOracle, settings: list,
     """
     start = oracle.query_count
     issued = np.ones(pairs.shape, dtype=bool)
-    issued[..., 1] = pairs[..., 0] != pairs[..., 1]
-    # a y = x draw reads the rank of its x twice: its one lookup is repeated
-    ranks = oracle.lookup_ranks(pairs[issued])[np.cumsum(issued) - 1].reshape(pairs.shape)
+    issued[..., 1] = moved = pairs[..., 0] != pairs[..., 1]
+    looked_up = oracle.lookup_ranks(pairs[issued])
+    ranks = np.empty(pairs.shape, looked_up.dtype)
+    ranks[issued] = looked_up
+    ranks[..., 1][~moved] = ranks[..., 0][~moved]  # a y = x draw reads its x's rank twice
     witness = None
     per_setting = {}
     for s, (b, tau) in enumerate(settings):

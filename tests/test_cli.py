@@ -221,7 +221,8 @@ def test_oversized_input_is_a_usage_error(tmp_path, capsys):
 CHECKS_NOTHING = [("verify-inequalities", option) for option in
                   (["--count", "-2"], ["--colorings", "-1"], ["--mu-sets", "-1"],
                    ["--jobs", "0"], ["--jobs", "-3"])]
-CHECKS_NOTHING += [("test-monotone", ["--jobs", "0"]), ("test-monotone", ["--jobs", "-3"])]
+CHECKS_NOTHING += [("test-monotone", option) for option in
+                   (["--trials", "0"], ["--trials", "-3"], ["--jobs", "0"], ["--jobs", "-3"])]
 
 
 @pytest.mark.parametrize("command, option", CHECKS_NOTHING,
@@ -236,7 +237,7 @@ def test_a_count_that_checks_nothing_is_a_usage_error(tmp_path, capsys, command,
     assert run([*argv, *option, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {option[0]} must be at least " \
-                           f"{1 if option[0] == '--jobs' else 0}, not {option[1]}\n"
+                           f"{1 if option[0] in ('--trials', '--jobs') else 0}, not {option[1]}\n"
     assert captured.out == "" and not out.exists()
 
 

@@ -69,10 +69,10 @@ GOLDEN = [
      "21995b4eb1873ab22f2ae62a796c5b7d2e5fb206d1a91727c886ec89ecb5d6f6"),
     (["test-monotone", "--fn", "mixed-d6.json", "--eps", "0.5", "--trials", "8",
       "--seed", "3"],
-     "7d19b6868ea0ca801c0181b4e37e332c16aae00f4c7db78bb58f7e28a5f307b7"),
+     "a5ef69a315c5f8674680f3d698494359500e65654ee30d8278950737c8725590"),
     (["test-monotone", "--fn", "anti-d10.json", "--eps", "0.5", "--trials", "5",
       "--seed", "1"],
-     "b02364457a1ea2828de210ea82c8a25a4303f47c5dab27e6d526a0d78f7100a1"),
+     "c5be8e0407007a43b98d037272c3d81b36f286de45300af118b1f308b5ceb06b"),
     (["exact-distance", "--fn", "bool-d8.json"],
      "a6c94a099b31dd327c0f28f05d0f603f1b63109eb495ab632c4bee94437b1b83"),
     (["exact-distance", "--fn", "tied-d5.json"],
