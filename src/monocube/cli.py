@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -277,7 +278,7 @@ def cmd_verify_inequalities(args) -> int:
     }
     _emit(report, args.out)
     if args.format == "csv":  # the header is written also when there are no rows
-        with open(args.out.rsplit(".", 1)[0] + ".csv", "w", newline="") as fh:
+        with open(os.path.splitext(args.out)[0] + ".csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=VERIFY_FIELDS)
             writer.writeheader()
             writer.writerows({k: (";".join(v) if isinstance(v, list) else v)
@@ -336,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_test_monotone)
 
-    p = sub.add_parser("approx-distance", help="nonadaptive distance approximation")
+    p = sub.add_parser("approx-distance", help="distance approximation, nonadaptive per call",
+                       description="Three nonadaptive tolerant-tester calls per epsilon = 1/2, "
+                                   "1/4, ... down to alpha; the search stops at the first level "
+                                   "voted far, so 'queries' counts only the calls that ran.")
     p.add_argument("--fn", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--cprime", type=float, default=1.0)

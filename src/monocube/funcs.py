@@ -12,11 +12,15 @@ violated pair, the distance to monotonicity, and the image size
 
 ``ValuedFunction(domain, values)`` checks, ranks and keeps values from
 outside the library, so reports echo them as given (1 and 1.0 share a
-level); `ValuedFunction.of_ranks` takes ranks the library made
-(`from_table`, a decomposition's bit-stack rows), scans nothing and
-builds ``values`` only when read.  `isoperimetry.violation_profile` and
-`oracles.exact_distance` own the profile and the distance certificate
-and cache them on the function; this module imports only `poset`.
+level).  It alone applies the file format's value rule, so `read_function`
+checks only the JSON structure: n values, each an ``int`` or a finite
+``float`` (a float subclass such as ``numpy.float64`` too, but no bool,
+string, None or numpy integer).  `ValuedFunction.of_ranks` takes ranks
+the library made (`from_table`, a decomposition's bit-stack rows), scans
+nothing and builds ``values`` only when read.
+`isoperimetry.violation_profile` and `oracles.exact_distance` own the
+profile and the distance certificate and cache them on the function;
+this module imports only `poset`.
 
 `CountingOracle` wraps a function behind a query counter so testers can
 account for every lookup they make.  Its one read,
@@ -35,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poset import PosetDomain, build_domain, hypercube, read_domain
+from .poset import PosetDomain, hypercube, read_domain
 
 
 class FunctionFormatError(ValueError):
@@ -47,15 +51,15 @@ class ValuedFunction:
 
     def __init__(self, domain: PosetDomain, values: tuple):
         if len(values) != domain.n:
-            raise ValueError(
-                f"value array has length {len(values)}, "
-                f"domain has {domain.n} vertices")
-        # an int is finite at any size: check only the other values, and
-        # look for the offender only once one is known to exist
+            raise ValueError(f"{len(values)} values for a domain with {domain.n} vertices")
+        # one pass over the types settles the common cases, and an offender is
+        # looked for only once one is known to exist; an int is finite at any size
         types = set(map(type, values))
-        if not types <= {int, bool}:
-            rest = values if types == {float} else \
-                [v for v in values if not isinstance(v, int)]
+        if not all(t is int or issubclass(t, float) for t in types):
+            bad = next(v for v in values if type(v) is not int and not isinstance(v, float))
+            raise ValueError(f"non-numeric value {bad!r}")
+        if types != {int}:
+            rest = [v for v in values if type(v) is not int] if int in types else values
             if not all(map(math.isfinite, rest)):
                 bad = next(v for v in rest if not math.isfinite(v))
                 raise ValueError(f"non-finite value {bad!r}")
@@ -138,22 +142,21 @@ def from_table(domain: PosetDomain, table: list[int]) -> ValuedFunction:
 
 def random_function(domain: PosetDomain, r: int, seed: int) -> ValuedFunction:
     """i.i.d. uniform values in 1..r, deterministic given the seed."""
-    if r < 1:
-        raise ValueError("image bound r must be >= 1")
-    domain.check_table_budget()
-    rng = np.random.default_rng(seed)
-    return from_table(domain, rng.integers(1, r + 1, size=domain.n).tolist())
+    return from_table(domain, _uniform_table(domain, r, seed).tolist())
 
 
 def random_monotone(domain: PosetDomain, r: int, seed: int) -> ValuedFunction:
     """A random monotone function: i.i.d. uniform base values in 1..r,
     then the monotone closure g(x) = max over y <= x of base(y)."""
+    return from_table(domain, domain.down_max(_uniform_table(domain, r, seed)).tolist())
+
+
+def _uniform_table(domain: PosetDomain, r: int, seed: int) -> np.ndarray:
+    """`random_function`'s values as an array, r and the table size checked first."""
     if r < 1:
         raise ValueError("image bound r must be >= 1")
     domain.check_table_budget()
-    rng = np.random.default_rng(seed)
-    base = rng.integers(1, r + 1, size=domain.n)
-    return from_table(domain, domain.down_max(base).tolist())
+    return np.random.default_rng(seed).integers(1, r + 1, size=domain.n)
 
 
 def anti_dictator(d: int) -> ValuedFunction:
@@ -204,21 +207,11 @@ def read_function(path: str) -> ValuedFunction:
         raise FunctionFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or type(doc.get("values")) is not list:
         raise FunctionFormatError(f"{path}: needs a list of 'values'")
-    values = doc["values"]
-    if not set(map(type, values)) <= {int, float}:
-        bad = next(v for v in values if type(v) not in (int, float))
-        raise FunctionFormatError(f"{path}: non-numeric value {bad!r}")
     if "d" not in doc and type(doc.get("domain")) is not str:
         raise FunctionFormatError(f"{path}: needs a 'd' key or a 'domain' file name")
     try:
-        domain = (build_domain({"d": doc["d"]}) if "d" in doc else
+        domain = (hypercube(doc["d"]) if "d" in doc else
                   read_domain(os.path.join(os.path.dirname(path) or ".", doc["domain"])))
-    except ValueError as exc:
-        raise FunctionFormatError(f"{path}: {exc}") from exc
-    if len(values) != domain.n:
-        raise FunctionFormatError(
-            f"{path}: {len(values)} values for a domain with {domain.n} vertices")
-    try:
-        return ValuedFunction(domain, tuple(values))
+        return ValuedFunction(domain, tuple(doc["values"]))
     except ValueError as exc:
         raise FunctionFormatError(f"{path}: {exc}") from exc

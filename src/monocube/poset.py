@@ -38,6 +38,10 @@ allocate a value table: at most `MAX_TABLE` vertices.  A DAG domain over
 that budget is refused before its topological order and adjacency lists
 are built, so a domain file cannot ask for more than a table would hold.
 
+`PosetDomain` checks its own numbers, so `build_domain` reads only a domain
+file's JSON shape: ``d``, ``n`` and each edge end must be an ``int`` (not a
+bool, a float or a numpy integer), and d at most 63, checked before ``1 << d``.
+
 Domains are immutable after construction and safe to share across
 workers.
 """
@@ -74,17 +78,23 @@ class PosetDomain:
     def __init__(self, kind: str, *, d: int | None = None, n: int | None = None,
                  edges: Sequence[tuple[int, int]] | None = None):
         if kind == "hypercube":
-            if d is None or d < 1:
+            _check_int("d", d)
+            if d < 1:
                 raise ValueError("hypercube dimension must be >= 1")
+            if d > 63:  # before 1 << d is formed
+                raise ValueError(f"hypercube dimension {d} is past the vertex-id range, d <= 63")
             self.kind = "hypercube"
             self.d = d
             self.n = 1 << d
         elif kind == "dag":
-            if n is None or n < 1:
+            _check_int("n", n)
+            if n < 1:
                 raise ValueError("dag vertex count must be >= 1")
             _check_table_size("a DAG domain", n)  # before its O(n) lists
             edges = list(edges or [])
             for (u, v) in edges:
+                if not type(u) is type(v) is int:
+                    raise ValueError("'edges' must be a list of [u, v] integer pairs")
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"edge ({u},{v}) out of range for n={n}")
                 if u == v:
@@ -331,6 +341,11 @@ def row_chunks(rows: int, width: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
+def _check_int(name: str, value) -> None:
+    if type(value) is not int:  # nothing is converted: a bool or a numpy integer is refused
+        raise ValueError(f"'{name}' must be an integer, not {type(value).__name__}")
+
+
 def _check_table_size(what: str, n: int) -> None:
     if n > MAX_TABLE:
         raise DomainSizeError(f"{what} has {n} vertices, over the "
@@ -373,25 +388,25 @@ def _topological_order(n: int, edges: Sequence[tuple[int, int]]
 def build_domain(spec) -> PosetDomain:
     """Build a domain from a parsed JSON mapping: {"d": ...} gives the
     shared `hypercube` instance, {"n": ..., "edges": [[u, v], ...]} a DAG.
-    ``d``, ``n`` and each edge end must be an int, not a bool: nothing is
-    converted."""
+    Only the JSON shape is checked here; `PosetDomain` checks the numbers."""
     if not isinstance(spec, dict) or not ("d" in spec or "n" in spec):
         raise ValueError("domain mapping needs a 'd' or 'n' key")
-    key = "d" if "d" in spec else "n"
-    if type(spec[key]) is not int:
-        raise ValueError(f"'{key}' must be an integer, not {type(spec[key]).__name__}")
-    if key == "d":
+    if "d" in spec:
         return hypercube(spec["d"])
     edges = spec.get("edges", [])
-    if type(edges) is not list or not all(
-            type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges):
+    if type(edges) is not list or not all(type(e) is list and len(e) == 2 for e in edges):
         raise ValueError("'edges' must be a list of [u, v] integer pairs")
     return PosetDomain("dag", n=spec["n"], edges=list(map(tuple, edges)))
 
 
-@lru_cache(maxsize=None)
 def hypercube(d: int) -> PosetDomain:
-    """Shared hypercube instance; cached since domains are immutable."""
+    """The shared instance, cached since domains are immutable; only an int
+    is a cache key, so ``True`` or ``2.0`` reaches `PosetDomain` and is refused."""
+    return _shared_hypercube(d) if type(d) is int else PosetDomain("hypercube", d=d)
+
+
+@lru_cache(maxsize=None)
+def _shared_hypercube(d: int) -> PosetDomain:
     return PosetDomain("hypercube", d=d)
 
 

@@ -150,15 +150,19 @@ def test_verify_inequalities_parallel_matches(tmp_path):
 
 def test_verify_inequalities_csv(tmp_path):
     headers = []
-    for count in (4, 0):  # no instance still writes the header
-        out = tmp_path / f"v{count}.json"
+    (tmp_path / "res.d").mkdir()
+    # no instance still writes the header; a dot in a directory name is not
+    # the report's extension, so the CSV stays inside that directory
+    for count, name in ((4, "v4.json"), (0, "v0.json"), (2, "res.d/v")):
+        out = tmp_path / name
         assert run(["verify-inequalities", "--d", "3", "--r", "3", "--count", str(count),
                     "--seed", "0", "--format", "csv", "--out", str(out)]) == 0
-        lines = (tmp_path / f"v{count}.csv").read_text().splitlines()
+        lines = (tmp_path / (os.path.splitext(name)[0] + ".csv")).read_text().splitlines()
         assert len(lines) == 1 + count
         headers.append(lines[0])
     assert "epsilon" in headers[0] and "ok" in headers[0]
-    assert headers[1] == headers[0]
+    assert headers[1] == headers[2] == headers[0]
+    assert not (tmp_path / "res.csv").exists()
 
 
 @pytest.mark.parametrize("values, epsilon", [([0, 10**400], "0"), ([10**400, 0], "1/2")])
@@ -294,16 +298,24 @@ def test_a_command_it_cannot_run_is_one_error_line(tmp_path, capsys, monkeypatch
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [["gen-function", "--d", "40"],
-                                  ["gen-lowerbound", "--d", "49", "--r", "5", "--i", "1"]],
-                         ids=["gen-function", "gen-lowerbound"])
-def test_generators_refuse_a_table_over_the_budget(tmp_path, capsys, argv):
-    # 2^40 and 2^49 values: refused before any table is allocated
+PAST_THE_IDS = "hypercube dimension 3000000 is past the vertex-id range, d <= 63"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-function", "--d", "40"], "value-table budget"),
+    (["gen-lowerbound", "--d", "49", "--r", "5", "--i", "1"], "value-table budget"),
+    (["gen-function", "--d", "3000000"], PAST_THE_IDS),
+    (["verify-inequalities", "--d", "3000000"], PAST_THE_IDS)],
+    ids=["gen-function", "gen-lowerbound", "gen-function-d3000000",
+         "verify-inequalities-d3000000"])
+def test_generators_refuse_a_table_over_the_budget(tmp_path, capsys, argv, message):
+    # 2^40 and 2^49 values: refused before any table is allocated; a d past
+    # 63 is refused before 2^d is formed, let alone written out in digits
     fn = tmp_path / "big.json"
     assert run([*argv, "--out", str(fn)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "value-table budget" in err
+    assert message in err
     assert not fn.exists()
 
 
@@ -315,6 +327,11 @@ MALFORMED = {
                           "needs a 'd' key or a 'domain' file name"),
     "d-a-float": ({"d": 2.5, "values": [1, 2, 3, 4]}, None, "'d' must be an integer, not float"),
     "d-a-bool": ({"d": True, "values": [1, 2]}, None, "'d' must be an integer, not bool"),
+    "d-past-the-vertex-ids": ({"d": 3000000, "values": [1, 2]}, None, PAST_THE_IDS),
+    "values-too-few": ({"d": 2, "values": [1, 2]}, None,
+                       "2 values for a domain with 4 vertices"),
+    "value-a-bool": ({"d": 1, "values": [1, True]}, None, "non-numeric value True"),
+    "value-a-string": ({"d": 1, "values": [1, "2"]}, None, "non-numeric value '2'"),
     "n-a-string": (DAG_FUNCTION, {"n": "2", "edges": [[0, 1]]},
                    "'n' must be an integer, not str"),
     "edges-not-a-list": (DAG_FUNCTION, {"n": 2, "edges": 5},
@@ -366,6 +383,48 @@ def test_a_dag_domain_over_the_budget_is_refused_when_read(tmp_path, capsys, mon
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "value-table budget" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("domain", [{"n": 3, "edges": []}, {"n": 3}, {"n": 1, "edges": []}],
+                         ids=["edgeless-n3", "n3-without-edges", "n1"])
+def test_the_exact_commands_on_an_edgeless_dag(tmp_path, domain):
+    # every function on an edgeless DAG is monotone, whatever its values
+    dom, fn = tmp_path / "e.domain.json", tmp_path / "e.json"
+    dom.write_text(json.dumps(domain))
+    assert run(["gen-function", "--domain", str(dom), "--r", "5", "--seed", "3",
+                "--out", str(fn)]) == 0
+    cert, dec = tmp_path / "cert.json", tmp_path / "dec.json"
+    assert run(["exact-distance", "--fn", str(fn), "--out", str(cert)]) == 0
+    assert run(["decompose", "--fn", str(fn), "--out", str(dec)]) == 0
+    result = json.load(open(cert))["result"]
+    assert result["epsilon"] == "0" and result["monotone"] and result["cover_size"] == 0
+    assert result["repaired_values"] == json.load(open(fn))["values"]
+    doc = json.load(open(dec))
+    assert doc["monotone"] is True and doc["k"] == 0
+
+
+def test_every_command_at_d1(tmp_path):
+    up, down = tmp_path / "up.json", tmp_path / "down.json"
+    up.write_text(json.dumps({"d": 1, "values": [1, 2]}))
+    assert run(["gen-function", "--d", "1", "--r", "3", "--out", str(tmp_path / "g.json")]) == 0
+    assert run(["gen-lowerbound", "--d", "1", "--r", "3", "--i", "1", "--out", str(down)]) == 0
+    assert json.load(open(down))["values"] == [3, 2]
+    for fn, epsilon, k in ((up, "0", 0), (down, "1/2", 1)):
+        cert, dec = tmp_path / "cert.json", tmp_path / "dec.json"
+        assert run(["exact-distance", "--fn", str(fn), "--out", str(cert)]) == 0
+        assert json.load(open(cert))["result"]["epsilon"] == epsilon
+        assert run(["decompose", "--fn", str(fn), "--out", str(dec)]) == 0
+        assert json.load(open(dec))["k"] == k
+    out = tmp_path / "o.json"
+    assert run(["test-monotone", "--fn", str(up), "--eps", "0.5", "--trials", "20",
+                "--out", str(out)]) == 0
+    assert json.load(open(out))["result"]["rejections"] == 0
+    # a monotone input breaks approx-distance's promise of distance >= alpha
+    assert run(["approx-distance", "--fn", str(up), "--alpha", "0.1", "--out", str(out)]) == 0
+    result = json.load(open(out))["result"]
+    assert result["promise_violation"] is True and result["epsilon_hat"] == 0.1
+    assert run(["verify-inequalities", "--d", "1", "--count", "5", "--out", str(out)]) == 0
+    assert json.load(open(out))["result"]["passed"] == 5
 
 
 def test_verify_inequalities_non_boolean_d7(tmp_path):

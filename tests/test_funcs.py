@@ -19,10 +19,12 @@ from proof_checks import threshold, violated_edges
 
 
 def test_length_and_finiteness_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^3 values for a domain with 4 vertices$"):
         ValuedFunction(hypercube(2), (1, 2, 3))
     with pytest.raises(ValueError):
         ValuedFunction(hypercube(1), (1.0, float("inf")))
+    # a float subclass is a float
+    assert ValuedFunction(hypercube(1), (np.float64(0.5), 1)).levels == (0.5, 1)
 
 
 def test_validation_names_the_first_offender(tmp_path):
@@ -31,8 +33,11 @@ def test_validation_names_the_first_offender(tmp_path):
                         ((np.float64(1), 3, np.float64(-inf), 1), "np.float64(-inf)")):
         with pytest.raises(ValueError, match=rf"^non-finite value {re.escape(bad)}$"):
             ValuedFunction(hypercube(2), values)
-    # ints are finite at any size, bools are ints, and finite floats pass
-    ValuedFunction(hypercube(2), (10**400, True, 0.5, -10**400))
+    # ints are finite at any size and finite floats pass; a bool is not a
+    # number of the file format, and is refused before any finiteness fault
+    ValuedFunction(hypercube(2), (10**400, 1, 0.5, -10**400))
+    with pytest.raises(ValueError, match=r"^non-numeric value True$"):
+        ValuedFunction(hypercube(2), (10**400, True, nan, -10**400))
     path = tmp_path / "f.json"
     path.write_text('{"d": 2, "values": [1, 2.0, true, "a"]}')
     with pytest.raises(FunctionFormatError, match="non-numeric value True$"):
@@ -40,6 +45,16 @@ def test_validation_names_the_first_offender(tmp_path):
     path.write_text('{"d": 1, "values": [1, NaN]}')
     with pytest.raises(FunctionFormatError, match="non-finite value nan$"):
         read_function(str(path))
+
+
+@pytest.mark.parametrize("bad, shown", [(True, "True"), ("a", "'a'"), (None, "None"),
+                                        (np.int64(3), "np.int64(3)")],
+                         ids=["bool", "str", "None", "numpy-int64"])
+def test_the_constructor_refuses_a_value_that_is_not_a_number(bad, shown):
+    # the first offender is named, before a non-finite value that precedes it
+    with pytest.raises(ValueError) as exc:
+        ValuedFunction(hypercube(2), (float("inf"), 1, bad, "b"))
+    assert str(exc.value) == f"non-numeric value {shown}"
 
 
 def test_image_size_examples():

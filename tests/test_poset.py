@@ -358,3 +358,51 @@ def test_build_domain_forms():
     assert dag.kind == "dag" and dag.reaches(0, 2)
     with pytest.raises(ValueError):
         build_domain({"x": 1})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PosetDomain("hypercube", d=True), "'d' must be an integer, not bool"),
+    (lambda: PosetDomain("hypercube", d=2.0), "'d' must be an integer, not float"),
+    (lambda: PosetDomain("hypercube", d=np.int64(2)), "'d' must be an integer, not int64"),
+    (lambda: PosetDomain("dag", n="3"), "'n' must be an integer, not str"),
+    (lambda: PosetDomain("dag", n=True), "'n' must be an integer, not bool"),
+    (lambda: PosetDomain("dag", n=3, edges=[(0, 1.0)]),
+     "'edges' must be a list of [u, v] integer pairs"),
+    (lambda: PosetDomain("dag", n=3, edges=[(False, 1)]),
+     "'edges' must be a list of [u, v] integer pairs"),
+    (lambda: PosetDomain("dag", n=3, edges=[(0, np.int64(1))]),
+     "'edges' must be a list of [u, v] integer pairs"),
+    (lambda: hypercube(True), "'d' must be an integer, not bool"),
+    (lambda: hypercube(2.0), "'d' must be an integer, not float"),
+    (lambda: hypercube([2]), "'d' must be an integer, not list"),
+], ids=["d-bool", "d-float", "d-numpy", "n-str", "n-bool", "edge-end-float",
+        "edge-end-bool", "edge-end-numpy", "hypercube-bool", "hypercube-float",
+        "hypercube-list"])
+def test_the_constructor_refuses_a_number_that_is_not_an_int(make, message):
+    hypercube(1), hypercube(2)  # cached first: no key may stand for theirs
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_a_hypercube_past_the_vertex_ids_is_refused_before_its_size_is_formed():
+    assert hypercube(63).n == 1 << 63
+    for d in (64, 3_000_000):
+        with pytest.raises(ValueError, match=rf"^hypercube dimension {d} is past the "
+                                             "vertex-id range, d <= 63$"):
+            PosetDomain("hypercube", d=d)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        hypercube(0)
+
+
+def test_build_domain_checks_only_the_json_shape(monkeypatch):
+    made = []
+    monkeypatch.setattr(poset, "PosetDomain",
+                        lambda kind, **kw: made.append((kind, kw)) or kw)
+    # numbers pass through unchecked, for the constructor to refuse
+    build_domain({"n": "3", "edges": [[0, 1.5]]})
+    build_domain({"d": 2.5})
+    assert made == [("dag", {"n": "3", "edges": [(0, 1.5)]}), ("hypercube", {"d": 2.5})]
+    for edges in (5, [[0]], [(0, 1)], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match=r"^'edges' must be a list of \[u, v\]"):
+            build_domain({"n": 3, "edges": edges})
