@@ -33,7 +33,7 @@ from .isoperimetry import EdgeColoring, dist_to_const_fraction, \
 from .oracles import exact_distance
 from .poset import DomainSizeError, hypercube, read_domain
 from .seeds import derive_seed, parallel_map
-from .testers import DEFAULT_BUDGET_CONSTANT, dimension, measure_rejection, pair_tester
+from .testers import DEFAULT_BUDGET_CONSTANT, dimension, measure_rejection, pair_schedule
 
 TWO_SQRT_TWO = 2.0 * (2.0 ** 0.5)
 
@@ -134,7 +134,7 @@ def cmd_test_monotone(args) -> int:
     _check_at_least(args, trials=1, jobs=1)
     f = read_function(args.fn)
     dimension(f.domain, "test-monotone")
-    run = partial(pair_tester, epsilon=args.eps, r=len(f.levels),
+    run = partial(pair_schedule, epsilon=args.eps, r=len(f.levels),
                   budget_constant=args.budget)
     measurement = measure_rejection(f, run, args.trials, args.seed, jobs=args.jobs)
     report = {
@@ -259,6 +259,7 @@ def cmd_verify_inequalities(args) -> int:
     _check_at_least(args, count=0, colorings=0, mu_sets=0, jobs=1)
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv needs --out: the CSV is written next to the JSON report")
+    hypercube(args.d).check_table_budget()  # also when --count 0 builds no instance
     params = [(args.d, args.r, args.seed, idx, args.colorings, args.mu_sets)
               for idx in range(args.count)]
     rows = parallel_map(_verify_instance, params, args.jobs)

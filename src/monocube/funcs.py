@@ -106,7 +106,7 @@ class CountingOracle:
         """Ranks at the vertices of the integer array ``xs``, one query per
         element."""
         self.query_count += xs.size
-        return self.fn.ranks[xs]
+        return np.take(self.fn.ranks, xs)
 
     @property
     def domain(self) -> PosetDomain:
@@ -203,7 +203,7 @@ def read_function(path: str) -> ValuedFunction:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise FunctionFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or type(doc.get("values")) is not list:
         raise FunctionFormatError(f"{path}: needs a list of 'values'")

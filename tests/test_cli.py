@@ -305,9 +305,13 @@ PAST_THE_IDS = "hypercube dimension 3000000 is past the vertex-id range, d <= 63
     (["gen-function", "--d", "40"], "value-table budget"),
     (["gen-lowerbound", "--d", "49", "--r", "5", "--i", "1"], "value-table budget"),
     (["gen-function", "--d", "3000000"], PAST_THE_IDS),
-    (["verify-inequalities", "--d", "3000000"], PAST_THE_IDS)],
+    (["verify-inequalities", "--d", "3000000"], PAST_THE_IDS),
+    # no instance to build: --d is still checked
+    (["verify-inequalities", "--d", "3000000", "--count", "0"], PAST_THE_IDS),
+    (["verify-inequalities", "--d", "40", "--count", "0"], "value-table budget")],
     ids=["gen-function", "gen-lowerbound", "gen-function-d3000000",
-         "verify-inequalities-d3000000"])
+         "verify-inequalities-d3000000", "verify-inequalities-d3000000-count0",
+         "verify-inequalities-d40-count0"])
 def test_generators_refuse_a_table_over_the_budget(tmp_path, capsys, argv, message):
     # 2^40 and 2^49 values: refused before any table is allocated; a d past
     # 63 is refused before 2^d is formed, let alone written out in digits
@@ -332,6 +336,11 @@ MALFORMED = {
                        "2 values for a domain with 4 vertices"),
     "value-a-bool": ({"d": 1, "values": [1, True]}, None, "non-numeric value True"),
     "value-a-string": ({"d": 1, "values": [1, "2"]}, None, "non-numeric value '2'"),
+    # raw text: json.dumps refuses such an int too
+    "value-past-the-digit-limit": ('{"d": 1, "values": [0, 1' + "0" * 5000 + ']}', None,
+                                   "not valid JSON (Exceeds the limit (4300 digits) for integer "
+                                   "string conversion: value has 5001 digits; use "
+                                   "sys.set_int_max_str_digits() to increase the limit)"),
     "n-a-string": (DAG_FUNCTION, {"n": "2", "edges": [[0, 1]]},
                    "'n' must be an integer, not str"),
     "edges-not-a-list": (DAG_FUNCTION, {"n": 2, "edges": 5},
@@ -350,7 +359,7 @@ def test_a_malformed_input_file_is_one_error_line_naming_it(tmp_path, capsys, ca
     # unchecked, each is a traceback or is read as some other number
     fn, domain, message = MALFORMED[case]
     fn_path, domain_path = tmp_path / "f.json", tmp_path / "dag.domain.json"
-    fn_path.write_text(json.dumps(fn))
+    fn_path.write_text(fn if isinstance(fn, str) else json.dumps(fn))
     if domain:
         domain_path.write_text(json.dumps(domain))
     out = tmp_path / "o.json"

@@ -18,6 +18,7 @@ ALLOWED = {
     # names the benchmark (perfbench/) wraps or runs
     "canonical_rank": "perfbench's tracer wraps it by name",
     "colored_counts": "perfbench's tracer wraps it by name",
+    "pair_tester": "perfbench's tracer wraps it by name",
     "profile_dump": "perfbench runs it as the profile_dump job",
     "anti_dictator": "perfbench's workloads build the anti-dictator input with it",
     # names an open ROADMAP item gives a caller
@@ -31,6 +32,8 @@ ALLOWED = {
     "PosetDomain.sweeping_graph": "perfbench's tracer wraps it by name, and it is the "
                                   "tests' reference for the merge's graphs (ROADMAP item 1)",
     # other reasons
+    "pair_draws": "the one-trial form of Schedule.draw's pair picks, which the tests "
+                  "check against D_pair exactly",
     "capture": "the paper's capture event at one vertex, which mu_exact and "
                "mu_estimate count in bulk",
 }

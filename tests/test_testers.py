@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from collections import Counter
 from functools import partial
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import RecordingOracle
+from monocube import poset, testers
 from monocube.funcs import (CountingOracle, ValuedFunction, anti_dictator,
                             random_function, random_monotone)
 from monocube.poset import hypercube
-from monocube.testers import (edge_draws, edge_tester, measure_rejection,
-                              pair_draws, pair_tester, repetitions,
-                              tau_schedule, wilson_interval)
+from monocube.seeds import derive_seed
+from monocube.testers import (edge_draws, edge_schedule, edge_tester, measure_rejection,
+                              pair_draws, pair_schedule, pair_tester, repetitions,
+                              run_trials, tau_schedule, wilson_interval)
 
 
 def test_tau_schedule():
@@ -250,19 +253,88 @@ def test_edge_tester_examples():
 
 def test_measure_rejection_monotone_zero():
     f = random_monotone(hypercube(5), 6, 4)
-    m = measure_rejection(f, partial(pair_tester, epsilon=0.5, r=6),
+    m = measure_rejection(f, partial(pair_schedule, epsilon=0.5, r=6),
                           trials=50, seed=13)
     assert m.rejections == 0 and m.rate == 0.0
 
 
-@pytest.mark.parametrize("run", [partial(pair_tester, epsilon=0.5, r=2, budget_constant=0.5),
-                                 partial(edge_tester, epsilon=0.5, budget_constant=0.5)],
+@pytest.mark.parametrize("run", [partial(pair_schedule, epsilon=0.5, r=2, budget_constant=0.5),
+                                 partial(edge_schedule, epsilon=0.5, budget_constant=0.5)],
                          ids=["pair_tester", "edge_tester"])
-def test_measure_rejection_parallel_matches_serial(run):
+def test_measure_rejection_parallel_matches_serial(monkeypatch, run):
+    # three trials a chunk: seven chunks, so two workers run different ones
+    monkeypatch.setattr(poset, "PAIR_CHUNK", 3 * run(6).trial_bytes)
     f = anti_dictator(6)
     serial = measure_rejection(f, run, trials=20, seed=3, jobs=1)
     parallel = measure_rejection(f, run, trials=20, seed=3, jobs=2)
     assert serial == parallel
+
+
+def nearly_monotone(d, seed):
+    """A random monotone function with a few vertices above the bottom set
+    below every value: some trials meet a violation, some do not."""
+    f = random_monotone(hypercube(d), 4, seed)
+    values = list(f.values)
+    for v in random.Random(seed).sample(range(1, 1 << d), 1 + (1 << d) // 8192):
+        values[v] = 0
+    return ValuedFunction(f.domain, tuple(values))
+
+
+def record_chunks(monkeypatch):
+    """Each chunk `measure_rejection` runs, as its oracle's query count and
+    its reports, in the order run."""
+    chunks = []
+
+    def recording(oracle, schedule, seeds):
+        reports = run_trials(oracle, schedule, seeds)
+        chunks.append((oracle.query_count, reports))
+        return reports
+
+    monkeypatch.setattr(testers, "run_trials", recording)
+    return chunks
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+@pytest.mark.parametrize("tester, schedule", [(pair_tester, pair_schedule),
+                                              (edge_tester, edge_schedule)],
+                         ids=["pair_tester", "edge_tester"])
+def test_chunked_trials_match_the_one_trial_testers(monkeypatch, tester, schedule, d):
+    f = nearly_monotone(d, d)
+    params = {"epsilon": 0.5, **({"r": len(f.levels)} if tester is pair_tester else {})}
+    run, trials = partial(schedule, **params), 25
+    if trials * run(d).trial_bytes <= poset.PAIR_CHUNK:
+        # one chunk at the real budget (all but the pair tester at d = 16):
+        # shrink the budget to four trials a chunk
+        monkeypatch.setattr(poset, "PAIR_CHUNK", 4 * run(d).trial_bytes)
+    chunks = record_chunks(monkeypatch)
+    m = measure_rejection(f, run, trials, seed=7)
+    sizes = [len(reports) for _, reports in chunks]
+    assert len(sizes) >= 3 and sum(sizes) == trials and sizes[-1] < sizes[0]
+    if tester is pair_tester and d == 16:
+        assert sizes == [11, 11, 3]
+    reports = [report for _, chunk in chunks for report in chunk]
+    alone = [tester(CountingOracle(f), derive_seed(7, t), **params) for t in range(trials)]
+    assert reports == alone  # verdict, queries, witness and per_setting, trial by trial
+    assert all(queries == sum(r.queries for r in chunk) for queries, chunk in chunks)
+    assert m.rejections == sum(r.rejected for r in alone)
+    assert m.mean_queries == math.fsum(r.queries for r in alone) / trials
+
+
+def test_a_chunk_queries_its_trials_in_turn():
+    # the one lookup of a chunk issues each trial's queries in the order
+    # the one-trial tester issues them
+    f = nearly_monotone(6, 1)
+    schedule = pair_schedule(6, epsilon=0.3, r=len(f.levels))
+    seeds = [derive_seed(3, t) for t in range(5)]
+    chunk = RecordingOracle(f)
+    reports = run_trials(chunk, schedule, seeds)
+    log = []
+    for seed in seeds:
+        alone = RecordingOracle(f)
+        pair_tester(alone, seed, epsilon=0.3, r=len(f.levels))
+        log += alone.log
+    assert chunk.log == log
+    assert chunk.query_count == sum(r.queries for r in reports) == len(log)
 
 
 def test_wilson_interval_basics():
