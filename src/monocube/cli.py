@@ -21,6 +21,8 @@ import time
 from fractions import Fraction
 from functools import cache, partial
 
+import numpy as np
+
 from . import __version__
 from .decomposition import decompose, decomposition_dump, edge_bound_check, \
     robust_chain_check
@@ -58,6 +60,18 @@ def _check_at_least(args, **least: int) -> None:
                              f"not {getattr(args, name)}")
 
 
+def _check_distinct(paths: dict) -> None:
+    """Raise ValueError naming two options that are one file, before any
+    is written: the later write would overwrite the earlier."""
+    seen = {}
+    for option, path in paths.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError(f"{seen[real]} and {option} name the same file {path}")
+            seen[real] = option
+
+
 def _emit(report: dict, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -72,6 +86,7 @@ def _emit(report: dict, out: str | None) -> None:
 
 def cmd_gen_function(args) -> int:
     started = time.perf_counter()
+    _check_distinct({"--domain": args.domain, "--out": args.out, "--report": args.report})
     if args.domain:
         domain = read_domain(args.domain)
     else:
@@ -203,8 +218,6 @@ VERIFY_FIELDS = ("index", "d", "r", "seed", "epsilon", "violated_edges", "monoto
 def _verify_instance(params: tuple) -> dict:
     """One instance of the verification suite; pure function of its args."""
     d, r, master_seed, index, colorings, mu_sets = params
-    import random
-
     seed = derive_seed(master_seed, index)
     domain = hypercube(d)
     f = random_function(domain, r, seed)
@@ -223,7 +236,7 @@ def _verify_instance(params: tuple) -> dict:
         if not dec.certificate.all_ok:
             failures.extend(f"decomposition:{name}:{w}"
                             for (name, w) in dec.certificate.failures())
-        rng = random.Random(derive_seed(seed, 1))
+        rng = np.random.default_rng(derive_seed(seed, 1))
         for c in range(colorings):
             col = EdgeColoring.random(profile, rng)
             chain = robust_chain_check(dec, col)
@@ -243,9 +256,10 @@ def _verify_instance(params: tuple) -> dict:
 
     if 2 * eps < Fraction(profile.num_violated, domain.num_edges):
         failures.append("lb-on-dist:edge-fraction")
-    rng = random.Random(derive_seed(seed, 2))
-    for _ in range(mu_sets):
-        S = [i for i in range(1, d + 1) if rng.random() < 0.5]
+    # each capture set holds each coordinate 1..d with probability 1/2
+    sets = np.random.default_rng(derive_seed(seed, 2)).random((mu_sets, d)) < 0.5
+    for chosen in sets:
+        S = (np.flatnonzero(chosen) + 1).tolist()
         if 2 * eps < mu_exact(f, S):
             failures.append(f"lb-on-dist:mu:{S}")
 
@@ -259,6 +273,8 @@ def cmd_verify_inequalities(args) -> int:
     _check_at_least(args, count=0, colorings=0, mu_sets=0, jobs=1)
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv needs --out: the CSV is written next to the JSON report")
+    csv_path = os.path.splitext(args.out)[0] + ".csv" if args.format == "csv" else None
+    _check_distinct({"--out": args.out, "--format csv": csv_path})
     hypercube(args.d).check_table_budget()  # also when --count 0 builds no instance
     params = [(args.d, args.r, args.seed, idx, args.colorings, args.mu_sets)
               for idx in range(args.count)]
@@ -279,7 +295,7 @@ def cmd_verify_inequalities(args) -> int:
     }
     _emit(report, args.out)
     if args.format == "csv":  # the header is written also when there are no rows
-        with open(os.path.splitext(args.out)[0] + ".csv", "w", newline="") as fh:
+        with open(csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=VERIFY_FIELDS)
             writer.writeheader()
             writer.writerows({k: (";".join(v) if isinstance(v, list) else v)

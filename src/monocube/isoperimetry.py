@@ -30,14 +30,17 @@ computes it once per function and caches it on the function, under
 A red/blue coloring of the violated edges (`EdgeColoring`) is a boolean
 vector aligned with one profile: ``red[k]`` colors the edge
 ``(lower[k], upper[k])``, and the vertex count is read off that
-profile.  A subset of the violated edges is a boolean
-mask over the same positions.  A colored count is one ``np.bincount``.
+profile.  A random coloring is one ``rng.random(m) < 0.5`` from a
+``numpy.random.Generator``, the package's one kind of random source.
+A subset of the violated edges is a boolean mask over the same
+positions.  A colored count is one ``np.bincount``.
 A whole ``(rows, m)`` mask stack is read once into its `colored_cells`,
 which no coloring enters, and `colored_objectives` gets each coloring's
 restricted objectives from them with one bincount per chunk of rows.
 `greedy_descent` keeps a coloring's objective as two exact integer
 totals, so each single-edge flip it tries costs O(1); `worst_coloring`
-restarts it from seeded colorings, or tries all 2^m up to a cap.
+restarts it from colorings drawn from ``np.random.default_rng(seed)``,
+or tries all 2^m up to a cap.
 
 `profile_dump` writes the violated edges as one Python list per edge,
 built with the cyclic collector paused.  The pause alone would only
@@ -130,19 +133,10 @@ class EdgeColoring:
         return cls(profile, np.ones(profile.num_violated, dtype=bool))
 
     @classmethod
-    def random(cls, profile: ViolationProfile, rng) -> "EdgeColoring":
-        """Each edge red with probability 1/2, from one
-        ``rng.getrandbits(64 * m)`` call: the coloring, and the generator
-        state after it, that one ``rng.random() < 0.5`` per violated edge
-        in profile order gives.
-
-        ``random.Random.random()`` builds each draw from two 32-bit words
-        a, b as ``((a >> 5) * 2^26 + (b >> 6)) / 2^53``, which is below 1/2
-        exactly when a < 2^31.  ``getrandbits`` takes the same 2m words,
-        the first one lowest, so edge k is red when word 2k is below 2^31."""
-        m = profile.num_violated
-        words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), dtype="<u4")
-        return cls(profile, words[0::2] < 1 << 31)
+    def random(cls, profile: ViolationProfile, rng: np.random.Generator) -> "EdgeColoring":
+        """Each edge red with probability 1/2: one ``rng.random(m) < 0.5``
+        over the m violated edges, in profile order."""
+        return cls(profile, rng.random(profile.num_violated) < 0.5)
 
 
 def colored_counts(col: EdgeColoring) -> tuple[list[int], list[int]]:
@@ -258,8 +252,7 @@ def greedy_descent(col: EdgeColoring) -> Iterator[float]:
     n = p.n
     high, low = _exact_roots(int(p.total.max()))
     roots = ((high << 32) + low).tolist()
-    counts = np.bincount(_colored_slots(col), minlength=2 * n).tolist()
-    reds, blues = counts[:n], counts[n:]
+    reds, blues = colored_counts(col)
     red_total, blue_total = sum(map(roots.__getitem__, reds)), sum(map(roots.__getitem__, blues))
     val = _root_mean(red_total, n) + _root_mean(blue_total, n)
     yield val
@@ -287,14 +280,14 @@ COLORING_ENUM_CAP = 20
 
 
 def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
-                   restarts: int = 5, seed: int = 0,
-                   cap: int = COLORING_ENUM_CAP) -> tuple[EdgeColoring, float]:
+                   restarts: int = 5, seed: int = 0) -> tuple[EdgeColoring, float]:
     """Coloring of the violated edges minimizing the robust objective.
 
-    'exhaustive' sweeps all 2^m colorings (m <= cap); 'greedy' runs
-    seeded local search flipping one edge color at a time
-    (`isoperimetry.greedy_descent`, which updates the objective exactly
-    per flip).
+    'exhaustive' sweeps all 2^m colorings (m <= `COLORING_ENUM_CAP`);
+    'greedy' runs local search flipping one edge color at a time
+    (`greedy_descent`, which updates the objective exactly per flip),
+    from the all-red coloring and then from ``restarts - 1`` random ones
+    (`EdgeColoring.random`) drawn from ``np.random.default_rng(seed)``.
     """
     profile = violation_profile(f)
     m = profile.num_violated
@@ -302,8 +295,8 @@ def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
         col = EdgeColoring.all_red(profile)
         return col, robust_objective(f, col)
     if mode == "exhaustive":
-        if m > cap:
-            raise DomainSizeError(f"2^{m} colorings exceeds cap 2^{cap}")
+        if m > COLORING_ENUM_CAP:
+            raise DomainSizeError(f"2^{m} colorings exceeds cap 2^{COLORING_ENUM_CAP}")
         col = EdgeColoring.all_red(profile)
         shifts = np.arange(m)
 
@@ -317,8 +310,7 @@ def worst_coloring(f: ValuedFunction, mode: str = "exhaustive",
     if mode != "greedy":
         raise ValueError(f"mode must be 'exhaustive' or 'greedy', not {mode!r}")
 
-    import random
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     best_val = None
     best_col = None
     for restart in range(restarts):

@@ -90,7 +90,7 @@ def test_criterion_02_decomposition_certificate(suite):
 
 def test_criterion_03_robust_chain(suite):
     with criterion("03 robust-chain"):
-        rng = random.Random(derive_seed(SUITE_SEED, 3))
+        rng = np.random.default_rng(derive_seed(SUITE_SEED, 3))
         done = 0
         for f in suite:
             if done >= 100 or f.domain.d > 5 or is_monotone(f):

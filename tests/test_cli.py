@@ -165,6 +165,27 @@ def test_verify_inequalities_csv(tmp_path):
     assert not (tmp_path / "res.csv").exists()
 
 
+@pytest.mark.parametrize("args, flags", [
+    (["verify-inequalities", "--d", "3", "--format", "csv", "--out", "r.csv"],
+     ("--out", "--format csv")),
+    (["gen-function", "--d", "3", "--out", "x.json", "--report", "x.json"],
+     ("--out", "--report")),
+    (["gen-function", "--domain", "g.domain.json", "--out", "g.json",
+      "--report", "g.domain.json"], ("--domain", "--report")),
+], ids=["csv-over-report", "report-over-function", "report-over-domain"])
+def test_two_outputs_on_one_path_are_refused(tmp_path, capsys, monkeypatch, args, flags):
+    # refused before anything is written, so the domain file stays as it was
+    monkeypatch.chdir(tmp_path)
+    domain = '{"n": 3, "edges": [[0, 1], [1, 2]]}'
+    (tmp_path / "g.domain.json").write_text(domain)
+    assert run(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert all(flag in err[0] for flag in flags)
+    assert sorted(os.listdir(tmp_path)) == ["g.domain.json"]
+    assert (tmp_path / "g.domain.json").read_text() == domain
+
+
 @pytest.mark.parametrize("values, epsilon", [([0, 10**400], "0"), ([10**400, 0], "1/2")])
 def test_integers_too_large_for_a_float_are_values(tmp_path, values, epsilon):
     """An int is a finite real at any size: the file is written out digit

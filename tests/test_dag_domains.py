@@ -4,6 +4,8 @@ suites are complemented by fuzzing here."""
 
 import random
 
+import numpy as np
+
 from monocube.decomposition import decompose, robust_chain_check
 from monocube.funcs import ValuedFunction
 from monocube.isoperimetry import EdgeColoring, violation_profile
@@ -34,6 +36,7 @@ def test_exact_distance_on_random_dags():
 
 def test_decompose_on_random_dags():
     rng = random.Random(7)
+    colors = np.random.default_rng(7)
     checked = 0
     for trial in range(40):
         n = rng.randint(3, 14)
@@ -43,7 +46,7 @@ def test_decompose_on_random_dags():
             continue
         dec = decompose(f)
         assert dec.certificate.all_ok, dec.certificate.failures()
-        col = EdgeColoring.random(violation_profile(f), rng)
+        col = EdgeColoring.random(violation_profile(f), colors)
         chain = robust_chain_check(dec, col)
         assert chain.ordering_ok and chain.distance_ok, chain.detail
         checked += 1

@@ -618,7 +618,7 @@ def test_chain_check_builds_its_masks_once_per_decomposition(monkeypatch):
     monkeypatch.setattr(decomposition, "violated_cover_edges",
                         lambda *args: calls.append(args) or violated_cover_edges(*args))
     built = recording_cells(monkeypatch)
-    rng = random.Random(2)
+    rng = np.random.default_rng(2)
     reports = [robust_chain_check(dec, EdgeColoring.random(violation_profile(f), rng))
                for _ in range(3)]
     assert len(calls) == 1
@@ -646,7 +646,7 @@ def test_parts_come_from_one_unpack(monkeypatch):
     dec = decompose(f)
     dec.epsilons
     assert dec.certificate.all_ok
-    rng = random.Random(5)
+    rng = np.random.default_rng(5)
     for _ in range(3):
         rep = robust_chain_check(dec, EdgeColoring.random(violation_profile(f), rng))
         assert rep.ordering_ok and rep.distance_ok
@@ -679,7 +679,7 @@ def test_parts_are_rows_of_the_bit_stack(monkeypatch):
 
 
 def test_chain_check_random_suite():
-    rng = random.Random(0)
+    rng = np.random.default_rng(0)
     for seed in range(40):
         f = random_function(hypercube(4), 5, 300 + seed)
         if is_monotone(f):
@@ -735,7 +735,7 @@ def chain_cases():
 def test_chain_values_match_the_per_part_formulation(chunk, monkeypatch, diamond_dag):
     if chunk is not None:
         monkeypatch.setattr(poset, "PAIR_CHUNK", chunk)
-    rng = random.Random(6)
+    rng = np.random.default_rng(6)
     cases = list(chain_cases()) + [ValuedFunction(diamond_dag, (5, 1, 3, 4, 0, 2, 1))]
     checked = 0
     for f in cases:

@@ -86,14 +86,12 @@ def test_random_coloring_is_the_per_edge_draw(m):
     profile = violation_profile(decreasing_chain(m + 1))
     assert profile.num_violated == m
     for seed in range(300):
-        rng, ref = random.Random(seed), random.Random(seed)
-        col = EdgeColoring.random(profile, rng)
-        assert col.red.tolist() == [ref.random() < 0.5 for _ in range(m)]
-        assert rng.random() == ref.random()
+        col = EdgeColoring.random(profile, np.random.default_rng(seed))
+        assert np.array_equal(col.red, np.random.default_rng(seed).random(m) < 0.5)
 
 
 def test_coloring_conservation():
-    rng = random.Random(0)
+    rng = np.random.default_rng(0)
     for seed in range(40):
         f = random_function(hypercube(5), 6, seed)
         p = violation_profile(f)

@@ -222,7 +222,7 @@ def test_decomposition_certificate_is_solved_when_read(monkeypatch):
     assert dec.certificate.all_ok
     assert len(calls) == 2 and is_whole_row(calls[0], f)
     assert np.array_equal(calls[1][0], [fi.ranks for (fi, _) in dec.components])
-    col = EdgeColoring.random(violation_profile(f), random.Random(3))
+    col = EdgeColoring.random(violation_profile(f), np.random.default_rng(3))
     chain = robust_chain_check(dec, col)
     assert len(calls) == 2
     g = ValuedFunction(f.domain, f.values)
@@ -642,7 +642,7 @@ def test_worst_coloring_greedy_vs_exhaustive():
 @pytest.mark.parametrize("seed", [5, 6])
 def test_greedy_running_value_is_the_robust_objective(make, seed):
     f = make()
-    col = EdgeColoring.random(violation_profile(f), random.Random(seed))
+    col = EdgeColoring.random(violation_profile(f), np.random.default_rng(seed))
     values = []
     for val in greedy_descent(col):
         assert val == robust_objective(f, col)

@@ -17,7 +17,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 ALLOWED = {
     # names the benchmark (perfbench/) wraps or runs
     "canonical_rank": "perfbench's tracer wraps it by name",
-    "colored_counts": "perfbench's tracer wraps it by name",
     "pair_tester": "perfbench's tracer wraps it by name",
     "profile_dump": "perfbench runs it as the profile_dump job",
     "anti_dictator": "perfbench's workloads build the anti-dictator input with it",
@@ -157,3 +156,20 @@ def test_package_imports_sit_at_module_top_level():
     # a module's dependencies on the package are read off its first lines,
     # and they run one way: poset <- funcs <- {isoperimetry, oracles} <- ...
     assert nested_package_imports() == []
+
+
+def random_module_imports():
+    """Each import of Python's `random` module in `src/monocube`, anywhere
+    in a module, as ``module:line: source``."""
+    found = []
+    for module, tree in parsed_modules():
+        found += [f"{module}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(tree)
+                  if any(name.partition(".")[0] == "random" for name in imported_modules(node))]
+    return found
+
+
+def test_no_module_imports_the_random_module():
+    # every random draw comes from a numpy Generator seeded through
+    # seeds.derive_seed, so the package has one kind of random stream
+    assert random_module_imports() == []
